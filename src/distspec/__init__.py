@@ -1,8 +1,9 @@
 """distspec: distance matrices of graphs, exactly and numerically.
 
 Generators for the classical distance-regular and clique-path families,
-closed-form distance spectra with exact values, fraction-free determinants
-and rational congruence inertia, a self-contained Jacobi eigensolver used as
+closed-form distance spectra with exact values, one exact integer kernel
+(Bareiss rank and determinant, a multi-modular characteristic polynomial for
+inertia and distinct eigenvalues), a self-contained Jacobi eigensolver used as
 the numeric oracle, strongly-regular parameter analysis, and zero-forcing
 based bounds on the number of distinct distance eigenvalues.
 """

@@ -128,15 +128,23 @@ def _parse_range(text: str) -> range:
 
 
 def _worker_count(args: argparse.Namespace) -> int:
-    if getattr(args, "workers", None):
-        return max(1, args.workers)
-    env = os.environ.get("DISTSPEC_WORKERS")
-    if env:
+    """--workers, else DISTSPEC_WORKERS, else 1; anything but a positive
+    integer is a usage error."""
+    if args.workers is not None:
+        count, source = args.workers, "--workers"
+    else:
+        env = os.environ.get("DISTSPEC_WORKERS")
+        if not env:
+            return 1
+        source = "DISTSPEC_WORKERS"
         try:
-            return max(1, int(env))
+            count = int(env)
         except ValueError:
-            pass
-    return 1
+            raise ValueError(f"{source} must be a positive integer, "
+                             f"got {env!r}") from None
+    if count < 1:
+        raise ValueError(f"{source} must be a positive integer, got {count}")
+    return count
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,33 @@
 """Exact linear algebra over the integers and rationals.
 
-These routines are the ground-truth side of every numeric cross-check:
-fraction-free Bareiss determinants, inertia by rational symmetric congruence,
-minimal polynomial degree by exact rank of flattened matrix powers, and
-equitable quotient matrices.  No floating point anywhere.
+These routines are the ground-truth side of every numeric cross-check.  One
+kernel, run at most once per matrix, gives the determinant, rank, inertia
+and distinct-eigenvalue count:
+
+1. fraction-free Bareiss elimination over Python ints: rank and determinant;
+2. the characteristic polynomial chi(x) = det(xI - M), by Hessenberg
+   reduction and the standard recurrence (Cohen, *A Course in Computational
+   Algebraic Number Theory*, ch. 2) modulo primes below 2**31 in int64
+   arrays, lifted by the Chinese remainder theorem under a Hadamard bound;
+   (-1)^n chi(0) must equal the Bareiss determinant;
+3. a symmetric matrix has only real eigenvalues, so Descartes' rule of signs
+   on chi(x) and chi(-x) counts the positive and negative ones exactly, and
+   n - deg gcd(chi, chi') counts the distinct ones.
+
+The public functions share the kernel through a memo holding only the last
+matrix.  Rational input is first scaled by the LCM of its denominators.  No
+floating point anywhere.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
+
+import numpy as np
 
 Partition = Sequence[Sequence[int]]
 
@@ -44,164 +61,287 @@ def _check_symmetric(mat) -> None:
                 raise ValueError(f"matrix not symmetric at ({i}, {j})")
 
 
+_PRIMES: list[int] = []  # largest primes below 2**31, descending; grown lazily
+
+
+def _is_prime(m: int) -> bool:
+    """Miller-Rabin with bases 2, 3, 5, 7: deterministic below 3.2e9."""
+    for a in (2, 3, 5, 7):
+        if m % a == 0:
+            return m == a
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 3, 5, 7):
+        x = pow(a, d, m)
+        if x in (1, m - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _primes_over(bound: int) -> list[int]:
+    """The fewest leading primes of `_PRIMES` whose product exceeds bound."""
+    prod, k = 1, 0
+    while prod <= bound:
+        if k == len(_PRIMES):
+            c = _PRIMES[-1] - 2 if _PRIMES else 2**31 - 1
+            while not _is_prime(c):
+                c -= 2
+            _PRIMES.append(c)
+        prod *= _PRIMES[k]
+        k += 1
+    return _PRIMES[:k]
+
+
+def _integer_rows(rows: Sequence[Sequence]) -> list[list[int]]:
+    """Rows as Python ints, scaled by the positive LCM of all denominators."""
+    if all(type(x) is int for row in rows for x in row):
+        return [list(row) for row in rows]
+    fr = [[Fraction(x) for x in row] for row in rows]
+    scale = math.lcm(*(x.denominator for row in fr for x in row))
+    return [[(x * scale).numerator for x in row] for row in fr]
+
+
+def _bareiss(rows: list[list[int]]) -> tuple[int, int]:
+    """(rank, determinant) by fraction-free elimination; consumes rows.
+
+    Every entry after k pivots is a (k+1)-minor of the input (Sylvester's
+    identity), so each division by the previous pivot is exact.  The
+    determinant is 0 unless the matrix is square of full rank.
+    """
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    rank, sign, prev = 0, 1, 1
+    for c in range(ncols):
+        if rank == nrows:
+            break
+        piv = next((r for r in range(rank, nrows) if rows[r][c]), None)
+        if piv is None:
+            continue
+        if piv != rank:
+            rows[rank], rows[piv] = rows[piv], rows[rank]
+            sign = -sign
+        top = rows[rank]
+        p = top[c]
+        tail = top[c + 1:]
+        for r in range(rank + 1, nrows):
+            row = rows[r]
+            f = row[c]
+            if f:
+                row[c + 1:] = [(p * x - f * y) // prev
+                               for x, y in zip(row[c + 1:], tail)]
+            elif p != prev:
+                row[c + 1:] = [p * x // prev for x in row[c + 1:]]
+        prev = p
+        rank += 1
+    det = sign * prev if rank == nrows == ncols else 0
+    return rank, det
+
+
+def _matmul_mod(a: np.ndarray, b: np.ndarray, mod: np.ndarray) -> np.ndarray:
+    """a @ b modulo each prime, for stacks of residues below 2**31.
+
+    b is split into 16-bit halves, so each int64 product stays below 2**47
+    and a sum of fewer than 2**15 of them below 2**63.
+    """
+    hi = np.matmul(a, b >> 16) % mod
+    return ((hi << 16) + np.matmul(a, b & 0xFFFF)) % mod
+
+
+def _charpoly_residues(rows: list[list[int]], primes: list[int]) -> np.ndarray:
+    """Coefficients of det(xI - M) modulo each prime, lowest degree first.
+
+    Per prime, a similarity brings M to upper Hessenberg form H with every
+    subdiagonal entry 0 or 1; the recurrence
+
+        p_{m+1} = x p_m - sum_{s <= i <= m} H[i, m] p_i,
+
+    with s the start of the current unreduced block, then gives chi = p_n.
+    Elementwise products of residues are reduced before they are summed.
+    """
+    n, kp = len(rows), len(primes)
+    mod = np.array(primes, dtype=np.int64)
+    mc, mm = mod[:, None], mod[:, None, None]
+    try:
+        h = np.array(rows, dtype=np.int64).reshape(n, n)[None] % mm
+    except OverflowError:  # entries beyond int64: reduce them as Python ints
+        big = np.array(rows, dtype=object)
+        h = np.stack([(big % p).astype(np.int64) for p in primes])
+    block = np.zeros((kp, n), dtype=np.int64)  # block start for each column
+    for m in range(1, n):
+        nz = h[:, m:, m - 1] != 0
+        has = nz.any(axis=1)
+        block[:, m] = np.where(has, block[:, m - 1], m)
+        if not has.any():
+            continue
+        first = nz.argmax(axis=1) + m
+        for k in np.flatnonzero(has & (first != m)):
+            i = first[k]
+            h[k, [m, i], :] = h[k, [i, m], :]
+            h[k, :, [m, i]] = h[k, :, [i, m]]
+        t = np.where(has, h[:, m, m - 1], 1)
+        inv = np.array([pow(int(x), -1, int(p)) for x, p in zip(t, mod)],
+                       dtype=np.int64)
+        h[:, m, :] = h[:, m, :] * inv[:, None] % mc
+        h[:, :, m] = h[:, :, m] * t[:, None] % mc
+        u = h[:, m + 1:, m - 1:m].copy()
+        if u.any():  # rows m+1.. -= u * row m; column m += columns m+1.. @ u
+            h[:, m + 1:, m - 1:] = (h[:, m + 1:, m - 1:]
+                                   - u * h[:, m:m + 1, m - 1:]) % mm
+            h[:, :, m:m + 1] += _matmul_mod(h[:, :, m + 1:], u, mm)
+            h[:, :, m] %= mc
+    polys = np.zeros((kp, n + 1, n + 1), dtype=np.int64)
+    polys[:, 0, 0] = 1
+    for m in range(n):
+        lo = int(block[:, m].min())
+        w = h[:, lo:m + 1, m] * (np.arange(lo, m + 1) >= block[:, m:m + 1])
+        terms = _matmul_mod(polys[:, lo:m + 1, :m + 1].transpose(0, 2, 1),
+                            w[:, :, None], mm)[:, :, 0]
+        polys[:, m + 1, 1:m + 2] = polys[:, m, :m + 1]
+        polys[:, m + 1, :m + 1] = (polys[:, m + 1, :m + 1] - terms) % mc
+    return polys[:, n, :]
+
+
+def _crt_lift(residues: np.ndarray, primes: list[int]) -> list[int]:
+    """Symmetric CRT lift of each column of residues (one row per prime)."""
+    modulus = math.prod(primes)
+    weights = [modulus // p * pow(modulus // p, -1, p) for p in primes]
+    half = modulus // 2
+    out = []
+    for col in residues.T.tolist():
+        c = sum(r * w for r, w in zip(col, weights)) % modulus
+        out.append(c - modulus if c > half else c)
+    return out
+
+
+# Primes are handled this many matrix entries at a time, which caps each
+# int64 working array of the characteristic polynomial at 4 MiB.
+_CHUNK_ENTRIES = 1 << 19
+
+
+class _Kernel:
+    """Rank, determinant and characteristic polynomial of one integer
+    matrix, each computed on first use."""
+
+    def __init__(self, rows: list[list[int]]):
+        self.rows = rows
+
+    @cached_property
+    def rank_det(self) -> tuple[int, int]:
+        return _bareiss([list(row) for row in self.rows])
+
+    @cached_property
+    def chi(self) -> list[int]:
+        """Coefficients of det(xI - M), lowest degree first, for symmetric M.
+
+        Each principal k x k minor is at most prod r_i in absolute value,
+        r_i = isqrt(|row_i|^2) + 1 (Hadamard), and minors of order above the
+        rank vanish, so twice max_{k <= rank} e_k(r) bounds the modulus.
+        """
+        (rank, det), n = self.rank_det, len(self.rows)
+        e = [1] + [0] * rank  # elementary symmetric functions of the r_i
+        for row in self.rows:
+            r = math.isqrt(sum(x * x for x in row)) + 1
+            for k in range(rank, 0, -1):
+                e[k] += r * e[k - 1]
+        primes = _primes_over(2 * max(e))
+        step = max(1, _CHUNK_ENTRIES // (n * n + 1))
+        res = np.concatenate([_charpoly_residues(self.rows, primes[i:i + step])
+                              for i in range(0, len(primes), step)])
+        chi = _crt_lift(res, primes)
+        zero = n - rank  # nullity of a symmetric matrix: multiplicity of root 0
+        if any(chi[:zero]) or not chi[zero] or (-1) ** n * chi[0] != det:
+            raise ArithmeticError(
+                f"characteristic polynomial {chi} disagrees with Bareiss "
+                f"rank {rank} and determinant {det}")
+        return chi
+
+
+_last: tuple[tuple, _Kernel] | None = None
+
+
+def _kernel(mat: Sequence[Sequence]) -> _Kernel:
+    """The kernel for this matrix, reused if it equals the previous one."""
+    global _last
+    key = tuple(map(tuple, mat))
+    last = _last
+    if last is not None and last[0] == key:
+        return last[1]
+    kern = _Kernel(_integer_rows(key))
+    _last = (key, kern)
+    return kern
+
+
+def _sign_changes(coeffs: Sequence[int]) -> int:
+    signs = [c > 0 for c in coeffs if c]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def _gcd_degree(a: list[int], b: list[int]) -> int:
+    """Degree of gcd(a, b) by a primitive pseudo-remainder sequence.
+
+    Coefficients run highest degree first, with nonzero leading ones.
+    """
+    while len(b) > 1:
+        r = list(a)
+        while len(r) >= len(b):
+            f = r[0]
+            r = [b[0] * x - f * (b[i] if i < len(b) else 0)
+                 for i, x in enumerate(r)][1:]
+        while r and r[0] == 0:
+            r.pop(0)
+        if not r:
+            return len(b) - 1
+        g = math.gcd(*r)
+        a, b = b, [x // g for x in r]
+    return 0
+
+
 def det_exact(mat: Sequence[Sequence[int]]) -> int:
     """Determinant of an integer matrix by fraction-free Bareiss elimination.
 
     All intermediate divisions are exact, so the arithmetic stays in the
     integers no matter how large the entries grow.
     """
-    n = _check_square(mat)
+    _check_square(mat)
     for row in mat:
         for x in row:
             if not isinstance(x, int):
                 raise ValueError("integer entries required")
-    a = [list(row) for row in mat]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for r in range(k + 1, n):
-                if a[r][k] != 0:
-                    a[k], a[r] = a[r], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            aik = a[i][k]
-            row_i, row_k = a[i], a[k]
-            for j in range(k + 1, n):
-                row_i[j] = (pivot * row_i[j] - aik * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pivot
-    return sign * a[n - 1][n - 1]
+    return _kernel(mat).rank_det[1]
 
 
 def inertia_exact(mat: Sequence[Sequence]) -> Inertia:
     """Inertia (positive, zero, negative) of a symmetric rational matrix.
 
-    Performs a symmetric congruence reduction with exact rational arithmetic,
-    using a 1x1 pivot whenever some diagonal entry of the active block is
-    nonzero and a 2x2 hyperbolic pivot otherwise.  Congruence preserves
-    inertia, so the counts are exact.
+    Read off the integer characteristic polynomial: the zero count is the
+    multiplicity of the root 0, and Descartes' rule of signs, exact for a
+    polynomial with only real roots, counts the positive roots of chi(x) and
+    of chi(-x).
     """
     n = _check_square(mat)
     _check_symmetric(mat)
-    a = {(i, j): Fraction(mat[i][j]) for i in range(n) for j in range(i, n)
-         if mat[i][j] != 0}
-
-    def get(i: int, j: int) -> Fraction:
-        if i > j:
-            i, j = j, i
-        return a.get((i, j), Fraction(0))
-
-    def put(i: int, j: int, v: Fraction) -> None:
-        if i > j:
-            i, j = j, i
-        if v:
-            a[(i, j)] = v
-        else:
-            a.pop((i, j), None)
-
-    active = list(range(n))
-    pos = neg = zero = 0
-    while active:
-        pivot_idx = None
-        best = None
-        for idx, i in enumerate(active):
-            v = get(i, i)
-            if v != 0 and (best is None or abs(v) > best):
-                best, pivot_idx = abs(v), idx
-        if pivot_idx is not None:
-            i = active.pop(pivot_idx)
-            piv = get(i, i)
-            if piv > 0:
-                pos += 1
-            else:
-                neg += 1
-            col = {j: get(i, j) for j in active if get(i, j) != 0}
-            for j in col:
-                cj = col[j]
-                for k in active:
-                    if k < j:
-                        continue
-                    ck = col.get(k, Fraction(0))
-                    if ck:
-                        put(j, k, get(j, k) - cj * ck / piv)
-            for j in active:
-                put(i, j, Fraction(0))
-            continue
-        # all active diagonal entries are zero; look for an off-diagonal pivot
-        pair = None
-        for x in range(len(active)):
-            for y in range(x + 1, len(active)):
-                if get(active[x], active[y]) != 0:
-                    pair = (x, y)
-                    break
-            if pair:
-                break
-        if pair is None:
-            zero += len(active)
-            break
-        x, y = pair
-        i, j = active[y], active[x]
-        active = [v for v in active if v not in (i, j)]
-        # block [[0, c], [c, 0]] contributes one eigenvalue of each sign
-        pos += 1
-        neg += 1
-        c = get(i, j)
-        coli = {k: get(i, k) for k in active if get(i, k) != 0}
-        colj = {k: get(j, k) for k in active if get(j, k) != 0}
-        for k in active:
-            bik = coli.get(k, Fraction(0))
-            bjk = colj.get(k, Fraction(0))
-            if not (bik or bjk):
-                continue
-            for l in active:
-                if l < k:
-                    continue
-                bil = coli.get(l, Fraction(0))
-                bjl = colj.get(l, Fraction(0))
-                delta = (bik * bjl + bjk * bil) / c
-                if delta:
-                    put(k, l, get(k, l) - delta)
-        for k in active:
-            put(i, k, Fraction(0))
-            put(j, k, Fraction(0))
+    kern = _kernel(mat)
+    zero = n - kern.rank_det[0]
+    tail = kern.chi[zero:]
+    pos = _sign_changes(tail)
+    neg = _sign_changes([c if k % 2 == 0 else -c for k, c in enumerate(tail)])
+    if pos + neg + zero != n:
+        raise ArithmeticError(f"sign counts {pos}+{neg}+{zero} miss order {n}")
     return Inertia(pos, zero, neg)
 
 
 def rank_exact(mat: Sequence[Sequence]) -> int:
-    """Rank of a rational matrix by Gaussian elimination over Fraction."""
-    rows = [[Fraction(x) for x in row] for row in mat]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    col = 0
-    while rank < len(rows) and col < ncols:
-        piv = None
-        for r in range(rank, len(rows)):
-            if rows[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            col += 1
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pr = rows[rank]
-        inv = 1 / pr[col]
-        for r in range(rank + 1, len(rows)):
-            f = rows[r][col]
-            if f:
-                f *= inv
-                rr = rows[r]
-                for c in range(col, ncols):
-                    rr[c] -= f * pr[c]
-        rank += 1
-        col += 1
-    return rank
+    """Rank of a rational matrix by fraction-free Bareiss elimination."""
+    if any(len(row) != len(mat[0]) for row in mat):
+        raise ValueError("matrix rows must have equal length")
+    return _kernel(mat).rank_det[0]
 
 
 _DISTINCT_CAP = 256
@@ -210,54 +350,24 @@ _DISTINCT_CAP = 256
 def distinct_eigenvalue_count(mat: Sequence[Sequence[int]]) -> int:
     """Number of distinct eigenvalues of a symmetric integer matrix.
 
-    Equals the degree of the minimal polynomial, found as the first k for
-    which I, M, ..., M^k become linearly dependent.  Dependence is tested
-    exactly on flattened upper triangles with big integer arithmetic, so the
-    answer carries no numeric tolerance.  Guarded at order 256; the search
-    scales with (distinct count) x n^3.
+    Equals n - deg gcd(chi, chi') for the characteristic polynomial chi; the
+    root 0, of multiplicity n - rank, is divided out first, so the
+    pseudo-remainder sequence runs on a polynomial of degree rank.  The
+    answer carries no numeric tolerance.  Guarded at order 256; chi costs
+    O(rank * n^2) per prime, and the prime count grows with rank times the
+    bit length of the row norms.
     """
     n = _check_square(mat)
     _check_symmetric(mat)
     if n > _DISTINCT_CAP:
         raise ValueError(f"order {n} exceeds the exact search cap {_DISTINCT_CAP}")
-    idx = [(i, j) for i in range(n) for j in range(i, n)]
-
-    def flatten(p):
-        return [p[i][j] for i, j in idx]
-
-    def matmul(p):
-        out = [[0] * n for _ in range(n)]
-        for i in range(n):
-            pi = p[i]
-            oi = out[i]
-            for k in range(n):
-                pik = pi[k]
-                if pik:
-                    mk = mat[k]
-                    for j in range(n):
-                        oi[j] += pik * mk[j]
-        return out
-
-    power = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    basis: list[tuple[int, list[Fraction]]] = []  # (pivot position, reduced row)
-    k = 0
-    while True:
-        vec = [Fraction(x) for x in flatten(power)]
-        for pivot_pos, row in basis:
-            f = vec[pivot_pos]
-            if f:
-                for c in range(pivot_pos, len(vec)):
-                    vec[c] -= f * row[c]
-        lead = next((c for c, x in enumerate(vec) if x != 0), None)
-        if lead is None:
-            return k
-        inv = 1 / vec[lead]
-        vec = [x * inv for x in vec]
-        basis.append((lead, vec))
-        power = matmul(power)
-        k += 1
-        if k > n:
-            raise AssertionError("minimal polynomial search failed to terminate")
+    kern = _kernel(mat)
+    rank = kern.rank_det[0]
+    if rank == 0:
+        return int(n > 0)
+    f = kern.chi[n - rank:][::-1]
+    df = [(rank - k) * c for k, c in enumerate(f[:-1])]
+    return (rank < n) + rank - _gcd_degree(f, df)
 
 
 def check_partition(n: int, cells: Partition) -> list[list[int]]:

@@ -140,13 +140,26 @@ class QuadraticNumber:
     def _cmp(self, other) -> int:
         if isinstance(other, (int, Fraction)):
             other = QuadraticNumber(other)
-        diff = self - other
-        if diff is NotImplemented:
-            # different radicands; fall back to floats (never hit by the
-            # families here, whose spectra involve a single surd each)
-            x, y = float(self), float(other)
-            return (x > y) - (x < y)
-        return diff._sign()
+        elif not isinstance(other, QuadraticNumber):
+            raise TypeError(f"cannot order QuadraticNumber and "
+                            f"{type(other).__name__}")
+        if self.d == other.d or self.b == 0 or other.b == 0:
+            return (self - other)._sign()
+        # different radicands: the sign of a + w with w = u + v,
+        # u = b1*sqrt(d1) and v = -b2*sqrt(d2), decided by squaring twice
+        a = self.a - other.a
+        u2, v2 = self.b * self.b * self.d, other.b * other.b * other.d
+        su, sv = (1 if self.b > 0 else -1), (1 if other.b < 0 else -1)
+        # u2 != v2, since d1/d2 is not the square of a rational
+        sw = su if su == sv or u2 > v2 else sv
+        sa = (a > 0) - (a < 0)
+        if sa in (0, sw):
+            return sw
+        # a and w differ in sign: compare a^2 with w^2 = u2 + v2 + 2uv,
+        # never equal since sqrt(d1*d2) is irrational
+        gap = QuadraticNumber(a * a - u2 - v2, 2 * self.b * other.b,
+                              self.d * other.d)
+        return sa if gap._sign() > 0 else sw
 
     def __lt__(self, other):
         return self._cmp(other) < 0

@@ -135,6 +135,30 @@ class TestVerify:
         assert code == EXIT_OK
         assert data["failures"] == 0
 
+    @pytest.mark.parametrize("count", ["0", "-4"])
+    def test_nonpositive_workers_rejected(self, capsys, count):
+        code, out, err = run(capsys, "verify", "cycle", "--n", "3..4",
+                             "--workers", count)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == f"error: --workers must be a positive integer, " \
+                      f"got {count}\n"
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-4", "2.5"])
+    def test_bad_workers_env_var_rejected(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("DISTSPEC_WORKERS", value)
+        code, out, err = run(capsys, "verify", "cycle", "--n", "3..4")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: DISTSPEC_WORKERS must be a positive")
+        assert err.count("\n") == 1
+
+    def test_workers_flag_overrides_env_var(self, capsys, monkeypatch):
+        monkeypatch.setenv("DISTSPEC_WORKERS", "abc")
+        code, _, _ = run(capsys, "verify", "cycle", "--n", "3..4",
+                         "--workers", "1")
+        assert code == EXIT_OK
+
     def test_unknown_target(self, capsys):
         code, _, err = run(capsys, "verify", "moebius")
         assert code == EXIT_USAGE

@@ -183,3 +183,26 @@ class TestMatching:
         a = Spectrum([(4, 1)])
         b = Spectrum([(4, 1), (0, 1)])
         assert not spectra_match(a, b)
+
+
+class TestMixedRadicandOrder:
+    def test_huge_rational_part(self):
+        # floats cannot separate these: both round to 1e20
+        x = QuadraticNumber(10**20, 1, 2)
+        y = QuadraticNumber(10**20, 1, 3)
+        assert x < y and y > x and x <= y and not x >= y
+
+    def test_opposite_signs_need_second_squaring(self):
+        # 3 + sqrt(2) - sqrt(15) is about 0.541; 3 + sqrt(2) - sqrt(20) < 0
+        assert QuadraticNumber(3, 1, 2) > QuadraticNumber(0, 1, 15)
+        assert QuadraticNumber(3, 1, 2) < QuadraticNumber(0, 2, 5)
+        assert QuadraticNumber(Fraction(-1, 2), -1, 7) < \
+            QuadraticNumber(-3, 1, 3)
+
+    def test_sort_matches_float_order(self):
+        vals = [QuadraticNumber(a, b, d) for a in (-3, 0, Fraction(5, 2))
+                for b in (-2, 1, Fraction(1, 3)) for d in (2, 3, 5, 6, 7)]
+        vals += [QuadraticNumber(1), QuadraticNumber(-2)]
+        ordered = sorted(vals)
+        assert ordered == sorted(vals, key=float)
+        assert all(a < b for a, b in zip(ordered, ordered[1:]))
