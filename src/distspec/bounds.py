@@ -161,51 +161,6 @@ def enumerate_trees(n: int) -> list[Graph]:
     return [make_graph(n, edges) for edges in reps]
 
 
-def trees_from_pruefer(n: int) -> list[Graph]:
-    """Independent cross-check enumerator: decode all n^(n-2) Pruefer
-    sequences and deduplicate by canonical code.  Exponential in n; only
-    sensible for n around 8 or below."""
-    if n < 2:
-        raise ValueError("needs n >= 2")
-    if n == 2:
-        return [make_graph(2, [(0, 1)])]
-    if n > 9:
-        raise ValueError("Pruefer sweep is impractical beyond n = 9")
-    seen: dict[str, list[tuple[int, int]]] = {}
-    seq = [0] * (n - 2)
-    while True:
-        degree = [1] * n
-        for x in seq:
-            degree[x] += 1
-        edges = []
-        work = list(seq)
-        leaves = sorted(v for v in range(n) if degree[v] == 1)
-        for x in work:
-            leaf = leaves.pop(0)
-            edges.append((min(leaf, x), max(leaf, x)))
-            degree[x] -= 1
-            if degree[x] == 1:
-                # insert keeping the candidate list sorted
-                lo = 0
-                while lo < len(leaves) and leaves[lo] < x:
-                    lo += 1
-                leaves.insert(lo, x)
-        u, v = leaves
-        edges.append((u, v))
-        code = tree_canonical_code(n, edges)
-        if code not in seen:
-            seen[code] = edges
-        # next sequence in lexicographic order
-        i = n - 3
-        while i >= 0 and seq[i] == n - 1:
-            seq[i] = 0
-            i -= 1
-        if i < 0:
-            break
-        seq[i] += 1
-    return [make_graph(n, seen[c]) for c in sorted(seen)]
-
-
 @dataclass(frozen=True)
 class TreeBoundReport:
     order: int

@@ -10,6 +10,15 @@ Subcommands:
   matrix        print the distance matrix
   det           exact determinant and inertia of the distance matrix
 
+Everything known about a graph family is one `Family` record in `FAMILIES`:
+its parameters, generator, order, domain, closed forms and default `verify`
+grid.  Each route checks the order of a request against its own cap before
+it builds a graph: `jacobi.MAX_ORDER` for numeric spectra and `verify`
+spectrum sweeps, `exact.EXACT_ORDER_CAP` for `det` and determinant sweeps,
+and `bounds.ZF_ORDER_CAP` for `zf-bound`; `matrix` has no cap.  A request
+over its cap is a usage error, and a grid point over it is left out of the
+sweep.  A closed-form `spectrum` builds no graph at all.
+
 Exit codes: 0 success (and every check passed), 1 a verification failed,
 2 bad usage or invalid parameters.  Output is deterministic; floats are
 printed with 12 significant digits.  The environment variable
@@ -20,7 +29,9 @@ parallelism is across instances only, never inside one computation.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -28,9 +39,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .bounds import (check_tree_bounds, enumerate_trees, zero_forcing_number,
-                     zf_eigenvalue_bound)
-from .closedforms import (ClosedFormSpectrum, barbell_determinant,
+from .bounds import (ZF_ORDER_CAP, check_tree_bounds, enumerate_trees,
+                     zero_forcing_number, zf_eigenvalue_bound)
+from .closedforms import (ClosedFormSpectrum, _comb0, barbell_determinant,
                           barbell_inertia, cocktail_party_spectrum,
                           complete_spectrum, cycle_spectrum,
                           dodecahedron_spectrum, doob_spectrum,
@@ -40,13 +51,14 @@ from .closedforms import (ClosedFormSpectrum, barbell_determinant,
                           lollipop_determinant, lollipop_inertia,
                           shrikhande_power_spectrum)
 from .distances import DisconnectedError, distance_matrix, format_matrix
-from .exact import det_exact, distinct_eigenvalue_count, inertia_exact
+from .exact import (EXACT_ORDER_CAP, Inertia, det_exact,
+                    distinct_eigenvalue_count, inertia_exact)
 from .graphs import (Graph, GraphError, cocktail_party, complement, complete,
                      cycle, dodecahedron, double_odd, doob,
                      generalized_barbell, halved_cube, hamming, hypercube,
                      hypercube_with_leaf, icosahedron, johnson, kneser,
                      lollipop, odd_graph, path, petersen, shrikhande)
-from .jacobi import sym_eigenvalues
+from .jacobi import MAX_ORDER, sym_eigenvalues
 from .spectra import (Spectrum, cluster_to_spectrum, exact_string,
                       max_deviation, spectra_match)
 from .srg import (SrgParameterError, SrgParams, classify_one_positive,
@@ -65,54 +77,82 @@ def _fmt(x: float) -> float:
 
 @dataclass(frozen=True)
 class Family:
-    """A named graph family exposed on the command line."""
+    """A graph family on the command line.
+
+    `order` is total over the integers: the generator's order where the
+    generator accepts the parameters, a few vertices at most elsewhere.
+    `domain` holds where the closed form is tried before building and which
+    `verify` grid points stay; `grid` has one default range per parameter.
+    """
 
     params: tuple[str, ...]
     gen: Callable[..., Graph]
+    order: Callable[..., int]
+    grid: tuple[range, ...] = ()
     closed: Optional[Callable[..., ClosedFormSpectrum]] = None
+    domain: Callable[..., bool] = lambda *params: True
+    det: Optional[Callable[..., int]] = None
+    inertia: Optional[Callable[..., Inertia]] = None
 
 
 FAMILIES: dict[str, Family] = {
-    "complete": Family(("n",), complete, complete_spectrum),
-    "path": Family(("n",), path),
-    "cycle": Family(("n",), cycle, cycle_spectrum),
-    "hypercube": Family(("d",), hypercube, lambda d: hamming_spectrum(d, 2)),
-    "hamming": Family(("d", "n"), hamming, hamming_spectrum),
-    "shrikhande": Family((), shrikhande, lambda: shrikhande_power_spectrum(1)),
-    "doob": Family(("m", "d"), doob, doob_spectrum),
-    "johnson": Family(("n", "r"), johnson, johnson_spectrum),
-    "kneser": Family(("n", "r"), kneser, kneser_spectrum),
-    "odd": Family(("r",), odd_graph, lambda r: kneser_spectrum(2 * r + 1, r)),
-    "double-odd": Family(("r",), double_odd, double_odd_spectrum),
-    "halved-cube": Family(("d",), halved_cube, halved_cube_spectrum),
-    "cocktail-party": Family(("m",), cocktail_party, cocktail_party_spectrum),
-    "petersen": Family((), petersen, lambda: kneser_spectrum(5, 2)),
-    "icosahedron": Family((), icosahedron, icosahedron_spectrum),
-    "dodecahedron": Family((), dodecahedron, dodecahedron_spectrum),
-    "lollipop": Family(("k", "l"), lollipop),
-    "barbell": Family(("k", "m", "l"), generalized_barbell),
-    "hypercube-leaf": Family(("d",), hypercube_with_leaf),
+    "complete": Family(("n",), complete, lambda n: n, (range(2, 26),), complete_spectrum),
+    "path": Family(("n",), path, lambda n: n),
+    "cycle": Family(("n",), cycle, lambda n: n, (range(3, 41),), cycle_spectrum),
+    "hypercube": Family(("d",), hypercube, lambda d: 1 << max(d, 0),
+                        (range(1, 9),), lambda d: hamming_spectrum(d, 2)),
+    "hamming": Family(("d", "n"), hamming, lambda d, n: max(n, 0) ** max(d, 0),
+                      (range(1, 5), range(2, 5)), hamming_spectrum),
+    "shrikhande": Family((), shrikhande, lambda: 16, (),
+                         lambda: shrikhande_power_spectrum(1)),
+    "doob": Family(("m", "d"), doob,
+                   lambda m, d: 4 ** (2 * m + d) if m >= 1 and d >= 0 else 0,
+                   (range(1, 3), range(0, 2)), doob_spectrum),
+    "johnson": Family(("n", "r"), johnson, _comb0, (range(2, 10), range(1, 9)),
+                      johnson_spectrum, domain=lambda n, r: 1 <= r <= n - 1),
+    "kneser": Family(("n", "r"), kneser, _comb0, (range(3, 10), range(1, 5)),
+                     kneser_spectrum, domain=lambda n, r: 1 <= r and n > 2 * r),
+    "odd": Family(("r",), odd_graph, lambda r: _comb0(2 * r + 1, r),
+                  (range(2, 5),), lambda r: kneser_spectrum(2 * r + 1, r),
+                  domain=lambda r: r >= 2),
+    "double-odd": Family(("r",), double_odd,
+                         lambda r: 2 * _comb0(2 * r + 1, r), (range(2, 4),),
+                         double_odd_spectrum),
+    "halved-cube": Family(("d",), halved_cube, lambda d: 1 << max(d - 1, 0),
+                          (range(4, 10),), halved_cube_spectrum),
+    "cocktail-party": Family(("m",), cocktail_party, lambda m: 2 * m,
+                             (range(2, 9),), cocktail_party_spectrum),
+    "petersen": Family((), petersen, lambda: 10, (), lambda: kneser_spectrum(5, 2)),
+    "icosahedron": Family((), icosahedron, lambda: 12, (), icosahedron_spectrum),
+    "dodecahedron": Family((), dodecahedron, lambda: 20, (), dodecahedron_spectrum),
+    "lollipop": Family(("k", "l"), lollipop,
+                       lambda k, l: k + l if k >= 2 and l >= 0 else 0,
+                       (range(2, 9), range(0, 9)),
+                       det=lollipop_determinant, inertia=lollipop_inertia),
+    "barbell": Family(("k", "m", "l"), generalized_barbell,
+                      lambda k, m, l: k + m + l if min(k, m) >= 2 and l >= 0 else 0,
+                      (range(2, 7), range(2, 7), range(0, 7)),
+                      det=barbell_determinant, inertia=barbell_inertia),
+    "hypercube-leaf": Family(("d",), hypercube_with_leaf,
+                             lambda d: (1 << max(d, 0)) + 1),
 }
 
-# Families whose distance matrix determinant and inertia have closed formulas.
-DET_FORMULAS: dict[str, tuple[Callable[..., int], Callable[..., tuple]]] = {
-    "lollipop": (lollipop_determinant, lollipop_inertia),
-    "barbell": (barbell_determinant, barbell_inertia),
-}
 
-
-def _build(name: str, params: Sequence[int]) -> Graph:
+def _family(name: str, params: Sequence[int]) -> Family:
     fam = FAMILIES[name]
     if len(params) != len(fam.params):
         want = " ".join(fam.params) if fam.params else "(no parameters)"
         raise GraphError(f"{name} takes {len(fam.params)} parameter(s): {want}")
+    return fam
+
+
+def _build(name: str, params: Sequence[int], cap: int, what: str) -> Graph:
+    """The graph, after its order is checked against the route's cap."""
+    fam = _family(name, params)
+    n = fam.order(*params)
+    if n > cap:
+        raise ValueError(f"order {n} exceeds the {what} cap {cap}")
     return fam.gen(*params)
-
-
-def _numeric_spectrum(g: Graph, tol: float, cluster_tol: Optional[float]) -> Spectrum:
-    dm = distance_matrix(g)
-    vals = sym_eigenvalues(dm, tol=tol)
-    return cluster_to_spectrum(vals, cluster_tol=cluster_tol)
 
 
 def _parse_range(text: str) -> range:
@@ -148,44 +188,68 @@ def _worker_count(args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------------------
-# spectrum
+# spectrum and det: one report per route, shared with `verify`
 
 
-def cmd_spectrum(args: argparse.Namespace) -> int:
-    name = args.family
-    fam = FAMILIES[name]
-    g = _build(name, args.params)
-    out: dict = {"family": name, "params": list(args.params), "n": g.n}
-    closed_spec: Optional[Spectrum] = None
-    note = None
-    if fam.closed is not None and not args.numeric:
+def _spectrum_report(name: str, params: Sequence[int], tol: float,
+                     match_tol: float, cluster_tol: Optional[float] = None, *,
+                     verify: bool = False, numeric: bool = False,
+                     fallback: bool = True) -> tuple[dict, Optional[Spectrum]]:
+    """The `spectrum` JSON document of one instance, and the closed-form
+    spectrum if one was used.
+
+    Inside the family's domain the closed form comes first, and the graph
+    is built only for the numeric route; outside it the graph is built
+    first, so bad parameters meet the generator's message.  A closed form
+    that refuses the parameters hands over to the numeric route with a note,
+    or raises if fallback is False.
+    """
+    fam = _family(name, params)
+    out: dict = {"family": name, "params": list(params),
+                 "n": fam.order(*params)}
+    use_closed = fam.closed is not None and not numeric
+    g = None
+    if verify or not (use_closed and fam.domain(*params)):
+        g = _build(name, params, MAX_ORDER, "supported")
+    closed: Optional[Spectrum] = None
+    note: Optional[str] = None
+    if use_closed:
         try:
-            cf = fam.closed(*args.params)
-            closed_spec = cf.spectrum
-            out["closed_form"] = closed_spec.to_json_dict()
-            out["closed_form"]["formula"] = cf.formula
+            cf = fam.closed(*params)
         except ValueError as exc:
+            if not fallback:
+                raise
             note = f"closed form unavailable here ({exc}); using numeric solver"
+        else:
+            closed = cf.spectrum
+            out["closed_form"] = {**closed.to_json_dict(),
+                                  "formula": cf.formula}
     elif fam.closed is None:
         note = "no closed form for this family; using numeric solver"
 
-    need_numeric = args.verify or args.numeric or closed_spec is None
-    if need_numeric:
-        num = _numeric_spectrum(g, args.tol, args.cluster_tol)
+    if verify or closed is None:
+        if g is None:
+            g = _build(name, params, MAX_ORDER, "supported")
+        vals = sym_eigenvalues(distance_matrix(g), tol=tol)
+        num = cluster_to_spectrum(vals, cluster_tol=cluster_tol)
         out["numeric"] = num.to_json_dict()
-        if closed_spec is not None:
-            ok = spectra_match(closed_spec, num, tol=args.match_tol)
-            out["match"] = ok
-            out["max_deviation"] = _fmt(max_deviation(closed_spec, num))
+        if closed is not None:
+            out["match"] = spectra_match(closed, num, tol=match_tol)
+            out["max_deviation"] = _fmt(max_deviation(closed, num))
     if note:
         out["note"] = note
+    return out, closed
 
+
+def cmd_spectrum(args: argparse.Namespace) -> int:
+    out, spec = _spectrum_report(args.family, args.params, args.tol,
+                                 args.match_tol, args.cluster_tol,
+                                 verify=args.verify, numeric=args.numeric)
     if args.format == "text":
-        spec = closed_spec
         if spec is None:
             spec = Spectrum([(e["value"], e["mult"])
                              for e in out["numeric"]["eigs"]])
-        print(f"{name} {' '.join(map(str, args.params))}  n={g.n}")
+        print(f"{args.family} {' '.join(map(str, args.params))}  n={out['n']}")
         for value, mult in spec.entries:
             exact = exact_string(value)
             tail = f"  [{exact}]" if exact else ""
@@ -193,109 +257,63 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         if "match" in out:
             print(f"  match={str(out['match']).lower()}"
                   f"  max_deviation={out['max_deviation']:.3g}")
-        if note:
-            print(f"  note: {note}")
+        if "note" in out:
+            print(f"  note: {out['note']}")
     else:
         print(json.dumps(out, indent=2, sort_keys=True))
-    if out.get("match") is False:
-        return EXIT_FAIL
-    return EXIT_OK
+    return EXIT_FAIL if out.get("match") is False else EXIT_OK
+
+
+def _det_report(name: str, params: Sequence[int]) -> dict:
+    """The `det` JSON document of one instance: exact determinant and
+    inertia, against the family's formulas where it has them."""
+    fam = _family(name, params)
+    g = _build(name, params, EXACT_ORDER_CAP, "exact search")
+    dm = distance_matrix(g)
+    det, inertia = det_exact(dm), inertia_exact(dm)
+    out: dict = {"family": name, "params": list(params), "n": g.n,
+                 "det": det, "inertia": list(inertia.as_tuple())}
+    if fam.det is not None:
+        formula_inertia = fam.inertia(*params)
+        out["formula_det"] = fam.det(*params)
+        out["formula_inertia"] = list(formula_inertia.as_tuple())
+        out["match"] = out["formula_det"] == det and formula_inertia == inertia
+    return out
+
+
+def cmd_det(args: argparse.Namespace) -> int:
+    out = _det_report(args.family, args.params)
+    print(json.dumps(out, indent=2, sort_keys=True))
+    return EXIT_FAIL if out.get("match") is False else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # verify
 
-# Default parameter grids for `verify <family>` with no range flags.  These
-# match the ranges exercised by the acceptance suite.
-DEFAULT_GRIDS: dict[str, dict[str, range]] = {
-    "hamming": {"d": range(1, 5), "n": range(2, 5)},
-    "hypercube": {"d": range(1, 9)},
-    "doob": {"m": range(1, 3), "d": range(0, 2)},
-    "johnson": {"n": range(2, 10), "r": range(1, 9)},
-    "kneser": {"n": range(3, 10), "r": range(1, 5)},
-    "odd": {"r": range(2, 5)},
-    "double-odd": {"r": range(2, 4)},
-    "halved-cube": {"d": range(4, 10)},
-    "cocktail-party": {"m": range(2, 9)},
-    "cycle": {"n": range(3, 41)},
-    "complete": {"n": range(2, 26)},
-    "shrikhande": {},
-    "petersen": {},
-    "icosahedron": {},
-    "dodecahedron": {},
-    "barbell": {"k": range(2, 7), "m": range(2, 7), "l": range(0, 7)},
-    "lollipop": {"k": range(2, 9), "l": range(0, 9)},
-}
 
-_VERIFY_MAX_ORDER = 1024
-
-
-def _grid_instances(name: str, args: argparse.Namespace) -> list[tuple[int, ...]]:
+def _grid_instances(name: str, args: argparse.Namespace,
+                    cap: int) -> list[tuple[int, ...]]:
+    """The family's default grid, each axis replaced by its range flag if
+    one is given, less the points outside the domain or above cap."""
     fam = FAMILIES[name]
-    grid = dict(DEFAULT_GRIDS.get(name, {}))
-    for pname in fam.params:
-        flag = getattr(args, f"range_{pname}", None)
-        if flag is not None:
-            grid[pname] = _parse_range(flag)
-    for pname in fam.params:
-        if pname not in grid:
-            raise ValueError(f"no default range for parameter {pname!r} of "
-                             f"{name}; pass --{pname} a..b")
-    axes = [grid[p] for p in fam.params]
-    out: list[tuple[int, ...]] = []
-
-    def rec(i: int, acc: tuple[int, ...]) -> None:
-        if i == len(axes):
-            out.append(acc)
-            return
-        for v in axes[i]:
-            rec(i + 1, acc + (v,))
-
-    rec(0, ())
-    return [p for p in out if _instance_admissible(name, p)]
-
-
-def _instance_admissible(name: str, params: tuple[int, ...]) -> bool:
-    """Drop grid points that fall outside a family's domain."""
-    if name == "johnson":
-        n, r = params
-        return 1 <= r <= n - 1
-    if name == "kneser":
-        n, r = params
-        return 1 <= r and n > 2 * r
-    if name == "doob":
-        m, d = params
-        return 4 ** (2 * m + d) <= _VERIFY_MAX_ORDER
-    if name == "hamming":
-        d, n = params
-        return n ** d <= _VERIFY_MAX_ORDER
-    if name == "halved-cube":
-        return 2 ** (params[0] - 1) <= _VERIFY_MAX_ORDER
-    return True
+    axes = []
+    for pname, default in zip(fam.params, fam.grid):
+        flag = getattr(args, f"range_{pname}")
+        axes.append(default if flag is None else _parse_range(flag))
+    return [p for p in itertools.product(*axes)
+            if fam.domain(*p) and fam.order(*p) <= cap]
 
 
 def _verify_spectrum_instance(job: tuple[str, tuple[int, ...], float, float]) -> dict:
-    name, params, tol, match_tol = job
-    g = _build(name, params)
-    cf = FAMILIES[name].closed(*params)
-    num = _numeric_spectrum(g, tol, None)
-    ok = spectra_match(cf.spectrum, num, tol=match_tol)
-    return {"family": name, "params": list(params), "n": g.n,
-            "match": ok, "max_deviation": _fmt(max_deviation(cf.spectrum, num))}
+    out, _ = _spectrum_report(*job, verify=True, fallback=False)
+    return {k: out[k] for k in ("family", "params", "n", "match",
+                                "max_deviation")}
 
 
 def _verify_det_instance(job: tuple[str, tuple[int, ...]]) -> dict:
-    name, params = job
-    det_f, inertia_f = DET_FORMULAS[name]
-    g = _build(name, params)
-    dm = distance_matrix(g)
-    det = det_exact(dm)
-    inertia = inertia_exact(dm)
-    det_ok = det == det_f(*params)
-    in_ok = inertia == inertia_f(*params)
-    return {"family": name, "params": list(params), "n": g.n,
-            "det": det, "inertia": list(inertia.as_tuple()),
-            "match": det_ok and in_ok}
+    out = _det_report(*job)
+    return {k: out[k] for k in ("family", "params", "n", "det", "inertia",
+                                "match")}
 
 
 def _lemma_jobs(max_index: int, max_b: int) -> list[tuple[int, dict]]:
@@ -314,26 +332,28 @@ def cmd_verify(args: argparse.Namespace) -> int:
     target = args.target
     workers = _worker_count(args)
     results: list[dict] = []
+    fam = FAMILIES.get(target)
 
     if target == "lemma-identities":
         for sel, kw in _lemma_jobs(args.max, args.max_b):
             lhs, rhs = lemma_identity(sel, **kw)
             results.append({"identity": sel, **kw, "lhs": lhs, "rhs": rhs,
                             "match": lhs == rhs})
-    elif target in DET_FORMULAS:
-        jobs = [(target, p) for p in _grid_instances(target, args)]
-        results = _run_jobs(_verify_det_instance, jobs, workers)
-    elif target in FAMILIES:
-        if FAMILIES[target].closed is None:
-            print(f"error: {target} has no closed-form spectrum to verify",
-                  file=sys.stderr)
-            return EXIT_USAGE
-        jobs = [(target, p, args.tol, args.match_tol)
-                for p in _grid_instances(target, args)]
-        results = _run_jobs(_verify_spectrum_instance, jobs, workers)
-    else:
+    elif fam is None:
         print(f"error: unknown verify target {target!r}", file=sys.stderr)
         return EXIT_USAGE
+    elif fam.det is not None:
+        jobs = [(target, p)
+                for p in _grid_instances(target, args, EXACT_ORDER_CAP)]
+        results = _run_jobs(_verify_det_instance, jobs, workers)
+    elif fam.closed is None:
+        print(f"error: {target} has no closed-form spectrum to verify",
+              file=sys.stderr)
+        return EXIT_USAGE
+    else:
+        jobs = [(target, p, args.tol, args.match_tol)
+                for p in _grid_instances(target, args, MAX_ORDER)]
+        results = _run_jobs(_verify_spectrum_instance, jobs, workers)
 
     failures = sum(1 for r in results if not r["match"])
     if args.format == "csv":
@@ -432,16 +452,15 @@ def cmd_verify_trees(args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------------------
-# zf-bound
+# zf-bound and matrix
 
 
 def cmd_zf_bound(args: argparse.Namespace) -> int:
-    g = _build(args.family, args.params)
+    g = _build(args.family, args.params, ZF_ORDER_CAP, "zero forcing search")
     comp = complement(g)
     z = zero_forcing_number(comp)
     bound = zf_eigenvalue_bound(g)
     qd = distinct_eigenvalue_count(distance_matrix(g))
-    import math
     ceil_bound = math.ceil(bound)
     out = {"family": args.family, "params": list(args.params), "n": g.n,
            "zero_forcing_complement": z,
@@ -456,34 +475,10 @@ def cmd_zf_bound(args: argparse.Namespace) -> int:
     return EXIT_OK if out["holds"] else EXIT_FAIL
 
 
-# ---------------------------------------------------------------------------
-# matrix / det
-
-
 def cmd_matrix(args: argparse.Namespace) -> int:
-    g = _build(args.family, args.params)
+    g = _family(args.family, args.params).gen(*args.params)
     sys.stdout.write(format_matrix(distance_matrix(g)))
     return EXIT_OK
-
-
-def cmd_det(args: argparse.Namespace) -> int:
-    g = _build(args.family, args.params)
-    dm = distance_matrix(g)
-    det = det_exact(dm)
-    inertia = inertia_exact(dm)
-    out: dict = {"family": args.family, "params": list(args.params),
-                 "n": g.n, "det": det,
-                 "inertia": list(inertia.as_tuple())}
-    ok = True
-    if args.family in DET_FORMULAS:
-        det_f, inertia_f = DET_FORMULAS[args.family]
-        formula_inertia = inertia_f(*args.params)
-        out["formula_det"] = det_f(*args.params)
-        out["formula_inertia"] = list(formula_inertia.as_tuple())
-        ok = out["formula_det"] == det and formula_inertia == inertia
-        out["match"] = ok
-    print(json.dumps(out, indent=2, sort_keys=True))
-    return EXIT_OK if ok else EXIT_FAIL
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,8 @@ and distinct-eigenvalue count:
    n - deg gcd(chi, chi') counts the distinct ones.
 
 The public functions share the kernel through a memo holding only the last
-matrix.  Rational input is first scaled by the LCM of its denominators.  No
-floating point anywhere.
+matrix; square input is capped at order EXACT_ORDER_CAP.  Rational input is
+first scaled by the LCM of its denominators.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -46,19 +47,16 @@ class Inertia:
         return (self.positive, self.zero, self.negative)
 
 
+# Largest order accepted: chi costs O(rank * n^2) per prime, and the prime
+# count grows with rank times the bit length of the row norms.
+EXACT_ORDER_CAP = 256
+
+
 def _check_square(mat) -> int:
     n = len(mat)
     if any(len(row) != n for row in mat):
         raise ValueError("matrix must be square")
     return n
-
-
-def _check_symmetric(mat) -> None:
-    n = len(mat)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if mat[i][j] != mat[j][i]:
-                raise ValueError(f"matrix not symmetric at ({i}, {j})")
 
 
 _PRIMES: list[int] = []  # largest primes below 2**31, descending; grown lazily
@@ -99,9 +97,13 @@ def _primes_over(bound: int) -> list[int]:
     return _PRIMES[:k]
 
 
+def _entry_types(rows: Sequence[Sequence]) -> set[type]:
+    return set(map(type, chain.from_iterable(rows)))
+
+
 def _integer_rows(rows: Sequence[Sequence]) -> list[list[int]]:
     """Rows as Python ints, scaled by the positive LCM of all denominators."""
-    if all(type(x) is int for row in rows for x in row):
+    if _entry_types(rows) <= {int}:
         return [list(row) for row in rows]
     fr = [[Fraction(x) for x in row] for row in rows]
     scale = math.lcm(*(x.denominator for row in fr for x in row))
@@ -266,10 +268,29 @@ class _Kernel:
 _last: tuple[tuple, _Kernel] | None = None
 
 
-def _kernel(mat: Sequence[Sequence]) -> _Kernel:
-    """The kernel for this matrix, reused if it equals the previous one."""
+def _kernel(mat: Sequence[Sequence], *, square: bool = True,
+            symmetric: bool = False, integer: bool = False) -> _Kernel:
+    """The kernel for this matrix, reused if it equals the previous one.
+
+    One pass copies the rows into the memo key; the checks read the copy, in
+    the order of precedence of their messages: shape, integer entries,
+    symmetry, order cap.
+    """
     global _last
     key = tuple(map(tuple, mat))
+    if square:
+        n = _check_square(key)
+    elif any(len(row) != len(key[0]) for row in key):
+        raise ValueError("matrix rows must have equal length")
+    if integer and not all(issubclass(t, int) for t in _entry_types(key)):
+        raise ValueError("integer entries required")
+    if symmetric and key != tuple(zip(*key)):
+        i, j = next((i, j) for i in range(n) for j in range(i + 1, n)
+                    if key[i][j] != key[j][i])
+        raise ValueError(f"matrix not symmetric at ({i}, {j})")
+    if square and n > EXACT_ORDER_CAP:
+        raise ValueError(
+            f"order {n} exceeds the exact search cap {EXACT_ORDER_CAP}")
     last = _last
     if last is not None and last[0] == key:
         return last[1]
@@ -307,14 +328,10 @@ def det_exact(mat: Sequence[Sequence[int]]) -> int:
     """Determinant of an integer matrix by fraction-free Bareiss elimination.
 
     All intermediate divisions are exact, so the arithmetic stays in the
-    integers no matter how large the entries grow.
+    integers no matter how large the entries grow.  Guarded at order
+    EXACT_ORDER_CAP.
     """
-    _check_square(mat)
-    for row in mat:
-        for x in row:
-            if not isinstance(x, int):
-                raise ValueError("integer entries required")
-    return _kernel(mat).rank_det[1]
+    return _kernel(mat, integer=True).rank_det[1]
 
 
 def inertia_exact(mat: Sequence[Sequence]) -> Inertia:
@@ -323,11 +340,10 @@ def inertia_exact(mat: Sequence[Sequence]) -> Inertia:
     Read off the integer characteristic polynomial: the zero count is the
     multiplicity of the root 0, and Descartes' rule of signs, exact for a
     polynomial with only real roots, counts the positive roots of chi(x) and
-    of chi(-x).
+    of chi(-x).  Guarded at order EXACT_ORDER_CAP.
     """
-    n = _check_square(mat)
-    _check_symmetric(mat)
-    kern = _kernel(mat)
+    kern = _kernel(mat, symmetric=True)
+    n = len(kern.rows)
     zero = n - kern.rank_det[0]
     tail = kern.chi[zero:]
     pos = _sign_changes(tail)
@@ -339,12 +355,7 @@ def inertia_exact(mat: Sequence[Sequence]) -> Inertia:
 
 def rank_exact(mat: Sequence[Sequence]) -> int:
     """Rank of a rational matrix by fraction-free Bareiss elimination."""
-    if any(len(row) != len(mat[0]) for row in mat):
-        raise ValueError("matrix rows must have equal length")
-    return _kernel(mat).rank_det[0]
-
-
-_DISTINCT_CAP = 256
+    return _kernel(mat, square=False).rank_det[0]
 
 
 def distinct_eigenvalue_count(mat: Sequence[Sequence[int]]) -> int:
@@ -353,16 +364,10 @@ def distinct_eigenvalue_count(mat: Sequence[Sequence[int]]) -> int:
     Equals n - deg gcd(chi, chi') for the characteristic polynomial chi; the
     root 0, of multiplicity n - rank, is divided out first, so the
     pseudo-remainder sequence runs on a polynomial of degree rank.  The
-    answer carries no numeric tolerance.  Guarded at order 256; chi costs
-    O(rank * n^2) per prime, and the prime count grows with rank times the
-    bit length of the row norms.
+    answer carries no numeric tolerance.  Guarded at order EXACT_ORDER_CAP.
     """
-    n = _check_square(mat)
-    _check_symmetric(mat)
-    if n > _DISTINCT_CAP:
-        raise ValueError(f"order {n} exceeds the exact search cap {_DISTINCT_CAP}")
-    kern = _kernel(mat)
-    rank = kern.rank_det[0]
+    kern = _kernel(mat, symmetric=True)
+    n, rank = len(kern.rows), kern.rank_det[0]
     if rank == 0:
         return int(n > 0)
     f = kern.chi[n - rank:][::-1]

@@ -2,6 +2,8 @@
 
 import math
 from fractions import Fraction
+from heapq import heappop, heappush
+from itertools import permutations
 
 import networkx as nx
 import pytest
@@ -10,8 +12,7 @@ from conftest import numeric_spectrum
 from distspec.bounds import (ZF_ORDER_CAP, check_tree_bounds,
                              distance_eigenvalue_count, enumerate_trees,
                              forcing_closure, tree_canonical_code,
-                             trees_from_pruefer, zero_forcing_number,
-                             zf_eigenvalue_bound)
+                             zero_forcing_number, zf_eigenvalue_bound)
 from distspec.distances import diameter, distance_matrix
 from distspec.exact import distinct_eigenvalue_count
 from distspec.graphs import (Graph, complement, complete, cycle, hypercube,
@@ -21,6 +22,52 @@ from distspec.graphs import (Graph, complement, complete, cycle, hypercube,
 def k_mn(m, n):
     return make_graph(m + n, [(u, v) for u in range(m)
                               for v in range(m, m + n)])
+
+
+def partitions(total, largest):
+    """Non-increasing tuples of positive parts, each at most `largest`,
+    summing to total."""
+    if total == 0:
+        yield ()
+    for first in range(min(total, largest), 0, -1):
+        for rest in partitions(total - first, first):
+            yield (first, *rest)
+
+
+def pruefer_decode(n, seq):
+    """Edges of the tree on 0..n-1 with Pruefer sequence seq."""
+    degree = [1] * n
+    for x in seq:
+        degree[x] += 1
+    leaves = [v for v in range(n) if degree[v] == 1]  # sorted, so a heap
+    edges = []
+    for x in seq:
+        leaf = heappop(leaves)
+        edges.append((min(leaf, x), max(leaf, x)))
+        degree[x] -= 1
+        if degree[x] == 1:
+            heappush(leaves, x)
+    edges.append((heappop(leaves), heappop(leaves)))
+    return edges
+
+
+def trees_from_pruefer(n):
+    """Referee for `enumerate_trees`: one tree per class, from Pruefer
+    sequences deduplicated by canonical code.
+
+    Every tree has a labelling whose degrees do not increase with the label,
+    and vertex v appears deg(v) - 1 times in its Pruefer sequence.  So the
+    sweep stays exhaustive when it decodes only the sequences whose
+    per-label counts do not increase: the distinct arrangements of each
+    partition of n - 2, 1,602 of the 262,144 sequences at n = 8.
+    """
+    seen = {}
+    for counts in partitions(n - 2, n - 2):
+        labels = [v for v, c in enumerate(counts) for _ in range(c)]
+        for seq in set(permutations(labels)):
+            edges = pruefer_decode(n, seq)
+            seen.setdefault(tree_canonical_code(n, edges), edges)
+    return [make_graph(n, seen[c]) for c in sorted(seen)]
 
 
 class TestForcingClosure:

@@ -1,9 +1,12 @@
 """Command line interface: output shapes, verdicts, and exit codes."""
 
+import dataclasses
 import json
+import time
 
 import pytest
 
+from distspec import cli
 from distspec.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
 
 
@@ -174,6 +177,12 @@ class TestVerify:
         assert code == EXIT_USAGE
         assert "empty range" in err
 
+    def test_closed_form_refusal_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "verify", "halved-cube", "--d", "3..4")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "error: halved cube closed form needs d >= 4; " \
+                      "use the numeric route below that\n"
+
 
 class TestSrg:
     def test_conference_13(self, capsys):
@@ -257,3 +266,58 @@ class TestMatrixAndDet:
         assert code == EXIT_OK
         assert data["det"] == 4
         assert data["match"] is True
+
+
+def refuse_to_build(*params):
+    raise AssertionError("a graph was built")
+
+
+@pytest.fixture
+def no_graphs(monkeypatch):
+    """Every family's generator raises, so a passing command built nothing."""
+    for name, fam in list(cli.FAMILIES.items()):
+        monkeypatch.setitem(cli.FAMILIES, name,
+                            dataclasses.replace(fam, gen=refuse_to_build))
+
+
+class TestSizeBeforeBuilding:
+    def test_closed_form_builds_nothing(self, capsys, no_graphs):
+        start = time.perf_counter()
+        code, data, err = run_json(capsys, "spectrum", "hamming", "12", "12")
+        assert time.perf_counter() - start < 1
+        assert code == EXIT_OK and err == ""
+        assert data["n"] == 8916100448256
+        assert data["closed_form"]["n"] == 8916100448256
+        assert "numeric" not in data
+
+    @pytest.mark.parametrize("argv, message", [
+        ("spectrum hamming 12 12 --verify",
+         "order 8916100448256 exceeds the supported cap 1500"),
+        ("spectrum path 5000", "order 5000 exceeds the supported cap 1500"),
+        ("zf-bound hypercube 10",
+         "order 1024 exceeds the zero forcing search cap 24"),
+        ("det halved-cube 12", "order 2048 exceeds the exact search cap 256"),
+    ])
+    def test_over_cap_refused_before_building(self, capsys, no_graphs,
+                                              argv, message):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv.split())
+        assert time.perf_counter() - start < 1
+        assert (code, out, err) == (EXIT_USAGE, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        ("spectrum odd 1", "odd graph needs r >= 2"),
+        ("spectrum johnson 4 7", "johnson needs 1 <= r <= n-1"),
+        ("det johnson 5 -1", "johnson needs 1 <= r <= n-1"),
+        ("det barbell 1 2 3",
+         "generalized barbell needs k, m >= 2 and length >= 0"),
+        ("spectrum kneser 4 2",
+         "graph is disconnected: no path between vertices 0 and 1"),
+        ("spectrum hamming 0 2", "hamming needs d >= 1 and n >= 2"),
+        ("det lollipop 1 300", "lollipop needs k >= 2 and length >= 0"),
+        ("spectrum doob 0 6", "doob needs m >= 1 and d >= 0"),
+    ])
+    def test_bad_parameters_keep_the_generator_message(self, capsys, argv,
+                                                       message):
+        code, out, err = run(capsys, *argv.split())
+        assert (code, out, err) == (EXIT_USAGE, "", f"error: {message}\n")

@@ -45,7 +45,7 @@ def assert_matches_referees(m):
     assert rank_exact(m) == rank
     if all(type(x) is int for row in m for x in row):
         assert det_exact(m) == det
-    if n <= exact._DISTINCT_CAP:
+    if n <= exact.EXACT_ORDER_CAP:
         assert distinct_eigenvalue_count(m) == krylov_distinct_count(m)
 
 
@@ -167,6 +167,14 @@ class TestAdversarial:
             m = [[x]]
             assert det_exact(m) == cofactor_det(m) == x
             assert_matches_referees(m)
+
+    @pytest.mark.parametrize("routine", [det_exact, inertia_exact])
+    def test_order_cap(self, routine):
+        n = exact.EXACT_ORDER_CAP + 1
+        big = [[int(i != j) for j in range(n)] for i in range(n)]
+        with pytest.raises(ValueError, match=f"order {n} exceeds the exact "
+                                             f"search cap 256"):
+            routine(big)
 
 
 class TestKernelSharing:
