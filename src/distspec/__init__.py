@@ -3,9 +3,10 @@
 Generators for the classical distance-regular and clique-path families,
 closed-form distance spectra with exact values, one exact integer kernel
 (Bareiss rank and determinant, a multi-modular characteristic polynomial for
-inertia and distinct eigenvalues), a self-contained Jacobi eigensolver used as
-the numeric oracle, strongly-regular parameter analysis, and zero-forcing
-based bounds on the number of distinct distance eigenvalues.
+inertia and distinct eigenvalues), a self-contained eigensolver (Householder
+tridiagonalization and Sturm counts, with a normwise error bound) used as the
+numeric oracle, strongly-regular parameter analysis, and zero-forcing based
+bounds on the number of distinct distance eigenvalues.
 """
 
 from .distances import (DisconnectedError, diameter, distance_matrix,

@@ -1,9 +1,11 @@
 """Zero forcing numbers and distance-spectrum lower bounds.
 
 The color-change rule: a blue vertex with exactly one white neighbor forces
-that neighbor blue.  Z(G) is the smallest seed whose closure is everything;
-the search is exhaustive over bitmask subsets in ascending size order, so
-results are exact but the order budget is deliberately small.
+that neighbor blue.  Z(G) is the smallest seed whose closure is everything.
+Forces stay inside a connected component, so Z(G) is the sum of Z over the
+components.  Each component is searched exhaustively over bitmask subsets in
+ascending size order, starting at its minimum degree, so results are exact
+but the order budget is deliberately small.
 
 The spectral connection: the number of distinct distance eigenvalues q_D(g)
 is at least (n-1)/(Z(complement) + 1) + 1, and each eigenvalue multiplicity
@@ -60,8 +62,43 @@ def forcing_closure(g: Graph, blue: Iterable[int]) -> frozenset[int]:
     return frozenset(v for v in range(g.n) if out >> v & 1)
 
 
+def _components(adj: list[int]) -> list[int]:
+    """The connected components, as vertex masks."""
+    comps = []
+    left = (1 << len(adj)) - 1
+    while left:
+        comp = frontier = left & -left
+        while frontier:
+            reach = 0
+            while frontier:
+                vb = frontier & -frontier
+                frontier ^= vb
+                reach |= adj[vb.bit_length() - 1]
+            frontier = reach & ~comp
+            comp |= frontier
+        comps.append(comp)
+        left &= ~comp
+    return comps
+
+
+def _component_forcing_number(adj: list[int], comp: int) -> int:
+    """Z of one connected component, by exhaustive search in ascending seed
+    size.  No seed smaller than the minimum degree forces: the first force
+    from u needs u and all of its neighbors but one blue already."""
+    verts = [v for v in range(len(adj)) if comp >> v & 1]
+    start = max(1, min(adj[v].bit_count() for v in verts))
+    for size in range(start, len(verts) + 1):
+        for comb in combinations(verts, size):
+            seed = 0
+            for v in comb:
+                seed |= 1 << v
+            if _closure_mask(adj, comp, seed) == comp:
+                return size
+    raise AssertionError("the full vertex set always forces")
+
+
 def zero_forcing_number(g: Graph) -> int:
-    """Exact Z(g) by exhaustive search in ascending seed size.
+    """Exact Z(g), the sum of exhaustive searches over its components.
 
     Guarded at order 24; beyond that the subset space is out of desk range
     and no approximation is offered.
@@ -70,22 +107,19 @@ def zero_forcing_number(g: Graph) -> int:
     if n > ZF_ORDER_CAP:
         raise ValueError(f"order {n} exceeds the zero forcing search cap {ZF_ORDER_CAP}")
     adj = _adj_masks(g)
-    full = (1 << n) - 1
-    for size in range(1, n + 1):
-        for comb in combinations(range(n), size):
-            seed = 0
-            for v in comb:
-                seed |= 1 << v
-            if _closure_mask(adj, full, seed) == full:
-                return size
-    raise AssertionError("the full vertex set always forces")
+    return sum(_component_forcing_number(adj, comp) for comp in _components(adj))
 
 
 def zf_eigenvalue_bound(g: Graph) -> Fraction:
     """Lower bound (n-1)/(Z(complement(g)) + 1) + 1 on the number of
     distinct distance eigenvalues of a connected graph g."""
-    z = zero_forcing_number(complement(g))
-    return Fraction(g.n - 1, z + 1) + 1
+    return forcing_bound(g.n, zero_forcing_number(complement(g)))
+
+
+def forcing_bound(n: int, z: int) -> Fraction:
+    """The bound (n-1)/(z + 1) + 1 of `zf_eigenvalue_bound`, for a graph of
+    order n whose complement has zero forcing number z."""
+    return Fraction(n - 1, z + 1) + 1
 
 
 def distance_eigenvalue_count(g: Graph) -> int:

@@ -40,7 +40,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .bounds import (ZF_ORDER_CAP, check_tree_bounds, enumerate_trees,
-                     zero_forcing_number, zf_eigenvalue_bound)
+                     forcing_bound, zero_forcing_number)
 from .closedforms import (ClosedFormSpectrum, _comb0, barbell_determinant,
                           barbell_inertia, cocktail_party_spectrum,
                           complete_spectrum, cycle_spectrum,
@@ -58,7 +58,7 @@ from .graphs import (Graph, GraphError, cocktail_party, complement, complete,
                      generalized_barbell, halved_cube, hamming, hypercube,
                      hypercube_with_leaf, icosahedron, johnson, kneser,
                      lollipop, odd_graph, path, petersen, shrikhande)
-from .jacobi import MAX_ORDER, sym_eigenvalues
+from .jacobi import MAX_ORDER, error_bound, sym_eigenvalues
 from .spectra import (Spectrum, cluster_to_spectrum, exact_string,
                       max_deviation, spectra_match)
 from .srg import (SrgParameterError, SrgParams, classify_one_positive,
@@ -230,12 +230,17 @@ def _spectrum_report(name: str, params: Sequence[int], tol: float,
     if verify or closed is None:
         if g is None:
             g = _build(name, params, MAX_ORDER, "supported")
-        vals = sym_eigenvalues(distance_matrix(g), tol=tol)
+        dm = distance_matrix(g)
+        vals = sym_eigenvalues(dm, tol=tol)
         num = cluster_to_spectrum(vals, cluster_tol=cluster_tol)
         out["numeric"] = num.to_json_dict()
         if closed is not None:
-            out["match"] = spectra_match(closed, num, tol=match_tol)
+            # a solver that cannot promise match_tol proves nothing
+            bound = error_bound(dm)
+            out["match"] = (spectra_match(closed, num, tol=match_tol)
+                            and bound < match_tol)
             out["max_deviation"] = _fmt(max_deviation(closed, num))
+            out["error_bound"] = _fmt(bound)
     if note:
         out["note"] = note
     return out, closed
@@ -256,7 +261,8 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
             print(f"  {float(value):.12g} ^ {mult}{tail}")
         if "match" in out:
             print(f"  match={str(out['match']).lower()}"
-                  f"  max_deviation={out['max_deviation']:.3g}")
+                  f"  max_deviation={out['max_deviation']:.3g}"
+                  f"  error_bound={out['error_bound']:.3g}")
         if "note" in out:
             print(f"  note: {out['note']}")
     else:
@@ -307,7 +313,7 @@ def _grid_instances(name: str, args: argparse.Namespace,
 def _verify_spectrum_instance(job: tuple[str, tuple[int, ...], float, float]) -> dict:
     out, _ = _spectrum_report(*job, verify=True, fallback=False)
     return {k: out[k] for k in ("family", "params", "n", "match",
-                                "max_deviation")}
+                                "max_deviation", "error_bound")}
 
 
 def _verify_det_instance(job: tuple[str, tuple[int, ...]]) -> dict:
@@ -457,9 +463,8 @@ def cmd_verify_trees(args: argparse.Namespace) -> int:
 
 def cmd_zf_bound(args: argparse.Namespace) -> int:
     g = _build(args.family, args.params, ZF_ORDER_CAP, "zero forcing search")
-    comp = complement(g)
-    z = zero_forcing_number(comp)
-    bound = zf_eigenvalue_bound(g)
+    z = zero_forcing_number(complement(g))
+    bound = forcing_bound(g.n, z)
     qd = distinct_eigenvalue_count(distance_matrix(g))
     ceil_bound = math.ceil(bound)
     out = {"family": args.family, "params": list(args.params), "n": g.n,
@@ -506,11 +511,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--numeric", action="store_true",
                     help="force the numeric route even when a formula exists")
     sp.add_argument("--tol", type=float, default=1e-12,
-                    help="Jacobi convergence tolerance")
+                    help="symmetry tolerance of the numeric solver, relative "
+                         "to the largest entry")
     sp.add_argument("--cluster-tol", type=float, default=None,
                     help="eigenvalue clustering tolerance")
     sp.add_argument("--match-tol", type=float, default=1e-8,
-                    help="tolerance for closed-form/numeric comparison")
+                    help="tolerance for closed-form/numeric comparison; the "
+                         "solver's error bound must also be below it")
     sp.add_argument("--format", choices=("json", "text"), default="json")
     sp.set_defaults(fn=cmd_spectrum)
 
@@ -525,8 +532,12 @@ def build_parser() -> argparse.ArgumentParser:
                     help="upper index bound for lemma-identities")
     sp.add_argument("--max-b", type=int, default=10,
                     help="upper bound for the shift parameter b")
-    sp.add_argument("--tol", type=float, default=1e-12)
-    sp.add_argument("--match-tol", type=float, default=1e-8)
+    sp.add_argument("--tol", type=float, default=1e-12,
+                    help="symmetry tolerance of the numeric solver, relative "
+                         "to the largest entry")
+    sp.add_argument("--match-tol", type=float, default=1e-8,
+                    help="tolerance for closed-form/numeric comparison; the "
+                         "solver's error bound must also be below it")
     sp.add_argument("--workers", type=int, default=None,
                     help="parallel workers across instances "
                          "(default: DISTSPEC_WORKERS or 1)")

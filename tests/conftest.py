@@ -3,7 +3,8 @@
 Three independent routes to a distance spectrum are used throughout:
 
   1. closed-form constructors (exact values),
-  2. the package's own Jacobi solver on the integer distance matrix,
+  2. the package's own eigensolver (`distspec.jacobi`: Householder
+     tridiagonalization and Sturm counts) on the integer distance matrix,
   3. numpy.linalg.eigvalsh as a third-party cross-check.
 
 Tests compare routes pairwise so a bug in any one of them shows up.
@@ -19,7 +20,7 @@ from distspec import (Graph, Spectrum, cluster_to_spectrum, distance_matrix,
 
 def numeric_spectrum(g: Graph, tol: float = 1e-12,
                      cluster_tol: float | None = None) -> Spectrum:
-    """Distance spectrum via the in-package Jacobi solver, clustered."""
+    """Distance spectrum via the in-package solver, clustered."""
     vals = sym_eigenvalues(distance_matrix(g), tol=tol)
     return cluster_to_spectrum(vals, cluster_tol=cluster_tol)
 

@@ -1,22 +1,26 @@
 """Zero forcing, the derived eigenvalue-count bound, and tree enumeration."""
 
 import math
+import random
 from fractions import Fraction
 from heapq import heappop, heappush
-from itertools import permutations
+from itertools import combinations, permutations, product
 
 import networkx as nx
 import pytest
 
 from conftest import numeric_spectrum
-from distspec.bounds import (ZF_ORDER_CAP, check_tree_bounds,
-                             distance_eigenvalue_count, enumerate_trees,
-                             forcing_closure, tree_canonical_code,
-                             zero_forcing_number, zf_eigenvalue_bound)
+from distspec.bounds import (ZF_ORDER_CAP, _adj_masks, _closure_mask,
+                             check_tree_bounds, distance_eigenvalue_count,
+                             enumerate_trees, forcing_closure,
+                             tree_canonical_code, zero_forcing_number,
+                             zf_eigenvalue_bound)
+from distspec.cli import FAMILIES
 from distspec.distances import diameter, distance_matrix
 from distspec.exact import distinct_eigenvalue_count
-from distspec.graphs import (Graph, complement, complete, cycle, hypercube,
-                             lollipop, make_graph, path, petersen)
+from distspec.graphs import (Graph, GraphError, cocktail_party, complement,
+                             complete, cycle, hypercube, lollipop, make_graph,
+                             path, petersen)
 
 
 def k_mn(m, n):
@@ -135,6 +139,83 @@ class TestZeroForcingNumber:
     def test_order_cap(self):
         with pytest.raises(ValueError, match="cap"):
             zero_forcing_number(complete(ZF_ORDER_CAP + 1))
+
+    def test_edgeless_complement_at_the_cap(self):
+        # Z is n here, which a search from seed size 1 reaches only after
+        # every smaller seed of all 24 vertices
+        assert zero_forcing_number(complement(complete(ZF_ORDER_CAP))) == \
+            ZF_ORDER_CAP
+
+
+def exhaustive_zero_forcing(g):
+    """Referee: Z(g) over all seeds of the whole vertex set, in ascending
+    size from 1, with no component split and no degree bound (the search
+    `zero_forcing_number` ran before it split by components)."""
+    n = g.n
+    adj = _adj_masks(g)
+    full = (1 << n) - 1
+    for size in range(1, n + 1):
+        for comb in combinations(range(n), size):
+            seed = 0
+            for v in comb:
+                seed |= 1 << v
+            if _closure_mask(adj, full, seed) == full:
+                return size
+    raise AssertionError("the full vertex set always forces")
+
+
+def small_family_instances(max_order):
+    """The instances of order <= max_order of every command-line family:
+    its default `verify` grid, or every parameter up to max_order for a
+    family without one."""
+    out = []
+    for name, fam in sorted(FAMILIES.items()):
+        axes = fam.grid or [range(max_order + 1)] * len(fam.params)
+        for p in product(*axes):
+            if not fam.domain(*p) or fam.order(*p) > max_order:
+                continue
+            try:
+                out.append((name, p, fam.gen(*p)))
+            except (GraphError, ValueError):
+                pass
+    return out
+
+
+class TestZeroForcingAgainstReferee:
+    """The component split and the minimum-degree start change no value.
+
+    The referee's time doubles with each order, to about 0.2 s per graph at
+    order 16, so the sweep over every family instance stops at order 10 and
+    order 16 is covered by the complements named below: a dense one, one of
+    eight components and an edgeless one.
+    """
+
+    @pytest.mark.parametrize("graph", [hypercube(4), cocktail_party(8),
+                                       complete(16)],
+                             ids=["hypercube-4", "cocktail-party-8",
+                                  "complete-16"])
+    def test_order_16_complements(self, graph):
+        h = complement(graph)
+        assert zero_forcing_number(h) == exhaustive_zero_forcing(h)
+
+    def test_family_instances_and_complements(self):
+        instances = small_family_instances(10)
+        assert len(instances) > 100
+        for name, p, g in instances:
+            for h in (g, complement(g)):
+                assert zero_forcing_number(h) == exhaustive_zero_forcing(h), \
+                    (name, p, h is g)
+
+    def test_random_graphs(self):
+        rng = random.Random(20151)
+        for n in range(2, 10):
+            for density in (0.1, 0.3, 0.5, 0.8):
+                for _ in range(3):
+                    g = make_graph(n, [(u, v) for u in range(n)
+                                       for v in range(u + 1, n)
+                                       if rng.random() < density])
+                    assert zero_forcing_number(g) == \
+                        exhaustive_zero_forcing(g), (n, g.edges)
 
 
 class TestEigenvalueBound:

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from distspec import cli
+from distspec import bounds, cli
 from distspec.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
 
 
@@ -65,6 +65,24 @@ class TestSpectrum:
         assert "18 ^ 1" in out
         assert "[-3+sqrt(5)]" in out
 
+    def test_verify_reports_error_bound(self, capsys):
+        code, data, _ = run_json(capsys, "spectrum", "hamming", "3", "3",
+                                 "--verify")
+        assert code == EXIT_OK
+        assert 0 < data["max_deviation"] <= data["error_bound"] < 1e-8
+        code, out, _ = run(capsys, "spectrum", "hamming", "3", "3",
+                           "--verify", "--format", "text")
+        assert code == EXIT_OK
+        assert "  error_bound=" in out.splitlines()[-1]
+
+    def test_bound_over_match_tol_is_a_failure(self, capsys):
+        # the values agree to 1e-14, but the solver promises only ~1e-12
+        code, data, _ = run_json(capsys, "spectrum", "hamming", "3", "3",
+                                 "--verify", "--match-tol", "1e-13")
+        assert code == EXIT_FAIL
+        assert data["max_deviation"] < 1e-13 <= data["error_bound"]
+        assert data["match"] is False
+
     def test_quadratic_exact_strings_in_json(self, capsys):
         code, data, _ = run_json(capsys, "spectrum", "dodecahedron")
         exacts = [e["exact"] for e in data["closed_form"]["eigs"]]
@@ -116,6 +134,27 @@ class TestVerify:
                            "--max", "6")
         assert code == EXIT_OK
         assert "0 failure(s)" in out
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+    def test_rows_report_error_bound(self, capsys, fmt):
+        code, out, _ = run(capsys, "verify", "hamming", "--d", "2..3",
+                           "--n", "3", "--format", fmt)
+        assert code == EXIT_OK
+        if fmt == "json":
+            rows = json.loads(out)["results"]
+            assert all(0 < r["error_bound"] < 1e-8 for r in rows)
+        elif fmt == "csv":
+            assert out.splitlines()[0] == \
+                "family,params,n,match,max_deviation,error_bound"
+        else:
+            assert all("  error_bound=" in ln for ln in out.splitlines()[:2])
+
+    def test_bound_over_match_tol_fails_the_sweep(self, capsys):
+        code, data, _ = run_json(capsys, "verify", "hamming", "--d", "3",
+                                 "--n", "3", "--match-tol", "1e-13",
+                                 "--format", "json")
+        assert code == EXIT_FAIL
+        assert data["failures"] == 1
 
     def test_csv_output(self, capsys):
         code, out, _ = run(capsys, "verify", "lollipop", "--k", "2..2",
@@ -239,6 +278,21 @@ class TestZfBound:
         code, data, _ = run_json(capsys, "zf-bound", "petersen")
         assert code == EXIT_OK
         assert data["holds"]
+
+    def test_zero_forcing_searched_once(self, capsys, monkeypatch):
+        orders = []
+        search = bounds.zero_forcing_number
+
+        def counted(g):
+            orders.append(g.n)
+            return search(g)
+
+        monkeypatch.setattr(bounds, "zero_forcing_number", counted)
+        monkeypatch.setattr(cli, "zero_forcing_number", counted)
+        code, data, _ = run_json(capsys, "zf-bound", "hypercube", "4")
+        assert code == EXIT_OK
+        assert data["zero_forcing_complement"] == 12
+        assert orders == [16]
 
 
 class TestMatrixAndDet:

@@ -1,13 +1,17 @@
-"""The cyclic Jacobi eigensolver against numpy and structural checks."""
+"""The numeric eigensolver against numpy and structural checks."""
 
+import itertools
 import math
+import random
 
 import numpy as np
 import pytest
 
+from distspec.cli import FAMILIES
 from distspec.distances import distance_matrix
-from distspec.graphs import hypercube, hypercube_with_leaf, petersen
-from distspec.jacobi import MAX_ORDER, sym_eigenvalues
+from distspec.graphs import (cycle, hypercube, hypercube_with_leaf,
+                             make_graph, petersen)
+from distspec.jacobi import MAX_ORDER, error_bound, sym_eigenvalues
 
 
 def random_symmetric(n, seed, scale=10.0):
@@ -96,3 +100,113 @@ class TestValidation:
         a = np.array([[1.0, 1.0 + 1e-14], [1.0, 1.0]])
         vals = sym_eigenvalues(a)
         assert abs(vals[0] - 2.0) < 1e-9
+
+
+def assert_matches_eigvalsh(mat):
+    """Eigenvalue by eigenvalue against LAPACK, within `error_bound`."""
+    a = np.array(mat, dtype=float)
+    ours = sym_eigenvalues(a)
+    ref = sorted(np.linalg.eigvalsh(a), reverse=True)
+    assert len(ours) == len(ref)
+    worst = max(abs(x - y) for x, y in zip(ours, ref))
+    assert worst <= error_bound(a), (worst, error_bound(a))
+    return ours
+
+
+def grid_instances(max_order):
+    """The closed-form instances of the `verify` default grids."""
+    for name, fam in sorted(FAMILIES.items()):
+        if fam.closed is None:
+            continue
+        for p in itertools.product(*fam.grid):
+            if fam.domain(*p) and fam.order(*p) <= max_order:
+                yield name, p
+
+
+def random_connected(n, density, seed):
+    """A random spanning tree plus G(n, density) edges."""
+    rng = random.Random(seed)
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    edges |= {(u, v) for u in range(n) for v in range(u + 1, n)
+              if rng.random() < density}
+    return make_graph(n, sorted(edges))
+
+
+class TestDifferential:
+    def test_every_default_grid_instance(self):
+        instances = list(grid_instances(256))
+        assert len(instances) == 159
+        for name, p in instances:
+            assert_matches_eigvalsh(distance_matrix(FAMILIES[name].gen(*p)))
+
+    @pytest.mark.parametrize("n,density,seed", [
+        (40, 0.02, 1), (40, 0.6, 2), (55, 0.1, 3), (70, 0.3, 4),
+        (90, 0.02, 5), (110, 0.6, 6), (130, 0.1, 7), (150, 0.3, 8)])
+    def test_random_connected_graphs(self, n, density, seed):
+        assert_matches_eigvalsh(distance_matrix(
+            random_connected(n, density, seed)))
+
+
+class TestEdgeCases:
+    def test_zero_matrix(self):
+        assert sym_eigenvalues(np.zeros((6, 6))) == [0.0] * 6
+        assert error_bound(np.zeros((6, 6))) == 0.0
+
+    def test_direct_sum_has_zero_columns_mid_reduction(self):
+        # once the Petersen block is reduced, the columns that follow have
+        # nothing below their first subdiagonal entry: those steps must be
+        # skipped, not divided by
+        a, b = distance_matrix(petersen()), distance_matrix(cycle(7))
+        total = np.zeros((17, 17))
+        total[:10, :10] = a
+        total[10:, 10:] = b
+        vals = assert_matches_eigvalsh(total)
+        parts = sorted(sym_eigenvalues(a) + sym_eigenvalues(b), reverse=True)
+        assert max(abs(x - y) for x, y in zip(vals, parts)) < 1e-12
+
+    @pytest.mark.parametrize("mat,expect", [
+        ([[2.0, 1.0], [1.0, 2.0]], [3.0, 1.0]),
+        ([[0.0, 1.0], [1.0, 0.0]], [1.0, -1.0]),
+        ([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]],
+         [math.sqrt(2), 0.0, -math.sqrt(2)]),
+        ([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [3.0, 6.0, 9.0]], [14.0, 0.0, 0.0]),
+    ])
+    def test_small_orders(self, mat, expect):
+        vals = assert_matches_eigvalsh(mat)
+        assert max(abs(x - y) for x, y in zip(vals, expect)) <= \
+            error_bound(mat)
+
+    def test_exactly_split_tridiagonal(self):
+        d = [2.0, -1.0, 3.0, 0.5, 4.0, 4.0]
+        e = [1.0, 0.0, 2.0, 0.0, 0.0]
+        t = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+        vals = assert_matches_eigvalsh(t)
+        # the blocks are [2 1; 1 -1], [3 2; 2 0.5], [4] and [4]
+        blocks = [(1 + math.sqrt(13)) / 2, (1 - math.sqrt(13)) / 2,
+                  (3.5 + math.sqrt(22.25)) / 2, (3.5 - math.sqrt(22.25)) / 2,
+                  4.0, 4.0]
+        assert vals == pytest.approx(sorted(blocks, reverse=True),
+                                     abs=error_bound(t))
+        assert vals.count(4.0) == 2
+
+    def test_close_pair_stays_resolved(self):
+        q, _ = np.linalg.qr(np.random.RandomState(3).randn(6, 6))
+        lam = np.array([5.0, 1.0 + 1e-9, 1.0, -2.0, 0.5, 3.0])
+        a = (q * lam) @ q.T
+        a = (a + a.T) / 2
+        vals = assert_matches_eigvalsh(a)
+        assert vals[2] - vals[3] == pytest.approx(1e-9, abs=1e-13)
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("mat,where", [
+        ([[0.0, 1.0, 2.0], [1.0, float("nan"), 0.0], [2.0, 0.0, 0.0]],
+         r"a\[1\]\[1\] = nan"),
+        ([[float("inf"), 1.0], [1.0, 0.0]], r"a\[0\]\[0\] = inf"),
+        ([[0.0, -float("inf")], [-float("inf"), 0.0]], r"a\[0\]\[1\] = -inf"),
+        # non-finite is reported before asymmetry
+        ([[0.0, 1.0], [float("nan"), 0.0]], r"a\[1\]\[0\] = nan"),
+    ])
+    def test_rejected_with_the_first_location(self, mat, where):
+        with pytest.raises(ValueError, match=where):
+            sym_eigenvalues(mat)
