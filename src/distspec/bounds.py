@@ -122,11 +122,6 @@ def forcing_bound(n: int, z: int) -> Fraction:
     return Fraction(n - 1, z + 1) + 1
 
 
-def distance_eigenvalue_count(g: Graph) -> int:
-    """q_D(g): distinct distance eigenvalues, computed exactly."""
-    return distinct_eigenvalue_count(distance_matrix(g))
-
-
 # ---------------------------------------------------------------------------
 # isomorph-free tree enumeration
 
@@ -202,15 +197,13 @@ class TreeBoundReport:
     distinct_count: int
     strong_holds: bool       # q_D >= diam + 1
     half_floor_holds: bool   # q_D >= floor(diam / 2)
-    half_ceil_holds: bool    # q_D >= ceil(diam / 2), reported but unasserted
 
 
 def check_tree_bounds(t: Graph) -> TreeBoundReport:
     """Evaluate the diameter-based lower bounds on q_D for one tree.
 
     The strong form q_D >= diam + 1 is the conjectured one; the halved
-    forms are the proven floor statement and its ceiling variant, which is
-    tracked separately.
+    form q_D >= floor(diam / 2) is the proven statement.
     """
     d = distance_matrix(t)
     diam = max(max(row) for row in d)
@@ -221,5 +214,4 @@ def check_tree_bounds(t: Graph) -> TreeBoundReport:
         distinct_count=q,
         strong_holds=q >= diam + 1,
         half_floor_holds=q >= diam // 2,
-        half_ceil_holds=q >= (diam + 1) // 2,
     )

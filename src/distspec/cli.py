@@ -13,17 +13,15 @@ Subcommands:
 Everything known about a graph family is one `Family` record in `FAMILIES`:
 its parameters, generator, order, domain, closed forms and default `verify`
 grid.  Each route checks the order of a request against its own cap before
-it builds a graph: `jacobi.MAX_ORDER` for numeric spectra and `verify`
-spectrum sweeps, `exact.EXACT_ORDER_CAP` for `det` and determinant sweeps,
-and `bounds.ZF_ORDER_CAP` for `zf-bound`; `matrix` has no cap.  A request
-over its cap is a usage error, and a grid point over it is left out of the
-sweep.  A closed-form `spectrum` builds no graph at all.
+it builds a graph: `jacobi.MAX_ORDER` for numeric spectra, `verify` spectrum
+sweeps and `matrix`, `exact.EXACT_ORDER_CAP` for `det` and determinant
+sweeps, and `bounds.ZF_ORDER_CAP` for `zf-bound`.  A request over its cap is
+a usage error, and a grid point over it is left out of the sweep.  A
+closed-form `spectrum` builds no graph at all.
 
 Exit codes: 0 success (and every check passed), 1 a verification failed,
 2 bad usage or invalid parameters.  Output is deterministic; floats are
-printed with 12 significant digits.  The environment variable
-DISTSPEC_WORKERS overrides the worker count for `verify` sweeps;
-parallelism is across instances only, never inside one computation.
+printed with 12 significant digits.
 """
 
 from __future__ import annotations
@@ -32,9 +30,7 @@ import argparse
 import itertools
 import json
 import math
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -50,7 +46,7 @@ from .closedforms import (ClosedFormSpectrum, _comb0, barbell_determinant,
                           johnson_spectrum, kneser_spectrum, lemma_identity,
                           lollipop_determinant, lollipop_inertia,
                           shrikhande_power_spectrum)
-from .distances import DisconnectedError, distance_matrix, format_matrix
+from .distances import distance_matrix, format_matrix
 from .exact import (EXACT_ORDER_CAP, Inertia, det_exact,
                     distinct_eigenvalue_count, inertia_exact)
 from .graphs import (Graph, GraphError, cocktail_party, complement, complete,
@@ -167,32 +163,12 @@ def _parse_range(text: str) -> range:
     return range(lo, hi + 1)
 
 
-def _worker_count(args: argparse.Namespace) -> int:
-    """--workers, else DISTSPEC_WORKERS, else 1; anything but a positive
-    integer is a usage error."""
-    if args.workers is not None:
-        count, source = args.workers, "--workers"
-    else:
-        env = os.environ.get("DISTSPEC_WORKERS")
-        if not env:
-            return 1
-        source = "DISTSPEC_WORKERS"
-        try:
-            count = int(env)
-        except ValueError:
-            raise ValueError(f"{source} must be a positive integer, "
-                             f"got {env!r}") from None
-    if count < 1:
-        raise ValueError(f"{source} must be a positive integer, got {count}")
-    return count
-
-
 # ---------------------------------------------------------------------------
 # spectrum and det: one report per route, shared with `verify`
 
 
-def _spectrum_report(name: str, params: Sequence[int], tol: float,
-                     match_tol: float, cluster_tol: Optional[float] = None, *,
+def _spectrum_report(name: str, params: Sequence[int], match_tol: float,
+                     cluster_tol: Optional[float] = None, *,
                      verify: bool = False, numeric: bool = False,
                      fallback: bool = True) -> tuple[dict, Optional[Spectrum]]:
     """The `spectrum` JSON document of one instance, and the closed-form
@@ -231,7 +207,7 @@ def _spectrum_report(name: str, params: Sequence[int], tol: float,
         if g is None:
             g = _build(name, params, MAX_ORDER, "supported")
         dm = distance_matrix(g)
-        vals = sym_eigenvalues(dm, tol=tol)
+        vals = sym_eigenvalues(dm)
         num = cluster_to_spectrum(vals, cluster_tol=cluster_tol)
         out["numeric"] = num.to_json_dict()
         if closed is not None:
@@ -247,9 +223,9 @@ def _spectrum_report(name: str, params: Sequence[int], tol: float,
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
-    out, spec = _spectrum_report(args.family, args.params, args.tol,
-                                 args.match_tol, args.cluster_tol,
-                                 verify=args.verify, numeric=args.numeric)
+    out, spec = _spectrum_report(args.family, args.params, args.match_tol,
+                                 args.cluster_tol, verify=args.verify,
+                                 numeric=args.numeric)
     if args.format == "text":
         if spec is None:
             spec = Spectrum([(e["value"], e["mult"])
@@ -310,16 +286,9 @@ def _grid_instances(name: str, args: argparse.Namespace,
             if fam.domain(*p) and fam.order(*p) <= cap]
 
 
-def _verify_spectrum_instance(job: tuple[str, tuple[int, ...], float, float]) -> dict:
-    out, _ = _spectrum_report(*job, verify=True, fallback=False)
-    return {k: out[k] for k in ("family", "params", "n", "match",
-                                "max_deviation", "error_bound")}
-
-
-def _verify_det_instance(job: tuple[str, tuple[int, ...]]) -> dict:
-    out = _det_report(*job)
-    return {k: out[k] for k in ("family", "params", "n", "det", "inertia",
-                                "match")}
+def _pick(doc: dict, *keys: str) -> dict:
+    """One `verify` row: the instance and the given keys of its report."""
+    return {k: doc[k] for k in ("family", "params", "n", *keys)}
 
 
 def _lemma_jobs(max_index: int, max_b: int) -> list[tuple[int, dict]]:
@@ -336,7 +305,6 @@ def _lemma_jobs(max_index: int, max_b: int) -> list[tuple[int, dict]]:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     target = args.target
-    workers = _worker_count(args)
     results: list[dict] = []
     fam = FAMILIES.get(target)
 
@@ -349,17 +317,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print(f"error: unknown verify target {target!r}", file=sys.stderr)
         return EXIT_USAGE
     elif fam.det is not None:
-        jobs = [(target, p)
-                for p in _grid_instances(target, args, EXACT_ORDER_CAP)]
-        results = _run_jobs(_verify_det_instance, jobs, workers)
+        results = [_pick(_det_report(target, p), "det", "inertia", "match")
+                   for p in _grid_instances(target, args, EXACT_ORDER_CAP)]
     elif fam.closed is None:
         print(f"error: {target} has no closed-form spectrum to verify",
               file=sys.stderr)
         return EXIT_USAGE
     else:
-        jobs = [(target, p, args.tol, args.match_tol)
-                for p in _grid_instances(target, args, MAX_ORDER)]
-        results = _run_jobs(_verify_spectrum_instance, jobs, workers)
+        results = [_pick(_spectrum_report(target, p, args.match_tol,
+                                          verify=True, fallback=False)[0],
+                         "match", "max_deviation", "error_bound")
+                   for p in _grid_instances(target, args, MAX_ORDER)]
 
     failures = sum(1 for r in results if not r["match"])
     if args.format == "csv":
@@ -375,13 +343,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
             print(f"{status:8s} {'  '.join(bits)}")
         print(f"{len(results)} instance(s), {failures} failure(s)")
     return EXIT_OK if failures == 0 else EXIT_FAIL
-
-
-def _run_jobs(fn: Callable, jobs: list, workers: int) -> list[dict]:
-    if workers <= 1 or len(jobs) <= 1:
-        return [fn(j) for j in jobs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, jobs))
 
 
 def _print_csv(results: list[dict]) -> None:
@@ -481,7 +442,7 @@ def cmd_zf_bound(args: argparse.Namespace) -> int:
 
 
 def cmd_matrix(args: argparse.Namespace) -> int:
-    g = _family(args.family, args.params).gen(*args.params)
+    g = _build(args.family, args.params, MAX_ORDER, "supported")
     sys.stdout.write(format_matrix(distance_matrix(g)))
     return EXIT_OK
 
@@ -510,9 +471,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="compute both closed form and numeric, compare")
     sp.add_argument("--numeric", action="store_true",
                     help="force the numeric route even when a formula exists")
-    sp.add_argument("--tol", type=float, default=1e-12,
-                    help="symmetry tolerance of the numeric solver, relative "
-                         "to the largest entry")
     sp.add_argument("--cluster-tol", type=float, default=None,
                     help="eigenvalue clustering tolerance")
     sp.add_argument("--match-tol", type=float, default=1e-8,
@@ -532,15 +490,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="upper index bound for lemma-identities")
     sp.add_argument("--max-b", type=int, default=10,
                     help="upper bound for the shift parameter b")
-    sp.add_argument("--tol", type=float, default=1e-12,
-                    help="symmetry tolerance of the numeric solver, relative "
-                         "to the largest entry")
     sp.add_argument("--match-tol", type=float, default=1e-8,
                     help="tolerance for closed-form/numeric comparison; the "
                          "solver's error bound must also be below it")
-    sp.add_argument("--workers", type=int, default=None,
-                    help="parallel workers across instances "
-                         "(default: DISTSPEC_WORKERS or 1)")
     sp.add_argument("--format", choices=("text", "json", "csv"),
                     default="text")
     sp.set_defaults(fn=cmd_verify)
@@ -578,9 +530,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except DisconnectedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (GraphError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -207,10 +207,6 @@ def complete_spectrum(n: int) -> ClosedFormSpectrum:
     return ClosedFormSpectrum(Spectrum([(n - 1, 1), (-1, n - 1)]), f"complete({n})")
 
 
-def petersen_spectrum() -> ClosedFormSpectrum:
-    return ClosedFormSpectrum(kneser_spectrum(5, 2).spectrum, "petersen")
-
-
 def icosahedron_spectrum() -> ClosedFormSpectrum:
     pairs = [(18, 1), (0, 5),
              (QuadraticNumber(-3, 1, 5), 3),

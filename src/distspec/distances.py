@@ -91,23 +91,3 @@ def parse_matrix(text: str) -> IntMatrix:
         except ValueError:
             raise ValueError(f"line {i}: entries must be integers") from None
     return mat
-
-
-def check_distance_matrix(mat: IntMatrix) -> None:
-    """Validate the structural invariants of a distance matrix."""
-    n = len(mat)
-    for i in range(n):
-        if len(mat[i]) != n:
-            raise ValueError("matrix must be square")
-        if mat[i][i] != 0:
-            raise ValueError(f"nonzero diagonal at {i}")
-        for j in range(n):
-            if i != j and mat[i][j] <= 0:
-                raise ValueError(f"non-positive off-diagonal at ({i}, {j})")
-            if mat[i][j] != mat[j][i]:
-                raise ValueError(f"asymmetry at ({i}, {j})")
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if mat[i][j] > mat[i][k] + mat[k][j]:
-                    raise ValueError(f"triangle inequality fails at ({i}, {j}, {k})")

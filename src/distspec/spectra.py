@@ -8,7 +8,6 @@ irrational eigenvalues like (-5+sqrt(33))/2 survive a round trip.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -189,10 +188,6 @@ class QuadraticNumber:
 Value = Union[int, Fraction, QuadraticNumber, float]
 
 
-def value_to_float(v: Value) -> float:
-    return float(v)
-
-
 def exact_string(v: Value) -> str | None:
     """Canonical text for exact values, None for floats."""
     if isinstance(v, float):
@@ -303,9 +298,6 @@ class Spectrum:
                 "mult": m,
             })
         return {"n": self.dimension, "eigs": eigs}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
     def __eq__(self, other):
         if not isinstance(other, Spectrum):

@@ -63,10 +63,22 @@ class SrgParams:
     def discriminant(self) -> int:
         return (self.lam - self.mu) ** 2 + 4 * (self.k - self.mu)
 
-    @property
-    def _mult_gap(self) -> int:
-        """2k + (n-1)(lam - mu); zero exactly in the conference case."""
-        return 2 * self.k + (self.n - 1) * (self.lam - self.mu)
+    def _multiplicities(self) -> tuple[int, int] | None:
+        """(m_theta, m_tau) = (n - 1 -+ gap / sqrt(disc)) / 2, with
+        gap = 2k + (n-1)(lam - mu), or None unless both are non-negative
+        integers.  Needs a positive discriminant."""
+        n, disc = self.n, self.discriminant
+        gap = 2 * self.k + (n - 1) * (self.lam - self.mu)
+        if gap == 0:
+            # the conference case: equal multiplicities force odd order
+            return ((n - 1) // 2,) * 2 if n % 2 == 1 else None
+        s = isqrt(disc)
+        if s * s != disc or gap % s != 0:
+            return None
+        shift = gap // s
+        if (n - 1 - shift) % 2 != 0 or abs(shift) > n - 1:
+            return None
+        return (n - 1 - shift) // 2, (n - 1 + shift) // 2
 
     def is_feasible(self) -> bool:
         """Counting identity, integrality of the eigenvalue multiplicities,
@@ -78,24 +90,7 @@ class SrgParams:
             # the complement of a strongly regular graph is one too, so its
             # lambda and mu must also be counts
             return False
-        disc = self.discriminant
-        if disc <= 0:
-            return False
-        gap = self._mult_gap
-        if gap == 0:
-            # equal multiplicities (n-1)/2 force odd order
-            return n % 2 == 1
-        s = isqrt(disc)
-        if s * s != disc:
-            return False
-        if gap % s != 0:
-            return False
-        half = n - 1 - gap // s
-        if half % 2 != 0:
-            return False
-        m_theta = half // 2
-        m_tau = (n - 1 + gap // s) // 2
-        return m_theta >= 0 and m_tau >= 0
+        return self.discriminant > 0 and self._multiplicities() is not None
 
     def require_spectral(self) -> None:
         if self.mu == 0:
@@ -137,13 +132,7 @@ def srg_eigen_data(p: SrgParams) -> SrgEigenData:
     base = QuadraticNumber(Fraction(lam - mu, 2))
     theta = base + root * half
     tau = base - root * half
-    gap = p._mult_gap
-    if gap == 0:
-        m_theta = m_tau = (n - 1) // 2
-    else:
-        s = isqrt(disc)
-        m_theta = (n - 1 - gap // s) // 2
-        m_tau = (n - 1 + gap // s) // 2
+    m_theta, m_tau = p._multiplicities()
     return SrgEigenData(
         params=p,
         theta=theta,

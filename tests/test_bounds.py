@@ -11,8 +11,7 @@ import pytest
 
 from conftest import numeric_spectrum
 from distspec.bounds import (ZF_ORDER_CAP, _adj_masks, _closure_mask,
-                             check_tree_bounds, distance_eigenvalue_count,
-                             enumerate_trees, forcing_closure,
+                             check_tree_bounds, enumerate_trees, forcing_closure,
                              tree_canonical_code, zero_forcing_number,
                              zf_eigenvalue_bound)
 from distspec.cli import FAMILIES
@@ -227,17 +226,17 @@ class TestEigenvalueBound:
                   petersen(), lollipop(5, 4), lollipop(3, 2)]
         for g in corpus:
             bound = zf_eigenvalue_bound(g)
-            q = distance_eigenvalue_count(g)
+            q = distinct_eigenvalue_count(distance_matrix(g))
             assert q >= math.ceil(bound), g.edges
 
     def test_tight_on_cube(self):
         g = hypercube(3)
-        assert distance_eigenvalue_count(g) == \
+        assert distinct_eigenvalue_count(distance_matrix(g)) == \
             math.ceil(zf_eigenvalue_bound(g)) == 3
 
     def test_count_agrees_with_exact_module(self):
         for g in (path(5), petersen(), lollipop(4, 2)):
-            assert distance_eigenvalue_count(g) == \
+            assert distinct_eigenvalue_count(distance_matrix(g)) == \
                 distinct_eigenvalue_count(distance_matrix(g))
 
     def test_multiplicity_capped_by_forcing(self):

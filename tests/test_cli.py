@@ -164,43 +164,6 @@ class TestVerify:
         assert head.startswith("family,params,n,det,inertia,match")
         assert len(rows) == 2
 
-    def test_workers_do_not_change_results(self, capsys):
-        args = ("verify", "cycle", "--n", "3..10", "--format", "json")
-        _, seq, _ = run_json(capsys, *args)
-        _, par, _ = run_json(capsys, *args, "--workers", "2")
-        assert seq == par
-
-    def test_workers_env_var(self, capsys, monkeypatch):
-        monkeypatch.setenv("DISTSPEC_WORKERS", "2")
-        code, data, _ = run_json(capsys, "verify", "cycle", "--n", "3..8",
-                                 "--format", "json")
-        assert code == EXIT_OK
-        assert data["failures"] == 0
-
-    @pytest.mark.parametrize("count", ["0", "-4"])
-    def test_nonpositive_workers_rejected(self, capsys, count):
-        code, out, err = run(capsys, "verify", "cycle", "--n", "3..4",
-                             "--workers", count)
-        assert code == EXIT_USAGE
-        assert out == ""
-        assert err == f"error: --workers must be a positive integer, " \
-                      f"got {count}\n"
-
-    @pytest.mark.parametrize("value", ["abc", "0", "-4", "2.5"])
-    def test_bad_workers_env_var_rejected(self, capsys, monkeypatch, value):
-        monkeypatch.setenv("DISTSPEC_WORKERS", value)
-        code, out, err = run(capsys, "verify", "cycle", "--n", "3..4")
-        assert code == EXIT_USAGE
-        assert out == ""
-        assert err.startswith("error: DISTSPEC_WORKERS must be a positive")
-        assert err.count("\n") == 1
-
-    def test_workers_flag_overrides_env_var(self, capsys, monkeypatch):
-        monkeypatch.setenv("DISTSPEC_WORKERS", "abc")
-        code, _, _ = run(capsys, "verify", "cycle", "--n", "3..4",
-                         "--workers", "1")
-        assert code == EXIT_OK
-
     def test_unknown_target(self, capsys):
         code, _, err = run(capsys, "verify", "moebius")
         assert code == EXIT_USAGE
@@ -351,6 +314,8 @@ class TestSizeBeforeBuilding:
         ("zf-bound hypercube 10",
          "order 1024 exceeds the zero forcing search cap 24"),
         ("det halved-cube 12", "order 2048 exceeds the exact search cap 256"),
+        ("matrix hamming 12 12",
+         "order 8916100448256 exceeds the supported cap 1500"),
     ])
     def test_over_cap_refused_before_building(self, capsys, no_graphs,
                                               argv, message):

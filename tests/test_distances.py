@@ -5,14 +5,33 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from distspec.distances import (DisconnectedError, bfs_distances,
-                                check_distance_matrix, diameter,
+from distspec.distances import (DisconnectedError, bfs_distances, diameter,
                                 distance_matrix, format_matrix, is_connected,
                                 parse_matrix, transmission_profile)
 from distspec.graphs import (cocktail_party, cycle, generalized_barbell,
                              hamming, hypercube, hypercube_with_leaf, kneser,
                              lollipop, make_graph, path, petersen,
                              tensor_product)
+
+
+def check_distance_matrix(mat: list[list[int]]) -> None:
+    """Validate the structural invariants of a distance matrix."""
+    n = len(mat)
+    for i in range(n):
+        if len(mat[i]) != n:
+            raise ValueError("matrix must be square")
+        if mat[i][i] != 0:
+            raise ValueError(f"nonzero diagonal at {i}")
+        for j in range(n):
+            if i != j and mat[i][j] <= 0:
+                raise ValueError(f"non-positive off-diagonal at ({i}, {j})")
+            if mat[i][j] != mat[j][i]:
+                raise ValueError(f"asymmetry at ({i}, {j})")
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if mat[i][j] > mat[i][k] + mat[k][j]:
+                    raise ValueError(f"triangle inequality fails at ({i}, {j}, {k})")
 
 
 class TestDistanceMatrix:

@@ -8,8 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from distspec.spectra import (QuadraticNumber, Spectrum, cluster_to_spectrum,
-                              exact_string, max_deviation, spectra_match,
-                              value_to_float)
+                              exact_string, max_deviation, spectra_match)
 
 
 def qn(a, b, d):
@@ -89,10 +88,6 @@ class TestExactString:
         assert exact_string(Fraction(1, 3)) == "1/3"
         assert exact_string(qn(0, 1, 2)) == "sqrt(2)"
         assert exact_string(2.5) is None
-
-    def test_value_to_float(self):
-        assert value_to_float(Fraction(1, 2)) == 0.5
-        assert value_to_float(3) == 3.0
 
 
 class TestSpectrum:
