@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from distspec.distances import (DisconnectedError, bfs_distances, diameter,
                                 distance_matrix, format_matrix, is_connected,
                                 parse_matrix, transmission_profile)
-from distspec.graphs import (cocktail_party, cycle, generalized_barbell,
-                             hamming, hypercube, hypercube_with_leaf, kneser,
-                             lollipop, make_graph, path, petersen,
-                             tensor_product)
+from distspec.graphs import (cocktail_party, complete, cycle,
+                             generalized_barbell, hamming, hypercube,
+                             hypercube_with_leaf, kneser, lollipop, make_graph,
+                             path, petersen, tensor_product)
 
 
 def check_distance_matrix(mat: list[list[int]]) -> None:
@@ -166,3 +166,43 @@ def test_random_connected_graph_invariants(n, data):
         assert d[u][v] == 1
     rows, _ = transmission_profile(g)
     assert rows == [sum(r) for r in d]
+
+
+@st.composite
+def small_graphs(draw):
+    """Order 2-40; half of them get a random spanning tree, so both connected
+    and disconnected graphs are drawn."""
+    n = draw(st.integers(2, 40))
+    edges = set()
+    if draw(st.booleans()):
+        edges.update((draw(st.integers(0, v - 1)), v) for v in range(1, n))
+    pool = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges.update(draw(st.lists(st.sampled_from(pool), max_size=3 * n)))
+    return make_graph(n, sorted(edges))
+
+
+class TestAllSourcesDifferential:
+    @given(small_graphs())
+    def test_matches_bfs_rows_and_networkx(self, g):
+        h = nx.Graph(list(g.edges))
+        h.add_nodes_from(range(g.n))
+        unreachable = sorted(set(range(g.n)) - nx.node_connected_component(h, 0))
+        if unreachable:
+            with pytest.raises(DisconnectedError) as exc:
+                distance_matrix(g)
+            assert exc.value.pair == (0, unreachable[0])
+            return
+        d = distance_matrix(g)
+        assert d == [bfs_distances(g, s) for s in range(g.n)]
+        ref = dict(nx.all_pairs_shortest_path_length(h))
+        assert d == [[ref[u][v] for v in range(g.n)] for u in range(g.n)]
+        assert all(type(x) is int for row in d for x in row)
+
+    def test_long_path_overflows_a_byte_counter(self):
+        # diameter 299 needs a counter wider than uint8
+        d = distance_matrix(path(300))
+        assert d == [[abs(u - v) for v in range(300)] for u in range(300)]
+
+    def test_complete_graph_is_all_ones(self):
+        d = distance_matrix(complete(300))
+        assert d == [[int(u != v) for v in range(300)] for u in range(300)]
