@@ -17,7 +17,8 @@ it builds a graph: `jacobi.MAX_ORDER` for numeric spectra, `verify` spectrum
 sweeps and `matrix`, `exact.EXACT_ORDER_CAP` for `det` and determinant
 sweeps, and `bounds.ZF_ORDER_CAP` for `zf-bound`.  A request over its cap is
 a usage error, and a grid point over it is left out of the sweep.  A
-closed-form `spectrum` builds no graph at all.
+closed-form `spectrum` builds no graph at all.  Numeric eigenvalues closer
+than twice the solver's own `error_bound` are grouped as one.
 
 Exit codes: 0 success (and every check passed), 1 a verification failed,
 2 bad usage or invalid parameters.  Output is deterministic; floats are
@@ -56,7 +57,7 @@ from .graphs import (Graph, GraphError, cocktail_party, complement, complete,
                      lollipop, odd_graph, path, petersen, shrikhande)
 from .jacobi import MAX_ORDER, error_bound, sym_eigenvalues
 from .spectra import (Spectrum, cluster_to_spectrum, exact_string,
-                      max_deviation, spectra_match)
+                      max_deviation)
 from .srg import (SrgParameterError, SrgParams, classify_one_positive,
                   complement_params, is_conference, is_optimistic,
                   srg_eigen_data)
@@ -167,12 +168,11 @@ def _parse_range(text: str) -> range:
 # spectrum and det: one report per route, shared with `verify`
 
 
-def _spectrum_report(name: str, params: Sequence[int], match_tol: float,
-                     cluster_tol: Optional[float] = None, *,
+def _spectrum_report(name: str, params: Sequence[int], match_tol: float, *,
                      verify: bool = False, numeric: bool = False,
-                     fallback: bool = True) -> tuple[dict, Optional[Spectrum]]:
-    """The `spectrum` JSON document of one instance, and the closed-form
-    spectrum if one was used.
+                     fallback: bool = True) -> tuple[dict, Spectrum]:
+    """The `spectrum` JSON document of one instance, and the spectrum it
+    reports: the closed form if one was used, else the numeric one.
 
     Inside the family's domain the closed form comes first, and the graph
     is built only for the numeric route; outside it the graph is built
@@ -207,29 +207,25 @@ def _spectrum_report(name: str, params: Sequence[int], match_tol: float,
         if g is None:
             g = _build(name, params, MAX_ORDER, "supported")
         dm = distance_matrix(g)
-        vals = sym_eigenvalues(dm)
-        num = cluster_to_spectrum(vals, cluster_tol=cluster_tol)
+        # computed copies of one eigenvalue lie within 2*bound of each other
+        bound = error_bound(dm)
+        num = cluster_to_spectrum(sym_eigenvalues(dm), cluster_tol=2 * bound)
         out["numeric"] = num.to_json_dict()
         if closed is not None:
             # a solver that cannot promise match_tol proves nothing
-            bound = error_bound(dm)
-            out["match"] = (spectra_match(closed, num, tol=match_tol)
-                            and bound < match_tol)
-            out["max_deviation"] = _fmt(max_deviation(closed, num))
+            dev = max_deviation(closed, num)
+            out["match"] = dev < match_tol and bound < match_tol
+            out["max_deviation"] = _fmt(dev)
             out["error_bound"] = _fmt(bound)
     if note:
         out["note"] = note
-    return out, closed
+    return out, num if closed is None else closed
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
     out, spec = _spectrum_report(args.family, args.params, args.match_tol,
-                                 args.cluster_tol, verify=args.verify,
-                                 numeric=args.numeric)
+                                 verify=args.verify, numeric=args.numeric)
     if args.format == "text":
-        if spec is None:
-            spec = Spectrum([(e["value"], e["mult"])
-                             for e in out["numeric"]["eigs"]])
         print(f"{args.family} {' '.join(map(str, args.params))}  n={out['n']}")
         for value, mult in spec.entries:
             exact = exact_string(value)
@@ -471,8 +467,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="compute both closed form and numeric, compare")
     sp.add_argument("--numeric", action="store_true",
                     help="force the numeric route even when a formula exists")
-    sp.add_argument("--cluster-tol", type=float, default=None,
-                    help="eigenvalue clustering tolerance")
     sp.add_argument("--match-tol", type=float, default=1e-8,
                     help="tolerance for closed-form/numeric comparison; the "
                          "solver's error bound must also be below it")

@@ -41,31 +41,38 @@ _BITS = 4
 _POINTS = 2 ** _BITS - 1
 
 
-def sym_eigenvalues(mat, tol: float = 1e-12) -> list[float]:
-    """All eigenvalues of a symmetric matrix, sorted in decreasing order.
-
-    The input may be any square array-like with finite real entries.  A NaN
-    or infinite entry is rejected with the location of the first one, and
-    asymmetry beyond tol (relative to the matrix scale) with the location of
-    the worst offending pair.  Each eigenvalue is within `error_bound(mat)`
-    of the exact one.
-    """
+def _checked(mat, tol: float = 1e-12) -> tuple[np.ndarray, float]:
+    """mat as a float array, and its largest absolute entry, after the
+    checks that `sym_eigenvalues` describes."""
     a = np.array(mat, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("square matrix required")
-    n = a.shape[0]
-    if n > MAX_ORDER:
-        raise ValueError(f"order {n} exceeds the supported cap {MAX_ORDER}")
+    if a.shape[0] > MAX_ORDER:
+        raise ValueError(f"order {a.shape[0]} exceeds the supported cap {MAX_ORDER}")
     if not np.isfinite(a).all():
         i, j = np.argwhere(~np.isfinite(a))[0]
         raise ValueError(f"matrix entry a[{i}][{j}] = {a[i, j]} is not finite")
-    top = max(float(a.max()), -float(a.min()))
+    top = max(float(a.max(initial=0.0)), -float(a.min(initial=0.0)))
     sym = a - a.T
     np.abs(sym, out=sym)
     worst = float(sym.max(initial=0.0))
     if worst > tol * max(1.0, top):
         i, j = np.unravel_index(int(sym.argmax()), sym.shape)
         raise ValueError(f"matrix not symmetric: |a[{i}][{j}] - a[{j}][{i}]| = {worst:g}")
+    return a, top
+
+
+def sym_eigenvalues(mat, tol: float = 1e-12) -> list[float]:
+    """All eigenvalues of a symmetric matrix, sorted in decreasing order.
+
+    The input may be any square array-like of order at most MAX_ORDER with
+    finite real entries.  A NaN or infinite entry is rejected with the
+    location of the first one, and asymmetry beyond tol (relative to the
+    matrix scale) with the location of the worst offending pair.  Each
+    eigenvalue is within `error_bound(mat)` of the exact one.
+    """
+    a, top = _checked(mat, tol)
+    n = a.shape[0]
     if n == 1:
         return [float(a[0, 0])]
 
@@ -73,8 +80,7 @@ def sym_eigenvalues(mat, tol: float = 1e-12) -> list[float]:
     # of entries overflows or underflows
     shift = min(max(math.frexp(top)[1], -1000), 1000)
     a *= math.ldexp(0.5, -shift)
-    np.add(a, a.T, out=sym)
-    a = sym
+    a = a + a.T
     frob = math.sqrt(float(np.vdot(a, a)))
     d, e = _tridiagonalize(a)
     e[np.abs(e) <= n * _EPS * frob] = 0.0
@@ -88,10 +94,10 @@ def error_bound(mat) -> float:
     This is the standard backward-error estimate for Householder
     tridiagonalization (Golub & Van Loan, section 8.3) plus the couplings
     set to zero and the search width, with c fixed at 4; it is an
-    estimate that holds in practice, not a worst-case proof.
+    estimate that holds in practice, not a worst-case proof.  It refuses
+    the inputs that `sym_eigenvalues` refuses, with the same messages.
     """
-    a = np.array(mat, dtype=float)
-    top = float(np.max(np.abs(a), initial=0.0))
+    a, top = _checked(mat)
     if top == 0.0:
         return 0.0
     a /= top

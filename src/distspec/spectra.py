@@ -321,7 +321,9 @@ def cluster_to_spectrum(values: list[float], cluster_tol: float | None = None) -
     """Group a descending float eigenvalue list into a Spectrum.
 
     Adjacent values closer than cluster_tol land in one cluster represented by
-    the cluster mean.  Default tolerance scales with the spectral radius.
+    the cluster mean.  Callers that hold the matrix pass 2*error_bound(mat).
+    The default, 1e-6 times the spectral radius, is a heuristic for callers
+    that do not, and can merge distinct eigenvalues.
     """
     if not values:
         raise ValueError("empty eigenvalue list")
@@ -343,23 +345,15 @@ def cluster_to_spectrum(values: list[float], cluster_tol: float | None = None) -
 
 
 def spectra_match(a: Spectrum, b: Spectrum, tol: float = 1e-8) -> bool:
-    """True when both spectra agree in dimension, multiplicities, and values.
-
-    Values are compared as floats entry by entry after the canonical
-    descending sort; exact entries participate via their float images.
-    """
-    if a.dimension != b.dimension or len(a.entries) != len(b.entries):
-        return False
-    for (va, ma), (vb, mb) in zip(a.entries, b.entries):
-        if ma != mb or abs(float(va) - float(vb)) >= tol:
-            return False
-    return True
+    """True when both spectra agree in multiplicities and in values to tol."""
+    return max_deviation(a, b) < tol
 
 
 def max_deviation(a: Spectrum, b: Spectrum) -> float:
-    """Largest absolute value difference between aligned entries (inf if shapes differ)."""
-    if a.dimension != b.dimension or len(a.entries) != len(b.entries):
-        return math.inf
-    if any(ma != mb for (_, ma), (_, mb) in zip(a.entries, b.entries)):
+    """Largest absolute difference between the float images of aligned
+    entries, after the canonical descending sort; inf if the number of
+    entries or any multiplicity differs."""
+    if len(a.entries) != len(b.entries) or any(
+            ma != mb for (_, ma), (_, mb) in zip(a.entries, b.entries)):
         return math.inf
     return max(abs(float(va) - float(vb)) for (va, _), (vb, _) in zip(a.entries, b.entries))

@@ -16,13 +16,14 @@ import numpy as np
 
 from distspec import (Graph, Spectrum, cluster_to_spectrum, distance_matrix,
                       sym_eigenvalues)
+from distspec.jacobi import error_bound
 
 
-def numeric_spectrum(g: Graph, tol: float = 1e-12,
-                     cluster_tol: float | None = None) -> Spectrum:
-    """Distance spectrum via the in-package solver, clustered."""
-    vals = sym_eigenvalues(distance_matrix(g), tol=tol)
-    return cluster_to_spectrum(vals, cluster_tol=cluster_tol)
+def numeric_spectrum(g: Graph) -> Spectrum:
+    """Distance spectrum via the in-package solver, clustered within twice
+    its error bound as the CLI does."""
+    dm = distance_matrix(g)
+    return cluster_to_spectrum(sym_eigenvalues(dm), cluster_tol=2 * error_bound(dm))
 
 
 def numpy_eigs(g: Graph) -> list[float]:

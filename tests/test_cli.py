@@ -104,6 +104,41 @@ class TestSpectrum:
         assert exc.value.code == EXIT_USAGE
 
 
+class TestNumericClustering:
+    """Numeric eigenvalues are grouped within twice the solver's error
+    bound, so close distinct eigenvalues of long paths and cycles stay
+    apart."""
+
+    def test_path_eigenvalues_stay_distinct(self, capsys):
+        code, data, _ = run_json(capsys, "spectrum", "path", "100",
+                                 "--numeric")
+        assert code == EXIT_OK
+        eigs = data["numeric"]["eigs"]
+        assert len(eigs) == 100
+        assert all(e["mult"] == 1 for e in eigs)
+
+    def test_cycle_200_verifies(self, capsys):
+        code, data, _ = run_json(capsys, "spectrum", "cycle", "200",
+                                 "--verify")
+        assert code == EXIT_OK
+        assert data["match"] is True
+        assert len(data["numeric"]["eigs"]) == 52
+
+    def test_cycle_400_fails_only_on_its_bound(self, capsys):
+        code, data, _ = run_json(capsys, "spectrum", "cycle", "400",
+                                 "--verify")
+        assert code == EXIT_FAIL
+        assert data["match"] is False
+        assert len(data["numeric"]["eigs"]) == 102
+        assert data["max_deviation"] < 1e-10
+        assert data["error_bound"] >= 1e-8
+
+    def test_cluster_tol_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["spectrum", "petersen", "--cluster-tol", "1e-3"])
+        assert exc.value.code == EXIT_USAGE
+
+
 class TestVerify:
     def test_barbell_grid(self, capsys):
         code, out, _ = run(capsys, "verify", "barbell", "--k", "2..3",

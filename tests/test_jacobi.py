@@ -210,3 +210,21 @@ class TestNonFinite:
     def test_rejected_with_the_first_location(self, mat, where):
         with pytest.raises(ValueError, match=where):
             sym_eigenvalues(mat)
+
+
+class TestErrorBoundInput:
+    @pytest.mark.parametrize("mat,message", [
+        ([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], "square matrix required"),
+        ([1.0, 2.0], "square matrix required"),
+        ([[float("nan"), 0.0], [0.0, 1.0]], r"a\[0\]\[0\] = nan is not finite"),
+        ([[float("inf"), 1.0], [1.0, 0.0]], r"a\[0\]\[0\] = inf is not finite"),
+        ([[0.0, 1.0], [2.0, 0.0]], r"not symmetric: \|a\[0\]\[1\] - a\[1\]\[0\]\| = 1"),
+        ([[0.0] * (MAX_ORDER + 1)] * (MAX_ORDER + 1),
+         f"order {MAX_ORDER + 1} exceeds the supported cap"),
+    ])
+    def test_refused_as_by_the_solver(self, mat, message):
+        with pytest.raises(ValueError, match=message) as solver:
+            sym_eigenvalues(mat)
+        with pytest.raises(ValueError, match=message) as bound:
+            error_bound(mat)
+        assert str(bound.value) == str(solver.value)
