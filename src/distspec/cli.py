@@ -38,13 +38,14 @@ from typing import Callable, Optional, Sequence
 
 from .bounds import (ZF_ORDER_CAP, check_tree_bounds, enumerate_trees,
                      forcing_bound, zero_forcing_number)
-from .closedforms import (ClosedFormSpectrum, _comb0, barbell_determinant,
-                          barbell_inertia, cocktail_party_spectrum,
-                          complete_spectrum, cycle_spectrum,
-                          dodecahedron_spectrum, doob_spectrum,
-                          double_odd_spectrum, halved_cube_spectrum,
-                          hamming_spectrum, icosahedron_spectrum,
-                          johnson_spectrum, kneser_spectrum, lemma_identity,
+from .closedforms import (LEMMA_RANGES, ClosedFormSpectrum, _comb0,
+                          barbell_determinant, barbell_inertia,
+                          cocktail_party_spectrum, complete_spectrum,
+                          cycle_spectrum, dodecahedron_spectrum,
+                          doob_spectrum, double_odd_spectrum,
+                          halved_cube_spectrum, hamming_spectrum,
+                          icosahedron_spectrum, johnson_spectrum,
+                          kneser_spectrum, lemma_identity,
                           lollipop_determinant, lollipop_inertia,
                           shrikhande_power_spectrum)
 from .distances import distance_matrix, format_matrix
@@ -288,15 +289,12 @@ def _pick(doc: dict, *keys: str) -> dict:
 
 
 def _lemma_jobs(max_index: int, max_b: int) -> list[tuple[int, dict]]:
-    jobs: list[tuple[int, dict]] = []
-    jobs += [(1, {"s": s}) for s in range(1, max_index + 1)]
-    jobs += [(2, {"s": s}) for s in range(2, max_index + 1)]
-    jobs += [(3, {"d": d}) for d in range(2, max_index + 1)]
-    jobs += [(4, {"d": d}) for d in range(2, max_index + 1)]
-    jobs += [(5, {"d": d}) for d in range(3, max_index + 1)]
-    jobs += [(6, {"a": a, "b": b}) for a in range(2, max_index + 1)
-             for b in range(0, max_b + 1)]
-    return jobs
+    """Every identity over its range: b up to max_b, the rest to max_index."""
+    return [(sel, dict(zip(lows, point)))
+            for sel, lows in LEMMA_RANGES.items()
+            for point in itertools.product(
+                *(range(lo, (max_b if p == "b" else max_index) + 1)
+                  for p, lo in lows.items()))]
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, comb, cos, pi, sin
 
-from .exact import Inertia
-from .spectra import QuadraticNumber, Spectrum, Value
+from .spectra import Inertia, QuadraticNumber, Spectrum, Value
 
 
 @dataclass(frozen=True)
@@ -22,10 +21,6 @@ class ClosedFormSpectrum:
 
     spectrum: Spectrum
     formula: str
-
-    def __post_init__(self):
-        if self.spectrum.dimension < 1:
-            raise ValueError("empty spectrum")
 
     @property
     def order(self) -> int:
@@ -81,27 +76,27 @@ def hamming_spectrum(d: int, n: int) -> ClosedFormSpectrum:
     return ClosedFormSpectrum(Spectrum(pairs), f"hamming({d},{n})")
 
 
-def shrikhande_power_spectrum(m: int) -> ClosedFormSpectrum:
-    """Distance spectrum of the m-fold cartesian power of the Shrikhande graph."""
-    if m < 1:
-        raise ValueError("needs m >= 1")
-    big = 4 ** (2 * m - 1)
-    pairs = [(6 * m * big, 1), (0, 16 ** m - 6 * m - 1), (-big, 6 * m)]
-    return ClosedFormSpectrum(Spectrum(pairs), f"shrikhande-power({m})")
-
-
 def doob_spectrum(m: int, d: int) -> ClosedFormSpectrum:
     """Distance spectrum of the Doob graph D(m, d), order 4^(2m+d).
 
-    Matches the Hamming pattern with exponent q = 2m+d: spectral radius
-    3q 4^(q-1), eigenvalue -4^(q-1) with multiplicity 3q, zeros elsewhere.
+    D(m, d) has the intersection array of the Hamming graph H(2m+d, 4), so
+    it has the same distance spectrum: 3q 4^(q-1) once, -4^(q-1) with
+    multiplicity 3q, zeros elsewhere, for q = 2m+d.
     """
     if m < 1 or d < 0:
         raise ValueError("doob spectrum needs m >= 1 and d >= 0")
-    q = 2 * m + d
-    big = 4 ** (q - 1)
-    pairs = [(3 * q * big, 1), (0, 4 ** q - 3 * q - 1), (-big, 3 * q)]
-    return ClosedFormSpectrum(Spectrum(pairs), f"doob({m},{d})")
+    return ClosedFormSpectrum(hamming_spectrum(2 * m + d, 4).spectrum,
+                              f"doob({m},{d})")
+
+
+def shrikhande_power_spectrum(m: int) -> ClosedFormSpectrum:
+    """Distance spectrum of the m-fold cartesian power of the Shrikhande
+    graph, the Doob graph D(m, 0), which has the intersection array and so
+    the distance spectrum of H(2m, 4)."""
+    if m < 1:
+        raise ValueError("needs m >= 1")
+    return ClosedFormSpectrum(doob_spectrum(m, 0).spectrum,
+                              f"shrikhande-power({m})")
 
 
 def s_value(n: int, r: int) -> int:
@@ -338,46 +333,44 @@ def tree_inertia(n: int) -> Inertia:
 # ---------------------------------------------------------------------------
 # summation identities
 
+# Each identity's parameters and the least value each may take.
+LEMMA_RANGES = {1: {"s": 1}, 2: {"s": 2}, 3: {"d": 2}, 4: {"d": 2},
+                5: {"d": 3}, 6: {"a": 2, "b": 0}}
+
+
 def lemma_identity(selector: int, *, s: int | None = None, d: int | None = None,
                    a: int | None = None, b: int | None = None) -> tuple[int, int]:
     """Evaluate both sides of one of six binomial summation identities.
 
-    Returns (summation side, closed-form side) as exact integers.  Ranges:
-    (1) s >= 1, (2) s >= 2, (3) and (4) d >= 2, (5) d >= 3, (6) a >= 2 and
-    b >= 0.  Identity (5) genuinely fails at d = 2 (sum 4 against 3), so
-    that value is rejected rather than reported as a mismatch.
+    Returns (summation side, closed-form side) as exact integers.  The
+    parameters each identity takes, and their ranges, are in LEMMA_RANGES.
+    Identity (5) genuinely fails at d = 2 (sum 4 against 3), so that value
+    is rejected rather than reported as a mismatch.
     """
+    if selector not in LEMMA_RANGES:
+        raise ValueError(f"unknown identity selector {selector}")
+    given = {"s": s, "d": d, "a": a, "b": b}
+    lows = LEMMA_RANGES[selector]
+    if any(given[p] is None or given[p] < lo for p, lo in lows.items()):
+        needs = " and ".join(f"{p} >= {lo}" for p, lo in lows.items())
+        raise ValueError(f"identity {selector} needs {needs}")
     if selector == 1:
-        if s is None or s < 1:
-            raise ValueError("identity 1 needs s >= 1")
         return sum((-1) ** k * comb(s, k) for k in range(s + 1)), 0
     if selector == 2:
-        if s is None or s < 2:
-            raise ValueError("identity 2 needs s >= 2")
         return sum((-1) ** k * k * comb(s, k) for k in range(s + 1)), 0
     if selector == 3:
-        if d is None or d < 2:
-            raise ValueError("identity 3 needs d >= 2")
         lhs = sum(2 * i * comb(d, 2 * i) for i in range(d // 2 + 1))
         return lhs, d * 2 ** (d - 2)
     if selector == 4:
-        if d is None or d < 2:
-            raise ValueError("identity 4 needs d >= 2")
         lhs = sum((2 * i + 1) * _comb0(d, 2 * i + 1) for i in range((d - 1) // 2 + 1))
         return lhs, d * 2 ** (d - 2)
     if selector == 5:
-        if d is None or d < 3:
-            raise ValueError("identity 5 needs d >= 3")
         lhs = sum((2 * i) ** 2 * comb(d, 2 * i) for i in range(d // 2 + 1))
         return lhs, d * (d + 1) * 2 ** (d - 3)
-    if selector == 6:
-        if a is None or b is None or a < 2 or b < 0:
-            raise ValueError("identity 6 needs a >= 2 and b >= 0")
-        lo = ceil(b / 2)
-        hi = (a + b) // 2
-        lhs = sum(i * _comb0(a, 2 * i - b) for i in range(lo, hi + 1))
-        rhs = Fraction(a + 2 * b, 8) * 2 ** a
-        if rhs.denominator != 1:
-            raise AssertionError("identity 6 right side must be integral")
-        return lhs, int(rhs)
-    raise ValueError(f"unknown identity selector {selector}")
+    lo = ceil(b / 2)
+    hi = (a + b) // 2
+    lhs = sum(i * _comb0(a, 2 * i - b) for i in range(lo, hi + 1))
+    rhs = Fraction(a + 2 * b, 8) * 2 ** a
+    if rhs.denominator != 1:
+        raise AssertionError("identity 6 right side must be integral")
+    return lhs, int(rhs)

@@ -22,7 +22,6 @@ first scaled by the LCM of its denominators.  No floating point anywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
@@ -30,21 +29,9 @@ from typing import Sequence
 
 import numpy as np
 
+from .spectra import Inertia
+
 Partition = Sequence[Sequence[int]]
-
-
-@dataclass(frozen=True)
-class Inertia:
-    positive: int
-    zero: int
-    negative: int
-
-    @property
-    def n(self) -> int:
-        return self.positive + self.zero + self.negative
-
-    def as_tuple(self) -> tuple[int, int, int]:
-        return (self.positive, self.zero, self.negative)
 
 
 # Largest order accepted: chi costs O(rank * n^2) per prime, and the prime

@@ -2,16 +2,18 @@
 
 Vertices are always 0..n-1.  Graphs are simple, undirected, and immutable
 after construction; connectivity is only required once distances are taken.
-Subset-valued families (Johnson, Kneser, halved cube) encode each subset as a
-bitmask and order vertices by increasing mask, so vertex numbering is
-reproducible across runs.  Product graphs index vertex (u, v) as u*n_h + v.
+Families given by a vertex list and an adjacency rule (Johnson, Kneser,
+halved cube, cocktail party) are built by one helper, `_graph_on`: vertex i
+stands for the i-th item of the list.  Subset-valued families encode each
+subset as a bitmask and list the masks in increasing order, so vertex
+numbering is reproducible across runs.  Product graphs index vertex (u, v)
+as u*n_h + v.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from math import comb
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 
 class GraphError(ValueError):
@@ -150,7 +152,15 @@ def r_subsets(n: int, r: int) -> list[int]:
 
 def even_subsets(d: int) -> list[int]:
     """All even-cardinality subsets of {0..d-1} as bitmasks, ascending."""
-    return [s for s in range(1 << d) if bin(s).count("1") % 2 == 0]
+    return [s for s in range(1 << d) if s.bit_count() % 2 == 0]
+
+
+def _graph_on(verts: Sequence, adjacent: Callable[..., bool]) -> Graph:
+    """Vertex i stands for verts[i]; i < j are adjacent when
+    adjacent(verts[i], verts[j]) holds."""
+    return make_graph(len(verts), [(i, j) for (i, s), (j, t)
+                                   in combinations(enumerate(verts), 2)
+                                   if adjacent(s, t)])
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +169,7 @@ def even_subsets(d: int) -> list[int]:
 def complete(n: int) -> Graph:
     if n < 2:
         raise GraphError("complete graph needs n >= 2")
-    return make_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+    return make_graph(n, combinations(range(n), 2))
 
 
 def path(n: int) -> Graph:
@@ -232,13 +242,7 @@ def johnson(n: int, r: int) -> Graph:
     size r-1."""
     if not 1 <= r <= n - 1:
         raise GraphError("johnson needs 1 <= r <= n-1")
-    verts = r_subsets(n, r)
-    edges = []
-    for i, s in enumerate(verts):
-        for j in range(i + 1, len(verts)):
-            if bin(s & verts[j]).count("1") == r - 1:
-                edges.append((i, j))
-    return make_graph(len(verts), edges)
+    return _graph_on(r_subsets(n, r), lambda s, t: (s & t).bit_count() == r - 1)
 
 
 def kneser(n: int, r: int) -> Graph:
@@ -249,13 +253,7 @@ def kneser(n: int, r: int) -> Graph:
     """
     if not 1 <= r <= n - 1:
         raise GraphError("kneser needs 1 <= r <= n-1")
-    verts = r_subsets(n, r)
-    edges = []
-    for i, s in enumerate(verts):
-        for j in range(i + 1, len(verts)):
-            if s & verts[j] == 0:
-                edges.append((i, j))
-    return make_graph(len(verts), edges)
+    return _graph_on(r_subsets(n, r), lambda s, t: not s & t)
 
 
 def odd_graph(r: int) -> Graph:
@@ -280,13 +278,7 @@ def halved_cube(d: int) -> Graph:
     """Halved cube: even-weight binary words, adjacent at Hamming distance 2."""
     if d < 2:
         raise GraphError("halved cube needs d >= 2")
-    verts = even_subsets(d)
-    edges = []
-    for i, s in enumerate(verts):
-        for j in range(i + 1, len(verts)):
-            if bin(s ^ verts[j]).count("1") == 2:
-                edges.append((i, j))
-    return make_graph(len(verts), edges)
+    return _graph_on(even_subsets(d), lambda s, t: (s ^ t).bit_count() == 2)
 
 
 def cocktail_party(m: int) -> Graph:
@@ -294,10 +286,7 @@ def cocktail_party(m: int) -> Graph:
     (2i, 2i+1).  CP(1) is a valid but disconnected graph."""
     if m < 1:
         raise GraphError("cocktail party needs m >= 1")
-    n = 2 * m
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n)
-             if not (u // 2 == v // 2)]
-    return make_graph(n, edges)
+    return _graph_on(range(2 * m), lambda u, v: u // 2 != v // 2)
 
 
 def petersen() -> Graph:

@@ -1,4 +1,5 @@
-"""Spectrum containers and exact quadratic irrationals.
+"""Spectrum containers, inertia triples and exact quadratic irrationals: the
+value types that every route shares.
 
 Eigenvalue multisets are represented as (value, multiplicity) pairs sorted in
 decreasing order.  Values may be exact (int, Fraction, QuadraticNumber) or
@@ -188,6 +189,20 @@ class QuadraticNumber:
 Value = Union[int, Fraction, QuadraticNumber, float]
 
 
+@dataclass(frozen=True)
+class Inertia:
+    positive: int
+    zero: int
+    negative: int
+
+    @property
+    def n(self) -> int:
+        return self.positive + self.zero + self.negative
+
+    def as_tuple(self) -> tuple[int, int, int]:
+        return (self.positive, self.zero, self.negative)
+
+
 def exact_string(v: Value) -> str | None:
     """Canonical text for exact values, None for floats."""
     if isinstance(v, float):
@@ -259,13 +274,6 @@ class Spectrum:
     @property
     def smallest(self) -> Value:
         return self.entries[-1][0]
-
-    def values(self) -> list[float]:
-        """All eigenvalues as floats, repeated by multiplicity, descending."""
-        out: list[float] = []
-        for v, m in self.entries:
-            out.extend([float(v)] * m)
-        return out
 
     def multiplicity(self, value: Value, tol: float = 0.0) -> int:
         for v, m in self.entries:

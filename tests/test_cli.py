@@ -52,6 +52,12 @@ class TestSpectrum:
         assert "no closed form" in data["note"]
         assert len(data["numeric"]["eigs"]) == 5
 
+    def test_text_format_ends_with_the_note(self, capsys):
+        code, out, _ = run(capsys, "spectrum", "path", "4", "--format", "text")
+        assert code == EXIT_OK
+        assert out.splitlines()[-1] == \
+            "  note: no closed form for this family; using numeric solver"
+
     def test_numeric_flag_skips_formula(self, capsys):
         code, data, _ = run_json(capsys, "spectrum", "cycle", "6",
                                  "--numeric")
@@ -169,6 +175,38 @@ class TestVerify:
                            "--max", "6")
         assert code == EXIT_OK
         assert "0 failure(s)" in out
+
+    def test_lemma_rows_in_order(self, capsys):
+        code, data, _ = run_json(capsys, "verify", "lemma-identities",
+                                 "--max", "7", "--max-b", "3",
+                                 "--format", "json")
+        assert code == EXIT_OK
+        rows = [(r["identity"], {k: r[k] for k in "sdab" if k in r})
+                for r in data["results"]]
+        assert rows == [
+            (1, {"s": 1}), (1, {"s": 2}), (1, {"s": 3}), (1, {"s": 4}),
+            (1, {"s": 5}), (1, {"s": 6}), (1, {"s": 7}),
+            (2, {"s": 2}), (2, {"s": 3}), (2, {"s": 4}), (2, {"s": 5}),
+            (2, {"s": 6}), (2, {"s": 7}),
+            (3, {"d": 2}), (3, {"d": 3}), (3, {"d": 4}), (3, {"d": 5}),
+            (3, {"d": 6}), (3, {"d": 7}),
+            (4, {"d": 2}), (4, {"d": 3}), (4, {"d": 4}), (4, {"d": 5}),
+            (4, {"d": 6}), (4, {"d": 7}),
+            (5, {"d": 3}), (5, {"d": 4}), (5, {"d": 5}), (5, {"d": 6}),
+            (5, {"d": 7}),
+            (6, {"a": 2, "b": 0}), (6, {"a": 2, "b": 1}),
+            (6, {"a": 2, "b": 2}), (6, {"a": 2, "b": 3}),
+            (6, {"a": 3, "b": 0}), (6, {"a": 3, "b": 1}),
+            (6, {"a": 3, "b": 2}), (6, {"a": 3, "b": 3}),
+            (6, {"a": 4, "b": 0}), (6, {"a": 4, "b": 1}),
+            (6, {"a": 4, "b": 2}), (6, {"a": 4, "b": 3}),
+            (6, {"a": 5, "b": 0}), (6, {"a": 5, "b": 1}),
+            (6, {"a": 5, "b": 2}), (6, {"a": 5, "b": 3}),
+            (6, {"a": 6, "b": 0}), (6, {"a": 6, "b": 1}),
+            (6, {"a": 6, "b": 2}), (6, {"a": 6, "b": 3}),
+            (6, {"a": 7, "b": 0}), (6, {"a": 7, "b": 1}),
+            (6, {"a": 7, "b": 2}), (6, {"a": 7, "b": 3}),
+        ]
 
     @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
     def test_rows_report_error_bound(self, capsys, fmt):

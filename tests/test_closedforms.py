@@ -186,6 +186,8 @@ class TestSpectrumSanity:
 
     def test_formula_labels(self):
         assert hamming_spectrum(2, 4).formula == "hamming(2,4)"
+        assert doob_spectrum(1, 1).formula == "doob(1,1)"
+        assert shrikhande_power_spectrum(2).formula == "shrikhande-power(2)"
         assert order9_target_spectrum().order == 9
 
 

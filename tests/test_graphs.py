@@ -103,6 +103,31 @@ class TestSubsetHelpers:
         assert all(bin(s).count("1") % 2 == 0 for s in subs)
 
 
+def popcount(x):
+    return bin(x).count("1")
+
+
+class TestVertexNumbering:
+    """Vertex i of a rule-built family is the i-th item of its vertex list,
+    as the module docstring promises; `matrix` output depends on it."""
+
+    @pytest.mark.parametrize("g, verts, adjacent", [
+        (johnson(6, 3), r_subsets(6, 3),
+         lambda s, t: popcount(s & t) == 2),
+        (kneser(7, 2), r_subsets(7, 2), lambda s, t: s & t == 0),
+        (halved_cube(6), [s for s in range(64) if popcount(s) % 2 == 0],
+         lambda s, t: popcount(s ^ t) == 2),
+        (cocktail_party(4), range(8), lambda u, v: u // 2 != v // 2),
+    ], ids=["johnson(6,3)", "kneser(7,2)", "halved_cube(6)",
+            "cocktail_party(4)"])
+    def test_edges_follow_the_rule(self, g, verts, adjacent):
+        verts = list(verts)
+        assert g.n == len(verts)
+        assert g.edges == {(i, j) for i in range(len(verts))
+                           for j in range(i + 1, len(verts))
+                           if adjacent(verts[i], verts[j])}
+
+
 class TestFamilies:
     def test_complete_path_cycle_sizes(self):
         assert complete(5).m == 10

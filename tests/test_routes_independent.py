@@ -1,4 +1,5 @@
-"""The numeric and exact routes share no code with library eigensolvers."""
+"""The numeric and exact routes share no code with library eigensolvers,
+and the three routes import nothing of each other."""
 
 import ast
 from pathlib import Path
@@ -31,6 +32,46 @@ def referenced_names(path):
 def test_no_library_eigensolver(module):
     path = Path(distspec.__file__).parent / module
     assert not referenced_names(path) & FORBIDDEN
+
+
+# What each route may import from the package: only the shared value types.
+ROUTE_IMPORTS = {"closedforms.py": {"spectra"}, "srg.py": {"spectra"},
+                 "exact.py": {"spectra"}, "jacobi.py": set()}
+
+
+def package_imports(path):
+    """The package modules a source file imports, by relative or absolute
+    import."""
+    mods = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            if not node.level:
+                if parts[0] != "distspec":
+                    continue
+                parts = parts[1:]
+            if parts and parts[0]:
+                mods.add(parts[0])
+            else:
+                mods.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            mods.update(alias.name.split(".")[1] for alias in node.names
+                        if alias.name.startswith("distspec."))
+    return mods
+
+
+@pytest.mark.parametrize("module", sorted(ROUTE_IMPORTS))
+def test_routes_import_only_shared_types(module):
+    path = Path(distspec.__file__).parent / module
+    assert package_imports(path) <= ROUTE_IMPORTS[module]
+
+
+def test_import_guard_sees_every_form(tmp_path):
+    src = tmp_path / "probe.py"
+    src.write_text("from .exact import Inertia\nfrom . import jacobi\n"
+                   "from distspec.graphs import path\nimport distspec.srg\n"
+                   "from math import comb\n")
+    assert package_imports(src) == {"exact", "jacobi", "graphs", "srg"}
 
 
 def test_guard_sees_a_library_call(tmp_path):
