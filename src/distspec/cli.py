@@ -57,7 +57,7 @@ from .graphs import (Graph, GraphError, cocktail_party, complement, complete,
                      hypercube_with_leaf, icosahedron, johnson, kneser,
                      lollipop, odd_graph, path, petersen, shrikhande)
 from .jacobi import MAX_ORDER, error_bound, sym_eigenvalues
-from .spectra import (Spectrum, cluster_to_spectrum, exact_string,
+from .spectra import (Spectrum, _fmt, cluster_to_spectrum, exact_string,
                       max_deviation)
 from .srg import (SrgParameterError, SrgParams, classify_one_positive,
                   complement_params, is_conference, is_optimistic,
@@ -66,11 +66,6 @@ from .srg import (SrgParameterError, SrgParams, classify_one_positive,
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
-
-
-def _fmt(x: float) -> float:
-    """Round a float to 12 significant digits for stable output."""
-    return float(f"{float(x):.12g}")
 
 
 @dataclass(frozen=True)
@@ -231,7 +226,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         for value, mult in spec.entries:
             exact = exact_string(value)
             tail = f"  [{exact}]" if exact else ""
-            print(f"  {float(value):.12g} ^ {mult}{tail}")
+            print(f"  {_fmt(value):.12g} ^ {mult}{tail}")
         if "match" in out:
             print(f"  match={str(out['match']).lower()}"
                   f"  max_deviation={out['max_deviation']:.3g}"
@@ -372,12 +367,12 @@ def cmd_srg(args: argparse.Namespace) -> int:
         out["one_positive_distance_eigenvalue"] = classify_one_positive(
             p.n, p.k, p.lam, p.mu)
         out["adjacency"] = {
-            "theta": _fmt(float(data.theta)), "tau": _fmt(float(data.tau)),
+            "theta": _fmt(data.theta), "tau": _fmt(data.tau),
             "m_theta": data.m_theta, "m_tau": data.m_tau,
         }
         out["distance"] = {
-            "rho": _fmt(float(data.rho_d)),
-            "theta": _fmt(float(data.theta_d)), "tau": _fmt(float(data.tau_d)),
+            "rho": _fmt(data.rho_d),
+            "theta": _fmt(data.theta_d), "tau": _fmt(data.tau_d),
             "spectrum": data.distance_spectrum().to_json_dict(),
         }
         comp = complement_params(p)
@@ -424,7 +419,7 @@ def cmd_zf_bound(args: argparse.Namespace) -> int:
     ceil_bound = math.ceil(bound)
     out = {"family": args.family, "params": list(args.params), "n": g.n,
            "zero_forcing_complement": z,
-           "bound": _fmt(float(bound)),
+           "bound": _fmt(bound),
            "bound_exact": f"{bound.numerator}/{bound.denominator}"
            if isinstance(bound, Fraction) else str(bound),
            "bound_ceiling": ceil_bound,

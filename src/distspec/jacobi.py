@@ -39,9 +39,10 @@ _BOUND_FACTOR = 4.0
 # keeps the sixteenth that holds the target.
 _BITS = 4
 _POINTS = 2 ** _BITS - 1
+_SYMMETRY_TOL = 1e-12  # largest |a[i][j] - a[j][i]| / max(1, max|a|)
 
 
-def _checked(mat, tol: float = 1e-12) -> tuple[np.ndarray, float]:
+def _checked(mat) -> tuple[np.ndarray, float]:
     """mat as a float array, and its largest absolute entry, after the
     checks that `sym_eigenvalues` describes."""
     a = np.array(mat, dtype=float)
@@ -56,22 +57,22 @@ def _checked(mat, tol: float = 1e-12) -> tuple[np.ndarray, float]:
     sym = a - a.T
     np.abs(sym, out=sym)
     worst = float(sym.max(initial=0.0))
-    if worst > tol * max(1.0, top):
+    if worst > _SYMMETRY_TOL * max(1.0, top):
         i, j = np.unravel_index(int(sym.argmax()), sym.shape)
         raise ValueError(f"matrix not symmetric: |a[{i}][{j}] - a[{j}][{i}]| = {worst:g}")
     return a, top
 
 
-def sym_eigenvalues(mat, tol: float = 1e-12) -> list[float]:
+def sym_eigenvalues(mat) -> list[float]:
     """All eigenvalues of a symmetric matrix, sorted in decreasing order.
 
     The input may be any square array-like of order at most MAX_ORDER with
     finite real entries.  A NaN or infinite entry is rejected with the
-    location of the first one, and asymmetry beyond tol (relative to the
+    location of the first one, and asymmetry beyond 1e-12 (relative to the
     matrix scale) with the location of the worst offending pair.  Each
     eigenvalue is within `error_bound(mat)` of the exact one.
     """
-    a, top = _checked(mat, tol)
+    a, top = _checked(mat)
     n = a.shape[0]
     if n == 1:
         return [float(a[0, 0])]

@@ -4,7 +4,9 @@ value types that every route shares.
 Eigenvalue multisets are represented as (value, multiplicity) pairs sorted in
 decreasing order.  Values may be exact (int, Fraction, QuadraticNumber) or
 floating point; exact values carry through to serialized output so that
-irrational eigenvalues like (-5+sqrt(33))/2 survive a round trip.
+irrational eigenvalues like (-5+sqrt(33))/2 survive a round trip.  One rule
+orders and equates values everywhere: as floats when either is a float, and
+exactly otherwise.  Of several equal values given, the first stands for all.
 """
 
 from __future__ import annotations
@@ -205,31 +207,30 @@ class Inertia:
 
 def exact_string(v: Value) -> str | None:
     """Canonical text for exact values, None for floats."""
-    if isinstance(v, float):
-        return None
-    if isinstance(v, QuadraticNumber):
-        return str(v)
-    return str(Fraction(v)) if isinstance(v, Fraction) else str(v)
+    return None if isinstance(v, float) else str(v)
 
 
-def _values_equal(x: Value, y: Value) -> bool:
-    xf, yf = isinstance(x, float), isinstance(y, float)
-    if xf or yf:
-        return float(x) == float(y)
-    return x == y
+def _fmt(v: Value) -> float:
+    """v rounded to 12 significant digits, as every output prints values."""
+    try:
+        return float(f"{float(v):.12g}")
+    except OverflowError:
+        raise ValueError("value beyond the float range +-1.8e308") from None
 
 
 def _cmp_values(x: Value, y: Value) -> int:
+    """-1, 0 or 1 as x < y, x == y or x > y; as floats if either is one."""
     if isinstance(x, float) or isinstance(y, float):
-        a, b = float(x), float(y)
-        return (a > b) - (a < b)
-    if _values_equal(x, y):
-        return 0
-    return 1 if x > y else -1
+        x, y = float(x), float(y)
+    return 0 if x == y else 1 if x > y else -1
 
 
 class Spectrum:
-    """Eigenvalue multiset with multiplicities, sorted in decreasing order."""
+    """Eigenvalue multiset with multiplicities, sorted in decreasing order.
+
+    Values equal under `_cmp_values` (as floats if either is a float, else
+    exactly) form one entry, whose value is the first of them given.
+    """
 
     __slots__ = ("entries",)
 
@@ -244,19 +245,24 @@ class Spectrum:
                 value = value.as_fraction()
             if isinstance(value, Fraction) and value.denominator == 1:
                 value = int(value)
-            for item in items:
-                if _values_equal(item[0], value):
-                    item[1] += mult
-                    break
-            else:
-                items.append([value, mult])
-        items.sort(key=cmp_to_key(lambda p, q: _cmp_values(p[0], q[0])), reverse=True)
-        for (x, _), (y, _) in zip(items, items[1:]):
-            if _cmp_values(x, y) <= 0:
-                raise ValueError("spectrum values must strictly decrease")
-        self.entries: tuple[tuple[Value, int], ...] = tuple((v, m) for v, m in items)
-        if not self.entries:
+            elif isinstance(value, float) and math.isnan(value):
+                raise ValueError("spectrum value is NaN")
+            items.append([value, mult])
+        if not items:
             raise ValueError("empty spectrum")
+        # stable: equal values keep the order given
+        items.sort(key=cmp_to_key(lambda p, q: _cmp_values(p[0], q[0])), reverse=True)
+        merged = items[:1]
+        for item in items[1:]:
+            order = _cmp_values(merged[-1][0], item[0])
+            if order == 0:
+                merged[-1][1] += item[1]
+            elif order > 0:
+                merged.append(item)
+            else:
+                # float equality is not transitive over near-equal exact values
+                raise ValueError("spectrum values must strictly decrease")
+        self.entries: tuple[tuple[Value, int], ...] = tuple((v, m) for v, m in merged)
 
     @classmethod
     def from_values(cls, values: Iterable[Value]) -> "Spectrum":
@@ -277,7 +283,7 @@ class Spectrum:
 
     def multiplicity(self, value: Value, tol: float = 0.0) -> int:
         for v, m in self.entries:
-            if _values_equal(v, value) or abs(float(v) - float(value)) <= tol:
+            if _cmp_values(v, value) == 0 or abs(float(v) - float(value)) <= tol:
                 return m
         return 0
 
@@ -298,13 +304,8 @@ class Spectrum:
         return pos, zero, neg
 
     def to_json_dict(self) -> dict:
-        eigs = []
-        for v, m in self.entries:
-            eigs.append({
-                "value": float(f"{float(v):.12g}"),
-                "exact": exact_string(v),
-                "mult": m,
-            })
+        eigs = [{"value": _fmt(v), "exact": exact_string(v), "mult": m}
+                for v, m in self.entries]
         return {"n": self.dimension, "eigs": eigs}
 
     def __eq__(self, other):
@@ -313,7 +314,7 @@ class Spectrum:
         if len(self.entries) != len(other.entries):
             return False
         return all(
-            m == m2 and _values_equal(v, v2)
+            m == m2 and _cmp_values(v, v2) == 0
             for (v, m), (v2, m2) in zip(self.entries, other.entries)
         )
 

@@ -413,3 +413,12 @@ class TestSizeBeforeBuilding:
                                                        message):
         code, out, err = run(capsys, *argv.split())
         assert (code, out, err) == (EXIT_USAGE, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv", [
+        f"spectrum {family} --format {fmt}"
+        for family in ("hypercube 1100", "halved-cube 1100", "doob 300 500")
+        for fmt in ("json", "text")])
+    def test_values_beyond_the_float_range_are_refused(self, capsys, argv):
+        code, out, err = run(capsys, *argv.split())
+        assert (code, out, err) == (
+            EXIT_USAGE, "", "error: value beyond the float range +-1.8e308\n")

@@ -6,6 +6,7 @@ and against the numeric eigensolver on the actual graph.
 """
 
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -69,6 +70,12 @@ class TestFrozenValues:
         assert s.entries[0] == (16, 1)
         assert s.multiplicity(0) == 3
         assert all(m == 2 for _, m in s.entries[2:])
+
+    def test_large_cycle_builds_in_one_sort(self):
+        start = time.perf_counter()
+        s = cycle_spectrum(40000).spectrum
+        assert time.perf_counter() - start < 1
+        assert len(s.entries) == 10002 and s.dimension == 40000
 
     def test_hamming(self):
         assert hamming_spectrum(2, 3).spectrum.entries == \

@@ -1,9 +1,10 @@
-"""Every public function, class and method of the package has a user, and
-every module-level import is referenced in its file."""
+"""Every public function, class and method of the package has a user,
+every module-level import is referenced in its file, and every optional
+parameter is set by some call."""
 
 import ast
 import re
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -61,3 +62,84 @@ def test_import_guard_sees_an_unused_name(tmp_path):
                    "from math import comb, pi\nimport numpy as np\n"
                    "x = np.zeros(pi)\n")
     assert unused_imports(src) == {"os", "comb"}
+
+
+def optional_parameters(path):
+    """(callee, parameter, index) for each optional parameter of each def
+    in one source file.  The callee is the name calls use: the class for
+    `__init__`.  The index counts positional parameters after self, and is
+    None for a keyword-only one."""
+    found = []
+
+    def visit(node, cls):
+        for n in ast.iter_child_nodes(node):
+            if isinstance(n, ast.ClassDef):
+                visit(n, n.name)
+                continue
+            if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = n.args
+                positional = a.posonlyargs + a.args
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in n.decorator_list)
+                if cls and not static:
+                    positional = positional[1:]
+                callee = cls if n.name == "__init__" else n.name
+                first = len(positional) - len(a.defaults)
+                found.extend((callee, arg.arg, i) for i, arg in
+                             enumerate(positional) if i >= first)
+                found.extend((callee, arg.arg, None) for arg, d in
+                             zip(a.kwonlyargs, a.kw_defaults) if d is not None)
+            visit(n, None)
+
+    visit(ast.parse(path.read_text()), None)
+    return found
+
+
+def calls_by_name(paths):
+    """Every call in the files, keyed by the called name or attribute."""
+    calls = defaultdict(list)
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = (f.id if isinstance(f, ast.Name)
+                        else f.attr if isinstance(f, ast.Attribute) else None)
+                calls[name].append(node)
+    return calls
+
+
+def sets_parameter(call, name, index):
+    """True when the call passes the parameter: by keyword, by position,
+    or through ** (any parameter) or * (a positional one)."""
+    if any(k.arg in (None, name) for k in call.keywords):
+        return True
+    return index is not None and (
+        len(call.args) > index
+        or any(isinstance(a, ast.Starred) for a in call.args))
+
+
+def inert_parameters(sources, callers):
+    """`file.callee(parameter)` for each optional parameter of the sources
+    that no call in the callers sets."""
+    calls = calls_by_name(callers)
+    return sorted(f"{path.stem}.{callee}({name})" for path in sources
+                  for callee, name, index in optional_parameters(path)
+                  if not any(sets_parameter(c, name, index)
+                             for c in calls[callee]))
+
+
+def test_every_optional_parameter_is_set():
+    callers = [p for d in ("src", "tests", "bench")
+               for p in sorted((ROOT / d).rglob("*.py"))]
+    assert inert_parameters(sorted(SRC.glob("*.py")), callers) == []
+
+
+def test_parameter_guard_sees_an_unset_parameter(tmp_path):
+    src = tmp_path / "probe.py"
+    src.write_text("def f(x, y=1, *, z=2, w=3):\n    pass\n"
+                   "class C:\n    def __init__(self, a=0, b=0):\n        pass\n"
+                   "    def m(self, c=0):\n        pass\n")
+    use = tmp_path / "use.py"
+    use.write_text("f(0, w=1)\nC(5)\nC().m(*[1])\n")
+    assert inert_parameters([src], [src, use]) == [
+        "probe.C(b)", "probe.f(y)", "probe.f(z)"]

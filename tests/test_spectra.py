@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given
@@ -134,6 +135,49 @@ class TestSpectrum:
         vals = [float(v) for v, _ in s.entries]
         assert vals == sorted(vals, reverse=True)
         assert s.entries[0][0] == 0
+
+
+class TestSpectrumConstruction:
+    def test_rejects_negative_multiplicity(self):
+        with pytest.raises(ValueError, match="negative multiplicity"):
+            Spectrum([(1, 1), (2, -1)])
+
+    @pytest.mark.parametrize("pairs", [[], [(1, 0)]])
+    def test_rejects_empty(self, pairs):
+        with pytest.raises(ValueError, match="empty spectrum"):
+            Spectrum(pairs)
+
+    def test_drops_zero_multiplicities(self):
+        s = Spectrum([(5, 0), (2, 1), (7, 0), (-1, 2)])
+        assert s.entries == ((2, 1), (-1, 2))
+
+    def test_first_given_value_stands_for_equal_ones(self):
+        s = Spectrum([(3, 1), (3.0, 2), (Fraction(6, 2), 1)])
+        assert s.entries == ((3, 4),) and type(s.largest) is int
+        s = Spectrum([(3.0, 1), (3, 1)])
+        assert s.entries == ((3.0, 2),) and type(s.largest) is float
+
+    def test_every_input_order_gives_one_tuple(self):
+        mix = [(2, 1), (Fraction(1, 3), 1), (-0.5, 1), (qn(-3, 1, 5), 1),
+               (qn(Fraction(-5, 2), Fraction(1, 2), 33), 1)]
+        expected = [(int, 2), (QuadraticNumber, mix[4][0]),
+                    (Fraction, Fraction(1, 3)), (float, -0.5),
+                    (QuadraticNumber, mix[3][0])]
+        for order in permutations(mix):
+            s = Spectrum(order)
+            assert [(type(v), v) for v, _ in s.entries] == expected
+            assert s.dimension == 5
+
+    @pytest.mark.parametrize("pairs", [[(math.nan, 1)],
+                                       [(1, 1), (math.nan, 2), (0, 1)]])
+    def test_rejects_nan(self, pairs):
+        with pytest.raises(ValueError, match="NaN"):
+            Spectrum(pairs)
+
+    def test_refuses_values_equal_only_through_a_float(self):
+        # 1e20 equals both ints as a float, but they differ exactly
+        with pytest.raises(ValueError, match="strictly decrease"):
+            Spectrum([(10**20, 1), (1e20, 1), (10**20 + 1, 1)])
 
 
 class TestClustering:
