@@ -2,7 +2,7 @@
 
 Generators for the classical distance-regular and clique-path families,
 closed-form distance spectra with exact values, one exact integer kernel
-(Bareiss rank and determinant, a multi-modular characteristic polynomial for
+(Bareiss determinant, a multi-modular characteristic polynomial for
 inertia and distinct eigenvalues), a self-contained eigensolver (Householder
 tridiagonalization and Sturm counts, with a normwise error bound) used as the
 numeric oracle, strongly-regular parameter analysis, and zero-forcing based
@@ -10,16 +10,15 @@ bounds on the number of distinct distance eigenvalues.
 """
 
 from .distances import (DisconnectedError, diameter, distance_matrix,
-                        format_matrix, parse_matrix, transmission_profile)
+                        format_matrix, parse_matrix)
 from .exact import (Inertia, det_exact, distinct_eigenvalue_count,
-                    inertia_exact, quotient_matrix, rank_exact)
+                    inertia_exact, quotient_matrix)
 from .graphs import (Graph, GraphError, barbell, cartesian_product, complement,
                      complete, cocktail_party, cycle, dodecahedron, double_odd,
-                     doob, format_edge_list, generalized_barbell, halved_cube,
-                     hamming, hypercube, hypercube_with_leaf, icosahedron,
-                     johnson, kneser, line_graph, lollipop, make_graph,
-                     odd_graph, parse_edge_list, path, petersen, shrikhande,
-                     tensor_product)
+                     doob, generalized_barbell, halved_cube, hamming,
+                     hypercube, hypercube_with_leaf, icosahedron, johnson,
+                     kneser, lollipop, make_graph, odd_graph, path, petersen,
+                     shrikhande, tensor_product)
 from .jacobi import sym_eigenvalues
 from .spectra import (QuadraticNumber, Spectrum, cluster_to_spectrum,
                       max_deviation, spectra_match)

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable
 
 from .distances import distance_matrix
 from .exact import distinct_eigenvalue_count
@@ -49,17 +48,6 @@ def _closure_mask(adj: list[int], full: int, blue: int) -> int:
                 white ^= wn
                 changed = True
     return blue
-
-
-def forcing_closure(g: Graph, blue: Iterable[int]) -> frozenset[int]:
-    """All vertices eventually forced blue from the given seed set."""
-    mask = 0
-    for v in blue:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} out of range")
-        mask |= 1 << v
-    out = _closure_mask(_adj_masks(g), (1 << g.n) - 1, mask)
-    return frozenset(v for v in range(g.n) if out >> v & 1)
 
 
 def _components(adj: list[int]) -> list[int]:

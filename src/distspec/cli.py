@@ -186,6 +186,9 @@ def _spectrum_report(name: str, params: Sequence[int], match_tol: float, *,
     closed: Optional[Spectrum] = None
     note: Optional[str] = None
     if use_closed:
+        # D's largest eigenvalue is at least its least row sum, >= n - 1
+        if out["n"] - 1 > sys.float_info.max:
+            raise ValueError("value beyond the float range +-1.8e308")
         try:
             cf = fam.closed(*params)
         except ValueError as exc:

@@ -17,8 +17,6 @@ single-source searches.
 
 from __future__ import annotations
 
-from collections import deque
-
 import numpy as np
 
 from .graphs import Graph
@@ -31,20 +29,6 @@ class DisconnectedError(ValueError):
         self.pair = (u, v)
         super().__init__(f"graph is disconnected: no path between vertices {u} and {v}")
 
-
-def bfs_distances(g: Graph, source: int) -> list[int]:
-    """Distances from one vertex; -1 marks unreachable vertices."""
-    dist = [-1] * g.n
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        du = dist[u]
-        for w in g.neighbors(u):
-            if dist[w] < 0:
-                dist[w] = du + 1
-                queue.append(w)
-    return dist
 
 def distance_matrix(g: Graph) -> IntMatrix:
     """All-pairs shortest path distances; raises DisconnectedError if needed."""
@@ -75,18 +59,8 @@ def distance_matrix(g: Graph) -> IntMatrix:
     return inside.tolist()
 
 
-def is_connected(g: Graph) -> bool:
-    return all(d >= 0 for d in bfs_distances(g, 0))
-
-
 def diameter(g: Graph) -> int:
     return max(max(row) for row in distance_matrix(g))
-
-
-def transmission_profile(g: Graph) -> tuple[list[int], bool]:
-    """Row sums of the distance matrix plus a flag for transmission regularity."""
-    sums = [sum(row) for row in distance_matrix(g)]
-    return sums, len(set(sums)) == 1
 
 
 def format_matrix(mat: IntMatrix) -> str:

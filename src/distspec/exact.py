@@ -1,8 +1,8 @@
 """Exact linear algebra over the integers and rationals.
 
 These routines are the ground-truth side of every numeric cross-check.  One
-kernel, run at most once per matrix, gives the determinant, rank, inertia
-and distinct-eigenvalue count:
+kernel, run at most once per matrix, gives the determinant, inertia and
+distinct-eigenvalue count:
 
 1. fraction-free Bareiss elimination over Python ints: rank and determinant;
 2. the characteristic polynomial chi(x) = det(xI - M), by Hessenberg
@@ -15,7 +15,7 @@ and distinct-eigenvalue count:
    n - deg gcd(chi, chi') counts the distinct ones.
 
 The public functions share the kernel through a memo holding only the last
-matrix; square input is capped at order EXACT_ORDER_CAP.  Rational input is
+matrix; input is capped at order EXACT_ORDER_CAP.  Rational input is
 first scaled by the LCM of its denominators.  No floating point anywhere.
 """
 
@@ -98,19 +98,17 @@ def _integer_rows(rows: Sequence[Sequence]) -> list[list[int]]:
 
 
 def _bareiss(rows: list[list[int]]) -> tuple[int, int]:
-    """(rank, determinant) by fraction-free elimination; consumes rows.
+    """(rank, determinant) of a square matrix by fraction-free elimination;
+    consumes rows.
 
     Every entry after k pivots is a (k+1)-minor of the input (Sylvester's
     identity), so each division by the previous pivot is exact.  The
-    determinant is 0 unless the matrix is square of full rank.
+    determinant is 0 unless the matrix has full rank.
     """
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
+    n = len(rows)
     rank, sign, prev = 0, 1, 1
-    for c in range(ncols):
-        if rank == nrows:
-            break
-        piv = next((r for r in range(rank, nrows) if rows[r][c]), None)
+    for c in range(n):
+        piv = next((r for r in range(rank, n) if rows[r][c]), None)
         if piv is None:
             continue
         if piv != rank:
@@ -119,7 +117,7 @@ def _bareiss(rows: list[list[int]]) -> tuple[int, int]:
         top = rows[rank]
         p = top[c]
         tail = top[c + 1:]
-        for r in range(rank + 1, nrows):
+        for r in range(rank + 1, n):
             row = rows[r]
             f = row[c]
             if f:
@@ -129,7 +127,7 @@ def _bareiss(rows: list[list[int]]) -> tuple[int, int]:
                 row[c + 1:] = [p * x // prev for x in row[c + 1:]]
         prev = p
         rank += 1
-    det = sign * prev if rank == nrows == ncols else 0
+    det = sign * prev if rank == n else 0
     return rank, det
 
 
@@ -255,8 +253,8 @@ class _Kernel:
 _last: tuple[tuple, _Kernel] | None = None
 
 
-def _kernel(mat: Sequence[Sequence], *, square: bool = True,
-            symmetric: bool = False, integer: bool = False) -> _Kernel:
+def _kernel(mat: Sequence[Sequence], *, symmetric: bool = False,
+            integer: bool = False) -> _Kernel:
     """The kernel for this matrix, reused if it equals the previous one.
 
     One pass copies the rows into the memo key; the checks read the copy, in
@@ -265,17 +263,14 @@ def _kernel(mat: Sequence[Sequence], *, square: bool = True,
     """
     global _last
     key = tuple(map(tuple, mat))
-    if square:
-        n = _check_square(key)
-    elif any(len(row) != len(key[0]) for row in key):
-        raise ValueError("matrix rows must have equal length")
+    n = _check_square(key)
     if integer and not all(issubclass(t, int) for t in _entry_types(key)):
         raise ValueError("integer entries required")
     if symmetric and key != tuple(zip(*key)):
         i, j = next((i, j) for i in range(n) for j in range(i + 1, n)
                     if key[i][j] != key[j][i])
         raise ValueError(f"matrix not symmetric at ({i}, {j})")
-    if square and n > EXACT_ORDER_CAP:
+    if n > EXACT_ORDER_CAP:
         raise ValueError(
             f"order {n} exceeds the exact search cap {EXACT_ORDER_CAP}")
     last = _last
@@ -338,11 +333,6 @@ def inertia_exact(mat: Sequence[Sequence]) -> Inertia:
     if pos + neg + zero != n:
         raise ArithmeticError(f"sign counts {pos}+{neg}+{zero} miss order {n}")
     return Inertia(pos, zero, neg)
-
-
-def rank_exact(mat: Sequence[Sequence]) -> int:
-    """Rank of a rational matrix by fraction-free Bareiss elimination."""
-    return _kernel(mat, square=False).rank_det[0]
 
 
 def distinct_eigenvalue_count(mat: Sequence[Sequence[int]]) -> int:

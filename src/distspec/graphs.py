@@ -55,9 +55,6 @@ class Graph:
             a[u][v] = a[v][u] = 1
         return a
 
-    def edge_list(self) -> list[tuple[int, int]]:
-        return sorted(self.edges)
-
     def __eq__(self, other):
         if not isinstance(other, Graph):
             return NotImplemented
@@ -125,21 +122,6 @@ def tensor_product(g: Graph, h: Graph) -> Graph:
             edges.add((u * nh + v, w * nh + x))
             edges.add((u * nh + x, w * nh + v))
     return make_graph(g.n * nh, edges)
-
-
-def line_graph(g: Graph) -> Graph:
-    """Line graph; vertices are the edges of g in sorted order."""
-    base = g.edge_list()
-    if len(base) < 2:
-        raise GraphError("line graph needs at least 2 edges")
-    index = {e: i for i, e in enumerate(base)}
-    edges = []
-    for i, (u, v) in enumerate(base):
-        for j in range(i + 1, len(base)):
-            x, y = base[j]
-            if u in (x, y) or v in (x, y):
-                edges.append((i, index[base[j]]))
-    return make_graph(len(base), edges)
 
 
 # ---------------------------------------------------------------------------
@@ -364,48 +346,3 @@ def icosahedron() -> Graph:
 
 def dodecahedron() -> Graph:
     return make_graph(20, _DODECAHEDRON_EDGES)
-
-
-# ---------------------------------------------------------------------------
-# edge list text format
-
-def format_edge_list(g: Graph) -> str:
-    """Text form: first line "n m", then one "u v" line per edge, sorted."""
-    lines = [f"{g.n} {g.m}"]
-    lines.extend(f"{u} {v}" for u, v in g.edge_list())
-    return "\n".join(lines) + "\n"
-
-
-def parse_edge_list(text: str) -> Graph:
-    """Parse the edge list format, reporting the line number of any bad line."""
-    lines = text.splitlines()
-    if not lines:
-        raise GraphError("empty edge list input")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise GraphError("line 1: expected header 'n m'")
-    try:
-        n, m = int(head[0]), int(head[1])
-    except ValueError:
-        raise GraphError("line 1: header fields must be integers") from None
-    edges = []
-    body = [ln for ln in lines[1:]]
-    seen = 0
-    for i, ln in enumerate(body, start=2):
-        if not ln.strip():
-            continue
-        parts = ln.split()
-        if len(parts) != 2:
-            raise GraphError(f"line {i}: expected 'u v', got {ln!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise GraphError(f"line {i}: endpoints must be integers") from None
-        edges.append((u, v))
-        seen += 1
-    if seen != m:
-        raise GraphError(f"header promised {m} edges, found {seen}")
-    try:
-        return make_graph(n, edges)
-    except GraphError as exc:
-        raise GraphError(f"invalid edge list: {exc}") from None

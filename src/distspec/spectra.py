@@ -24,6 +24,9 @@ def _squarefree_split(d: int) -> tuple[int, int]:
     """Write d = s*s*r with r square-free; return (s, r)."""
     if d < 0:
         raise ValueError("radicand must be non-negative")
+    root = math.isqrt(d)
+    if d and root * root == d:
+        return root, 1
     s, r, p = 1, 1, 2
     while p * p <= d:
         while d % (p * p) == 0:
@@ -263,11 +266,6 @@ class Spectrum:
                 # float equality is not transitive over near-equal exact values
                 raise ValueError("spectrum values must strictly decrease")
         self.entries: tuple[tuple[Value, int], ...] = tuple((v, m) for v, m in merged)
-
-    @classmethod
-    def from_values(cls, values: Iterable[Value]) -> "Spectrum":
-        pairs: list[tuple[Value, int]] = [(v, 1) for v in values]
-        return cls(pairs)
 
     @property
     def dimension(self) -> int:

@@ -20,7 +20,7 @@ from distspec.closedforms import (barbell_determinant, barbell_inertia,
                                   lemma_identity, lollipop_determinant,
                                   lollipop_inertia, shrikhande_power_spectrum)
 from distspec.distances import distance_matrix
-from distspec.exact import det_exact, inertia_exact, rank_exact
+from distspec.exact import det_exact, inertia_exact
 from distspec.graphs import (cocktail_party, complete, cycle, dodecahedron,
                              double_odd, doob, generalized_barbell,
                              halved_cube, hamming, hypercube,
@@ -306,9 +306,11 @@ def test_criterion_11_cube_with_leaf():
     check(failures, spec.multiplicity(0.0, tol=1e-8) == 11, "null mult")
     check(failures, spec.multiplicity(-8.0, tol=1e-8) == 3, "mult at -8")
     d = distance_matrix(g)
-    check(failures, g.n - rank_exact(d) == 11, "exact null rank")
+    check(failures, g.n - (len(d) - inertia_exact(d).zero) == 11,
+          "exact null rank")
     shifted = [[d[i][j] + (8 if i == j else 0) for j in range(g.n)]
                for i in range(g.n)]
-    check(failures, g.n - rank_exact(shifted) == 3, "exact rank at -8")
+    check(failures, g.n - (len(shifted) - inertia_exact(shifted).zero) == 3,
+          "exact rank at -8")
     report(11, "leaf on the 4-cube: five eigenvalue clusters with the "
                "expected extremes and exact multiplicities", failures)

@@ -5,13 +5,14 @@ import random
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import combinations, permutations, product
+from typing import Iterable
 
 import networkx as nx
 import pytest
 
 from conftest import numeric_spectrum
 from distspec.bounds import (ZF_ORDER_CAP, _adj_masks, _closure_mask,
-                             check_tree_bounds, enumerate_trees, forcing_closure,
+                             check_tree_bounds, enumerate_trees,
                              tree_canonical_code, zero_forcing_number,
                              zf_eigenvalue_bound)
 from distspec.cli import FAMILIES
@@ -72,6 +73,17 @@ def trees_from_pruefer(n):
             edges = pruefer_decode(n, seq)
             seen.setdefault(tree_canonical_code(n, edges), edges)
     return [make_graph(n, seen[c]) for c in sorted(seen)]
+
+
+def forcing_closure(g: Graph, blue: Iterable[int]) -> frozenset[int]:
+    """All vertices eventually forced blue from the given seed set."""
+    mask = 0
+    for v in blue:
+        if not 0 <= v < g.n:
+            raise ValueError(f"vertex {v} out of range")
+        mask |= 1 << v
+    out = _closure_mask(_adj_masks(g), (1 << g.n) - 1, mask)
+    return frozenset(v for v in range(g.n) if out >> v & 1)
 
 
 class TestForcingClosure:

@@ -289,6 +289,17 @@ class TestSrg:
         assert code == EXIT_USAGE
         assert "k" in err
 
+    def test_square_discriminant_needs_no_factoring(self, capsys):
+        # the triangular graph T(m) has discriminant (m - 2)^2
+        m = 10**150
+        start = time.perf_counter()
+        code, data, err = run_json(capsys, "srg", str(m * (m - 1) // 2),
+                                   str(2 * (m - 2)), str(m - 2), "4")
+        assert time.perf_counter() - start < 2
+        assert code == EXIT_OK and err == ""
+        assert data["feasible"] is True
+        assert data["adjacency"]["theta"] == 1e150
+
 
 class TestVerifyTrees:
     def test_small_orders_clean(self, capsys):
@@ -420,5 +431,14 @@ class TestSizeBeforeBuilding:
         for fmt in ("json", "text")])
     def test_values_beyond_the_float_range_are_refused(self, capsys, argv):
         code, out, err = run(capsys, *argv.split())
+        assert (code, out, err) == (
+            EXIT_USAGE, "", "error: value beyond the float range +-1.8e308\n")
+
+    def test_closed_form_beyond_the_float_range_is_not_evaluated(
+            self, capsys, no_graphs):
+        # evaluating s(20000, 10000) alone takes about half a minute
+        start = time.perf_counter()
+        code, out, err = run(capsys, "spectrum", "johnson", "20000", "10000")
+        assert time.perf_counter() - start < 2
         assert (code, out, err) == (
             EXIT_USAGE, "", "error: value beyond the float range +-1.8e308\n")

@@ -13,20 +13,18 @@ import numpy as np
 import pytest
 
 from conftest import numeric_spectrum, numpy_eigs
-from distspec.closedforms import (barbell_determinant, barbell_inertia,
-                                  block_lemma_spectrum,
-                                  cocktail_party_spectrum, complete_spectrum,
-                                  cycle_spectrum, dodecahedron_spectrum,
-                                  doob_spectrum, double_odd_spectrum,
-                                  eberlein, halved_cube_spectrum,
-                                  hamming_spectrum, icosahedron_spectrum,
-                                  johnson_spectrum, kneser_f,
-                                  kneser_multiplicity, kneser_spectrum,
-                                  lemma_identity, lollipop_determinant,
-                                  lollipop_inertia, order9_target_spectrum,
-                                  product_spectrum, s_value,
-                                  shrikhande_power_spectrum, tree_determinant,
-                                  tree_inertia)
+from distspec.closedforms import (ClosedFormSpectrum, barbell_determinant,
+                                  barbell_inertia, cocktail_party_spectrum,
+                                  complete_spectrum, cycle_spectrum,
+                                  dodecahedron_spectrum, doob_spectrum,
+                                  double_odd_spectrum, eberlein,
+                                  halved_cube_spectrum, hamming_spectrum,
+                                  icosahedron_spectrum, johnson_spectrum,
+                                  kneser_f, kneser_multiplicity,
+                                  kneser_spectrum, lemma_identity,
+                                  lollipop_determinant, lollipop_inertia,
+                                  s_value, shrikhande_power_spectrum,
+                                  tree_determinant, tree_inertia)
 from distspec.distances import distance_matrix
 from distspec.exact import Inertia, det_exact, inertia_exact
 from distspec.graphs import (cartesian_product, cocktail_party, complete,
@@ -34,11 +32,77 @@ from distspec.graphs import (cartesian_product, cocktail_party, complete,
                              generalized_barbell, halved_cube, hamming,
                              icosahedron, johnson, kneser, lollipop, path,
                              petersen, r_subsets, shrikhande)
-from distspec.spectra import QuadraticNumber, Spectrum, spectra_match
+from distspec.spectra import QuadraticNumber, Spectrum, Value, spectra_match
 
 
 def qn(a, b, d):
     return QuadraticNumber(Fraction(a), Fraction(b), d)
+
+
+def order9_target_spectrum() -> ClosedFormSpectrum:
+    """Validation target for the known order-9 transmission-regular graph of
+    degree set {3, 4}: {14, ((-5+sqrt(33))/2)^2, (-1)^4, ((-5-sqrt(33))/2)^2}.
+
+    No generator is provided; compare a candidate graph's numeric spectrum
+    against this constant.
+    """
+    h = Fraction(1, 2)
+    pairs = [(14, 1),
+             (QuadraticNumber(-5 * h, h, 33), 2),
+             (-1, 4),
+             (QuadraticNumber(-5 * h, -h, 33), 2)]
+    return ClosedFormSpectrum(Spectrum(pairs), "order9-target")
+
+
+# composition rules: the paper's lemmas, checked below against numeric spectra
+
+def _split_radius(spec: Spectrum) -> tuple[Value, list[tuple[Value, int]]]:
+    (top, mult), rest = spec.entries[0], list(spec.entries[1:])
+    if mult > 1:
+        rest.insert(0, (top, mult - 1))
+    return top, rest
+
+
+def product_spectrum(g_spec: Spectrum, h_spec: Spectrum) -> ClosedFormSpectrum:
+    """Distance spectrum of a cartesian product of transmission-regular graphs.
+
+    With orders n, n' and radii rho, rho': the product has n' rho + n rho'
+    once, n' theta for each remaining theta of the first factor, n theta' for
+    each remaining theta' of the second, and 0 with multiplicity
+    (n-1)(n'-1).  Callers must ensure both factors are transmission regular.
+    """
+    ng, nh = g_spec.dimension, h_spec.dimension
+    rho_g, rest_g = _split_radius(g_spec)
+    rho_h, rest_h = _split_radius(h_spec)
+    pairs: list[tuple[Value, int]] = [(nh * rho_g + ng * rho_h, 1)]
+    pairs.extend((nh * v, m) for v, m in rest_g)
+    pairs.extend((ng * v, m) for v, m in rest_h)
+    pairs.append((0, (ng - 1) * (nh - 1)))
+    return ClosedFormSpectrum(Spectrum(pairs), "cartesian-product")
+
+
+def block_lemma_spectrum(d_spec: Spectrum,
+                         even: tuple[Value, Value, Value],
+                         odd: tuple[Value, Value, Value]) -> ClosedFormSpectrum:
+    """Spectrum of [[A, B], [B, A]] with A = a_e D + b_e J + c_e I and
+    B = a_o D + b_o J + c_o I, for D transmission regular with spectrum d_spec.
+
+    The two eigenvalue groups come from the sum and difference blocks: for
+    each sign, (a_e +- a_o) rho + (b_e +- b_o) n + (c_e +- c_o) once and
+    (a_e +- a_o) theta + (c_e +- c_o) for every remaining theta.
+    """
+    n = d_spec.dimension
+    rho, rest = _split_radius(d_spec)
+    ae, be, ce = even
+    ao, bo, co = odd
+    pairs: list[tuple[Value, int]] = []
+    for sign in (1, -1):
+        a = ae + sign * ao
+        b = be + sign * bo
+        c = ce + sign * co
+        pairs.append((a * rho + b * n + c, 1))
+        pairs.extend((a * v + c, m) for v, m in rest)
+    return ClosedFormSpectrum(Spectrum(pairs), "two-block")
 
 
 def assert_formula_matches_graph(cf, g, tol=1e-8):

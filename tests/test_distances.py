@@ -1,17 +1,44 @@
 """BFS distance matrices and their invariants."""
 
+from collections import deque
+
 import networkx as nx
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from distspec.distances import (DisconnectedError, bfs_distances, diameter,
-                                distance_matrix, format_matrix, is_connected,
-                                parse_matrix, transmission_profile)
-from distspec.graphs import (cocktail_party, complete, cycle,
+from distspec.distances import (DisconnectedError, diameter, distance_matrix,
+                                format_matrix, parse_matrix)
+from distspec.graphs import (Graph, cocktail_party, complete, cycle,
                              generalized_barbell, hamming, hypercube,
                              hypercube_with_leaf, kneser, lollipop, make_graph,
                              path, petersen, tensor_product)
+
+
+def bfs_distances(g: Graph, source: int) -> list[int]:
+    """Distances from one vertex by a single-source BFS, the referee for the
+    all-sources `distance_matrix`; -1 marks unreachable vertices."""
+    dist = [-1] * g.n
+    dist[source] = 0
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        du = dist[u]
+        for w in g.neighbors(u):
+            if dist[w] < 0:
+                dist[w] = du + 1
+                queue.append(w)
+    return dist
+
+
+def is_connected(g: Graph) -> bool:
+    return all(d >= 0 for d in bfs_distances(g, 0))
+
+
+def transmission_profile(g: Graph) -> tuple[list[int], bool]:
+    """Row sums of the distance matrix plus a flag for transmission regularity."""
+    sums = [sum(row) for row in distance_matrix(g)]
+    return sums, len(set(sums)) == 1
 
 
 def check_distance_matrix(mat: list[list[int]]) -> None:

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from distspec.spectra import (QuadraticNumber, Spectrum, cluster_to_spectrum,
-                              exact_string, max_deviation, spectra_match)
+from distspec.spectra import (QuadraticNumber, Spectrum, _squarefree_split,
+                              cluster_to_spectrum, exact_string,
+                              max_deviation, spectra_match)
 
 
 def qn(a, b, d):
@@ -25,6 +26,12 @@ class TestQuadraticNumber:
     def test_square_radicand_folds_into_rational_part(self):
         x = qn(1, 3, 9)
         assert (x.a, x.b, x.d) == (10, 0, 0)
+
+    def test_squarefree_split_of_small_radicands(self):
+        for d in range(20000):
+            s, r = _squarefree_split(d)
+            assert s * s * r == d
+            assert all(r % (p * p) for p in range(2, math.isqrt(r) + 1))
 
     def test_zero_coefficient_clears_radicand(self):
         assert qn(7, 0, 5).d == 0
@@ -101,10 +108,6 @@ class TestSpectrum:
         s = Spectrum([(Fraction(4, 2), 1), (qn(3, 0, 0), 1)])
         assert s.entries == ((3, 1), (2, 1))
         assert all(isinstance(v, int) for v, _ in s.entries)
-
-    def test_from_values(self):
-        s = Spectrum.from_values([1, 1, -2])
-        assert s.entries == ((1, 2), (-2, 1))
 
     def test_multiplicity_lookup(self):
         s = Spectrum([(6, 1), (0, 3), (-2, 2)])
