@@ -13,7 +13,7 @@ from .distances import (DisconnectedError, diameter, distance_matrix,
                         format_matrix, parse_matrix)
 from .exact import (Inertia, det_exact, distinct_eigenvalue_count,
                     inertia_exact, quotient_matrix)
-from .graphs import (Graph, GraphError, barbell, cartesian_product, complement,
+from .graphs import (Graph, GraphError, cartesian_product, complement,
                      complete, cocktail_party, cycle, dodecahedron, double_odd,
                      doob, generalized_barbell, halved_cube, hamming,
                      hypercube, hypercube_with_leaf, icosahedron, johnson,

@@ -20,7 +20,7 @@ from itertools import combinations
 
 from .distances import distance_matrix
 from .exact import distinct_eigenvalue_count
-from .graphs import Graph, complement, make_graph
+from .graphs import Graph, make_graph
 
 ZF_ORDER_CAP = 24
 
@@ -98,15 +98,10 @@ def zero_forcing_number(g: Graph) -> int:
     return sum(_component_forcing_number(adj, comp) for comp in _components(adj))
 
 
-def zf_eigenvalue_bound(g: Graph) -> Fraction:
-    """Lower bound (n-1)/(Z(complement(g)) + 1) + 1 on the number of
-    distinct distance eigenvalues of a connected graph g."""
-    return forcing_bound(g.n, zero_forcing_number(complement(g)))
-
-
 def forcing_bound(n: int, z: int) -> Fraction:
-    """The bound (n-1)/(z + 1) + 1 of `zf_eigenvalue_bound`, for a graph of
-    order n whose complement has zero forcing number z."""
+    """Lower bound (n-1)/(z + 1) + 1 on the number of distinct distance
+    eigenvalues of a connected graph of order n whose complement has zero
+    forcing number z."""
     return Fraction(n - 1, z + 1) + 1
 
 

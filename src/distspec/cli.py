@@ -18,7 +18,8 @@ sweeps and `matrix`, `exact.EXACT_ORDER_CAP` for `det` and determinant
 sweeps, and `bounds.ZF_ORDER_CAP` for `zf-bound`.  A request over its cap is
 a usage error, and a grid point over it is left out of the sweep.  A
 closed-form `spectrum` builds no graph at all.  Numeric eigenvalues closer
-than twice the solver's own `error_bound` are grouped as one.
+than twice the solver's error estimate are grouped as one; the estimate is
+worked out from the eigenvalues (`spectra.cluster_to_spectrum`).
 
 Exit codes: 0 success (and every check passed), 1 a verification failed,
 2 bad usage or invalid parameters.  Output is deterministic; floats are
@@ -33,7 +34,6 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .bounds import (ZF_ORDER_CAP, check_tree_bounds, enumerate_trees,
@@ -206,9 +206,8 @@ def _spectrum_report(name: str, params: Sequence[int], match_tol: float, *,
         if g is None:
             g = _build(name, params, MAX_ORDER, "supported")
         dm = distance_matrix(g)
-        # computed copies of one eigenvalue lie within 2*bound of each other
         bound = error_bound(dm)
-        num = cluster_to_spectrum(sym_eigenvalues(dm), cluster_tol=2 * bound)
+        num = cluster_to_spectrum(sym_eigenvalues(dm))
         out["numeric"] = num.to_json_dict()
         if closed is not None:
             # a solver that cannot promise match_tol proves nothing
@@ -423,8 +422,7 @@ def cmd_zf_bound(args: argparse.Namespace) -> int:
     out = {"family": args.family, "params": list(args.params), "n": g.n,
            "zero_forcing_complement": z,
            "bound": _fmt(bound),
-           "bound_exact": f"{bound.numerator}/{bound.denominator}"
-           if isinstance(bound, Fraction) else str(bound),
+           "bound_exact": f"{bound.numerator}/{bound.denominator}",
            "bound_ceiling": ceil_bound,
            "distinct_distance_eigenvalues": qd,
            "holds": qd >= ceil_bound,

@@ -310,10 +310,6 @@ def generalized_barbell(k: int, m: int, length: int) -> Graph:
     return make_graph(k + m + length, edges)
 
 
-def barbell(k: int, length: int) -> Graph:
-    return generalized_barbell(k, k, length)
-
-
 def hypercube_with_leaf(d: int) -> Graph:
     """Hypercube Q_d with one pendant vertex attached at word 0."""
     if d < 1:

@@ -34,6 +34,7 @@ _TINY = float(np.finfo(float).tiny)
 # for the reduction and the search.  The largest deviation from LAPACK seen
 # is 0.37 of n*eps*||A||_F over the `verify` default grids, and 2.05 on
 # random matrices of order 3, where LAPACK's own error is as large.
+# `spectra._grouping_tol` restates this estimate from the eigenvalues.
 _BOUND_FACTOR = 4.0
 # Each round of the search counts at 15 points inside every interval and
 # keeps the sixteenth that holds the target.

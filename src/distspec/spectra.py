@@ -12,6 +12,7 @@ exactly otherwise.  Of several equal values given, the first stands for all.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
@@ -324,31 +325,36 @@ class Spectrum:
         return f"Spectrum({body})"
 
 
-def cluster_to_spectrum(values: list[float], cluster_tol: float | None = None) -> Spectrum:
+def cluster_to_spectrum(values: list[float]) -> Spectrum:
     """Group a descending float eigenvalue list into a Spectrum.
 
-    Adjacent values closer than cluster_tol land in one cluster represented by
-    the cluster mean.  Callers that hold the matrix pass 2*error_bound(mat).
-    The default, 1e-6 times the spectral radius, is a heuristic for callers
-    that do not, and can merge distinct eigenvalues.
+    Adjacent values closer than twice the solver's error estimate for a
+    matrix with these eigenvalues (`_grouping_tol`) land in one cluster
+    represented by the cluster mean.
     """
     if not values:
         raise ValueError("empty eigenvalue list")
     if any(values[i] < values[i + 1] for i in range(len(values) - 1)):
         raise ValueError("eigenvalue list must be sorted in decreasing order")
-    if cluster_tol is None:
-        radius = max(abs(values[0]), abs(values[-1]))
-        cluster_tol = 1e-6 * max(1.0, radius)
+    tol = _grouping_tol(values)
     pairs: list[tuple[float, int]] = []
     cluster = [values[0]]
     for v in values[1:]:
-        if cluster[-1] - v < cluster_tol:
+        if cluster[-1] - v < tol:
             cluster.append(v)
         else:
             pairs.append((sum(cluster) / len(cluster), len(cluster)))
             cluster = [v]
     pairs.append((sum(cluster) / len(cluster), len(cluster)))
     return Spectrum(pairs)
+
+
+def _grouping_tol(values: list[float]) -> float:
+    """Twice the solver's error estimate 4*n*eps*||A||_F (`jacobi.error_bound`)
+    for a symmetric matrix with these eigenvalues: computed copies of one
+    eigenvalue lie within it of each other.  ||A||_F is the 2-norm of the
+    eigenvalues, so no matrix is needed."""
+    return 8 * len(values) * sys.float_info.epsilon * math.hypot(*values)
 
 
 def spectra_match(a: Spectrum, b: Spectrum, tol: float = 1e-8) -> bool:

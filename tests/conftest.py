@@ -16,14 +16,13 @@ import numpy as np
 
 from distspec import (Graph, Spectrum, cluster_to_spectrum, distance_matrix,
                       sym_eigenvalues)
-from distspec.jacobi import error_bound
 
 
 def numeric_spectrum(g: Graph) -> Spectrum:
     """Distance spectrum via the in-package solver, clustered within twice
     its error bound as the CLI does."""
     dm = distance_matrix(g)
-    return cluster_to_spectrum(sym_eigenvalues(dm), cluster_tol=2 * error_bound(dm))
+    return cluster_to_spectrum(sym_eigenvalues(dm))
 
 
 def numpy_eigs(g: Graph) -> list[float]:

@@ -10,7 +10,7 @@ import time
 
 from conftest import numeric_spectrum
 from distspec.bounds import (check_tree_bounds, enumerate_trees,
-                             zf_eigenvalue_bound)
+                             forcing_bound, zero_forcing_number)
 from distspec.closedforms import (barbell_determinant, barbell_inertia,
                                   cocktail_party_spectrum, cycle_spectrum,
                                   dodecahedron_spectrum, doob_spectrum,
@@ -21,12 +21,12 @@ from distspec.closedforms import (barbell_determinant, barbell_inertia,
                                   lollipop_inertia, shrikhande_power_spectrum)
 from distspec.distances import distance_matrix
 from distspec.exact import det_exact, inertia_exact
-from distspec.graphs import (cocktail_party, complete, cycle, dodecahedron,
-                             double_odd, doob, generalized_barbell,
-                             halved_cube, hamming, hypercube,
-                             hypercube_with_leaf, icosahedron, johnson,
-                             kneser, lollipop, make_graph, path, petersen,
-                             shrikhande)
+from distspec.graphs import (cocktail_party, complement, complete, cycle,
+                             dodecahedron, double_odd, doob,
+                             generalized_barbell, halved_cube, hamming,
+                             hypercube, hypercube_with_leaf, icosahedron,
+                             johnson, kneser, lollipop, make_graph, path,
+                             petersen, shrikhande)
 from distspec.spectra import spectra_match
 from distspec.srg import (SrgParams, complement_params, is_conference,
                           is_optimistic, feasible_parameter_sets,
@@ -264,12 +264,12 @@ def test_criterion_09_forcing_bound_corpus():
                for k in range(2, 11) for l in range(0, 11)
                if 2 <= k + l <= 12]
     for name, g in corpus:
-        bound = zf_eigenvalue_bound(g)
+        bound = forcing_bound(g.n, zero_forcing_number(complement(g)))
         q = len(numeric_spectrum(g).entries)
         check(failures, q >= math.ceil(bound), name)
     for name, g in (("hypercube(3)", hypercube(3)),
                     ("hypercube(4)", hypercube(4))):
-        bound = zf_eigenvalue_bound(g)
+        bound = forcing_bound(g.n, zero_forcing_number(complement(g)))
         q = len(numeric_spectrum(g).entries)
         check(failures, q == math.ceil(bound) == 3, ("tightness", name))
     report(9, f"forcing bound on distinct distance eigenvalues holds on "

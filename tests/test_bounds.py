@@ -13,10 +13,10 @@ import pytest
 from conftest import numeric_spectrum
 from distspec.bounds import (ZF_ORDER_CAP, _adj_masks, _closure_mask,
                              check_tree_bounds, enumerate_trees,
-                             tree_canonical_code, zero_forcing_number,
-                             zf_eigenvalue_bound)
+                             forcing_bound, tree_canonical_code,
+                             zero_forcing_number)
 from distspec.cli import FAMILIES
-from distspec.distances import diameter, distance_matrix
+from distspec.distances import distance_matrix
 from distspec.exact import distinct_eigenvalue_count
 from distspec.graphs import (Graph, GraphError, cocktail_party, complement,
                              complete, cycle, hypercube, lollipop, make_graph,
@@ -232,20 +232,23 @@ class TestZeroForcingAgainstReferee:
 
 class TestEigenvalueBound:
     def test_cube_value(self):
-        assert zf_eigenvalue_bound(hypercube(3)) == Fraction(12, 5)
+        g = hypercube(3)
+        assert forcing_bound(g.n, zero_forcing_number(complement(g))) == \
+            Fraction(12, 5)
 
     def test_bound_holds_on_corpus(self):
         corpus = [path(7), cycle(9), complete(6), k_mn(3, 4), hypercube(3),
                   petersen(), lollipop(5, 4), lollipop(3, 2)]
         for g in corpus:
-            bound = zf_eigenvalue_bound(g)
+            bound = forcing_bound(g.n, zero_forcing_number(complement(g)))
             q = distinct_eigenvalue_count(distance_matrix(g))
             assert q >= math.ceil(bound), g.edges
 
     def test_tight_on_cube(self):
         g = hypercube(3)
+        bound = forcing_bound(g.n, zero_forcing_number(complement(g)))
         assert distinct_eigenvalue_count(distance_matrix(g)) == \
-            math.ceil(zf_eigenvalue_bound(g)) == 3
+            math.ceil(bound) == 3
 
     def test_count_agrees_with_exact_module(self):
         for g in (path(5), petersen(), lollipop(4, 2)):

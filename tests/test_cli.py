@@ -139,7 +139,7 @@ class TestNumericClustering:
         assert data["max_deviation"] < 1e-10
         assert data["error_bound"] >= 1e-8
 
-    def test_cluster_tol_flag_is_gone(self, capsys):
+    def test_tolerance_flag_for_clustering_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["spectrum", "petersen", "--cluster-tol", "1e-3"])
         assert exc.value.code == EXIT_USAGE

@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import numeric_spectrum, numpy_eigs
+from conftest import numeric_spectrum
 from distspec.closedforms import (ClosedFormSpectrum, barbell_determinant,
                                   barbell_inertia, cocktail_party_spectrum,
                                   complete_spectrum, cycle_spectrum,
@@ -31,7 +31,7 @@ from distspec.graphs import (cartesian_product, cocktail_party, complete,
                              cycle, dodecahedron, double_odd, doob,
                              generalized_barbell, halved_cube, hamming,
                              icosahedron, johnson, kneser, lollipop, path,
-                             petersen, r_subsets, shrikhande)
+                             r_subsets, shrikhande)
 from distspec.spectra import QuadraticNumber, Spectrum, Value, spectra_match
 
 

@@ -9,9 +9,11 @@ import pytest
 
 from distspec.cli import FAMILIES
 from distspec.distances import distance_matrix
+from distspec.exact import distinct_eigenvalue_count
 from distspec.graphs import (cycle, hypercube, hypercube_with_leaf,
                              make_graph, petersen)
 from distspec.jacobi import MAX_ORDER, error_bound, sym_eigenvalues
+from distspec.spectra import _grouping_tol, cluster_to_spectrum
 
 
 def random_symmetric(n, seed, scale=10.0):
@@ -145,6 +147,28 @@ class TestDifferential:
     def test_random_connected_graphs(self, n, density, seed):
         assert_matches_eigvalsh(distance_matrix(
             random_connected(n, density, seed)))
+
+
+class TestGrouping:
+    """`cluster_to_spectrum` works out from the eigenvalues alone the
+    tolerance that the solver's `error_bound` states for the matrix."""
+
+    def test_tolerance_is_twice_the_error_bound(self):
+        for name, p in grid_instances(256):
+            dm = distance_matrix(FAMILIES[name].gen(*p))
+            tol, bound = _grouping_tol(sym_eigenvalues(dm)), error_bound(dm)
+            assert abs(tol - 2 * bound) <= 1e-12 * 2 * bound, (name, p)
+
+    def test_close_eigenvalues_of_a_tree_stay_apart(self):
+        # two of its eigenvalues lie 2.05e-5 apart
+        edges = [(0, 2), (0, 7), (0, 9), (1, 5), (1, 7), (1, 8), (3, 9),
+                 (4, 7), (5, 13), (6, 7), (6, 11), (10, 11), (11, 12)]
+        dm = distance_matrix(make_graph(14, edges))
+        ref = sorted(np.linalg.eigvalsh(np.array(dm, dtype=float)).tolist(),
+                     reverse=True)
+        assert distinct_eigenvalue_count(dm) == 14
+        for vals in (ref, sym_eigenvalues(dm)):
+            assert len(cluster_to_spectrum(vals).entries) == 14
 
 
 class TestEdgeCases:

@@ -1,7 +1,7 @@
 """Every public function, class and method of the package has a user,
-every public top-level function and class has one outside the tests,
-every module-level import is referenced in its file, and every optional
-parameter is set by some call."""
+every public top-level function and class is named in code outside the
+tests, every module-level import of the package and the tests is
+referenced in its file, and every optional parameter is set by some call."""
 
 import ast
 import re
@@ -36,16 +36,29 @@ def test_every_public_name_is_used():
     assert dead == []
 
 
+def code_names(path):
+    """Names, attributes and imported names in the code of one file;
+    words in strings, comments and docstrings do not count."""
+    names = Counter()
+    for n in ast.walk(ast.parse(path.read_text())):
+        if isinstance(n, ast.Name):
+            names[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            names[n.attr] += 1
+        elif isinstance(n, ast.alias):
+            names[n.name] += 1
+    return names
+
+
 def unused_outside_tests(sources, users):
-    """Public top-level functions and classes of the sources that no user
-    file names, apart from their own definitions."""
-    defs = Counter(node.name for path in sources
-                   for node in ast.parse(path.read_text()).body
-                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                   and not node.name.startswith("_"))
-    words = Counter(word for p in users
-                    for word in re.findall(r"\w+", p.read_text()))
-    return sorted(name for name, k in defs.items() if words[name] <= k)
+    """Public top-level functions and classes of the sources that the code
+    of no user file names."""
+    defs = {node.name for path in sources
+            for node in ast.parse(path.read_text()).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")}
+    names = sum((code_names(p) for p in users), Counter())
+    return sorted(name for name in defs if not names[name])
 
 
 # Names kept for routes that ROADMAP plans but no command has yet.
@@ -69,10 +82,13 @@ def test_test_only_guard_sees_a_test_only_name(tmp_path):
     src.write_text("def used():\n    pass\n\n\ndef only_tested():\n"
                    "    pass\n\n\nclass Kept:\n    def method(self):\n"
                    "        pass\n\n\ndef _private():\n    pass\n\n\n"
-                   "x = used()\n")
+                   "def only_named_in_words():\n    \"\"\"Not "
+                   "only_named_in_words.\"\"\"\n\n\nx = used()\n")
     bench = tmp_path / "bench.py"
-    bench.write_text("Kept().method()\n")
-    assert unused_outside_tests([src], [src, bench]) == ["only_tested"]
+    bench.write_text("Kept().method()\n"
+                     "y = {'only_named_in_words': 1}  # only_named_in_words\n")
+    assert unused_outside_tests([src], [src, bench]) == [
+        "only_named_in_words", "only_tested"]
 
 
 def unused_imports(path):
@@ -90,8 +106,9 @@ def unused_imports(path):
 
 def test_every_import_is_used():
     # __init__.py imports in order to re-export
-    unused = sorted(f"{path.stem}.{name}" for path in sorted(SRC.glob("*.py"))
-                    if path.name != "__init__.py"
+    paths = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+    paths += sorted((ROOT / "tests").glob("*.py"))
+    unused = sorted(f"{path.stem}.{name}" for path in paths
                     for name in unused_imports(path))
     assert unused == []
 

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from distspec.spectra import (QuadraticNumber, Spectrum, _squarefree_split,
-                              cluster_to_spectrum, exact_string,
-                              max_deviation, spectra_match)
+from distspec.spectra import (QuadraticNumber, Spectrum, _grouping_tol,
+                              _squarefree_split, cluster_to_spectrum,
+                              exact_string, max_deviation, spectra_match)
 
 
 def qn(a, b, d):
@@ -185,14 +185,19 @@ class TestSpectrumConstruction:
 
 class TestClustering:
     def test_near_duplicates_merge(self):
-        s = cluster_to_spectrum([3.0 + 1e-10, 3.0 - 1e-10, 1.0])
+        vals = [3.0 + 4e-15, 3.0 - 4e-15, 1.0]
+        assert vals[0] - vals[1] < _grouping_tol(vals)
+        s = cluster_to_spectrum(vals)
         assert [(round(float(v), 6), m) for v, m in s.entries] == \
             [(3.0, 2), (1.0, 1)]
 
     def test_chain_merging_is_transitive(self):
         # each neighbor is within tol even though the ends are not
-        vals = [1.0 + 1.8e-6, 1.0 + 0.9e-6, 1.0]
-        s = cluster_to_spectrum(vals, cluster_tol=1e-6)
+        vals = [1.0 + 1.2e-14, 1.0 + 6e-15, 1.0]
+        tol = _grouping_tol(vals)
+        assert vals[0] - vals[1] < tol and vals[1] - vals[2] < tol
+        assert vals[0] - vals[2] > tol
+        s = cluster_to_spectrum(vals)
         assert s.entries[0][1] == 3
 
     def test_rejects_unsorted_input(self):

@@ -17,7 +17,7 @@ from distspec.graphs import (Graph, cocktail_party, complement, cycle,
                              hamming, johnson, make_graph, petersen,
                              shrikhande)
 from distspec.spectra import QuadraticNumber, spectra_match
-from distspec.srg import (SrgEigenData, SrgParameterError, SrgParams,
+from distspec.srg import (SrgParameterError, SrgParams,
                           classify_one_positive, complement_params,
                           feasible_parameter_sets, is_conference,
                           is_optimistic, orthogonal_params, srg_eigen_data,
