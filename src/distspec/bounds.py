@@ -3,9 +3,20 @@
 The color-change rule: a blue vertex with exactly one white neighbor forces
 that neighbor blue.  Z(G) is the smallest seed whose closure is everything.
 Forces stay inside a connected component, so Z(G) is the sum of Z over the
-components.  Each component is searched exhaustively over bitmask subsets in
-ascending size order, starting at its minimum degree, so results are exact
-but the order budget is deliberately small.
+components.  Each component is searched cheapest-first (Dijkstra) over the
+blue sets closed under the rule: from a closed set S, making v force costs
+one seed vertex for v if it is white plus all but one of its white
+neighbors, and leads to the closure of S with v and those neighbors added.
+Every seed is paid for along some such path, so the cost at which the whole
+component is first reached is exactly Z.  The order budget is deliberately
+small.
+
+The search starts from false twins, vertices with equal open neighborhoods.
+If N(u) = N(v) and neither is in the seed, whichever turns blue first is
+forced by a common neighbor that still sees the other one white, which is no
+force; so every seed holds all but at most one vertex of each twin class.
+Swapping twins is an automorphism, so some minimum seed holds all but the
+first of each class, and the search starts from their closure.
 
 The spectral connection: the number of distinct distance eigenvalues q_D(g)
 is at least (n-1)/(Z(complement) + 1) + 1, and each eigenvalue multiplicity
@@ -16,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from heapq import heappop, heappush
 
 from .distances import distance_matrix
 from .exact import distinct_eigenvalue_count
@@ -70,26 +81,43 @@ def _components(adj: list[int]) -> list[int]:
 
 
 def _component_forcing_number(adj: list[int], comp: int) -> int:
-    """Z of one connected component, by exhaustive search in ascending seed
-    size.  No seed smaller than the minimum degree forces: the first force
-    from u needs u and all of its neighbors but one blue already."""
+    """Z of one connected component: the cheapest-first search over closed
+    sets from the twin start, as the module docstring sets out."""
     verts = [v for v in range(len(adj)) if comp >> v & 1]
-    start = max(1, min(adj[v].bit_count() for v in verts))
-    for size in range(start, len(verts) + 1):
-        for comb in combinations(verts, size):
-            seed = 0
-            for v in comb:
-                seed |= 1 << v
-            if _closure_mask(adj, comp, seed) == comp:
-                return size
+    first: dict[int, int] = {}
+    start = 0
+    for v in verts:
+        if first.setdefault(adj[v], v) != v:
+            start |= 1 << v
+    cost = start.bit_count()
+    blue = _closure_mask(adj, comp, start)
+    best = {blue: cost}
+    heap = [(cost, blue)]
+    while heap:
+        cost, blue = heappop(heap)
+        if blue == comp:
+            return cost
+        if cost > best[blue]:
+            continue
+        white = comp & ~blue
+        for v in verts:
+            wn = adj[v] & white
+            step = (white >> v & 1) + max(wn.bit_count() - 1, 0)
+            if not step:
+                continue
+            nxt = _closure_mask(adj, comp, blue | 1 << v | wn)
+            if cost + step < best.get(nxt, len(verts) + 1):
+                best[nxt] = cost + step
+                heappush(heap, (cost + step, nxt))
     raise AssertionError("the full vertex set always forces")
 
 
 def zero_forcing_number(g: Graph) -> int:
-    """Exact Z(g), the sum of exhaustive searches over its components.
+    """Exact Z(g): the sum over its components of a cheapest-first search
+    over closed sets, started from all but one vertex of each twin class.
 
-    Guarded at order 24; beyond that the subset space is out of desk range
-    and no approximation is offered.
+    Guarded at order 24: the number of closed sets, and with it the search,
+    can still grow as 2**n, and no approximation is offered.
     """
     n = g.n
     if n > ZF_ORDER_CAP:

@@ -22,14 +22,20 @@ Rational = Union[int, Fraction]
 
 
 def _squarefree_split(d: int) -> tuple[int, int]:
-    """Write d = s*s*r with r square-free; return (s, r)."""
+    """Write d = s*s*r with r square-free; return (s, r).
+
+    Trial division runs only while p**3 <= d: what is left then has every
+    prime factor above its cube root, so it is 1, a prime, a product of two
+    distinct primes or a prime squared, and only the square is not
+    square-free.
+    """
     if d < 0:
         raise ValueError("radicand must be non-negative")
     root = math.isqrt(d)
     if d and root * root == d:
         return root, 1
     s, r, p = 1, 1, 2
-    while p * p <= d:
+    while p * p * p <= d:
         while d % (p * p) == 0:
             d //= p * p
             s *= p
@@ -37,6 +43,9 @@ def _squarefree_split(d: int) -> tuple[int, int]:
             d //= p
             r *= p
         p += 1
+    root = math.isqrt(d)
+    if root > 1 and root * root == d:
+        return s * root, r
     return s, r * d
 
 

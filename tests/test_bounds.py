@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import combinations, permutations, product
@@ -19,8 +20,9 @@ from distspec.cli import FAMILIES
 from distspec.distances import distance_matrix
 from distspec.exact import distinct_eigenvalue_count
 from distspec.graphs import (Graph, GraphError, cocktail_party, complement,
-                             complete, cycle, hypercube, lollipop, make_graph,
-                             path, petersen)
+                             complete, cycle, generalized_barbell, hypercube,
+                             johnson, lollipop, make_graph, path,
+                             petersen)
 from exact_referee import krylov_distinct_count
 
 
@@ -152,6 +154,22 @@ class TestZeroForcingNumber:
         with pytest.raises(ValueError, match="cap"):
             zero_forcing_number(complete(ZF_ORDER_CAP + 1))
 
+    def test_kneser_7_2_in_a_second(self):
+        # the complement of johnson(7, 2); Z = 15 agrees with
+        # exhaustive_zero_forcing, run offline (about 10 s)
+        start = time.perf_counter()
+        assert zero_forcing_number(complement(johnson(7, 2))) == 15
+        assert time.perf_counter() - start < 1
+
+    def test_twin_start_in_a_second(self):
+        # 17 false twins in the complement of K18 joined to K2; without the
+        # twin start the search meets about 2**18 closed sets.  Z = 17
+        # agrees with exhaustive_zero_forcing, run offline (about 5 s)
+        start = time.perf_counter()
+        h = complement(generalized_barbell(2, 18, 0))
+        assert zero_forcing_number(h) == 17
+        assert time.perf_counter() - start < 1
+
     def test_edgeless_complement_at_the_cap(self):
         # Z is n here, which a search from seed size 1 reaches only after
         # every smaller seed of all 24 vertices
@@ -194,7 +212,8 @@ def small_family_instances(max_order):
 
 
 class TestZeroForcingAgainstReferee:
-    """The component split and the minimum-degree start change no value.
+    """The component split, the twin start and the cheapest-first search
+    change no value.
 
     The referee's time doubles with each order, to about 0.2 s per graph at
     order 16, so the sweep over every family instance stops at order 10 and
@@ -228,6 +247,30 @@ class TestZeroForcingAgainstReferee:
                                        if rng.random() < density])
                     assert zero_forcing_number(g) == \
                         exhaustive_zero_forcing(g), (n, g.edges)
+
+
+    def test_twin_blow_ups(self):
+        # every vertex of a random base graph becomes a class of false
+        # twins (independent) or true twins (a clique), the case the
+        # search's start is built on
+        rng = random.Random(20152)
+        for _ in range(60):
+            base = rng.randint(2, 6)
+            sizes = [rng.randint(1, 3) for _ in range(base)]
+            while sum(sizes) > 12:
+                sizes[sizes.index(max(sizes))] -= 1
+            first = [sum(sizes[:i]) for i in range(base)]
+            members = [range(f, f + k) for f, k in zip(first, sizes)]
+            edges = [(x, y) for u, v in combinations(range(base), 2)
+                     if rng.random() < 0.5
+                     for x in members[u] for y in members[v]]
+            for cls in members:
+                if rng.random() < 0.5:
+                    edges += combinations(cls, 2)
+            g = make_graph(sum(sizes), edges)
+            for h in (g, complement(g)):
+                assert zero_forcing_number(h) == exhaustive_zero_forcing(h), \
+                    (h.n, h.edges)
 
 
 class TestEigenvalueBound:

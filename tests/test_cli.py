@@ -301,6 +301,20 @@ class TestSrg:
         assert data["adjacency"]["theta"] == 1e150
 
 
+    def test_prime_conference_order_in_a_second(self, capsys):
+        # the radicand is the prime order itself, about 1e14: trial
+        # division stops at its cube root, near 46,416
+        n = 100000000000097
+        start = time.perf_counter()
+        code, data, err = run_json(capsys, "srg", str(n), str((n - 1) // 2),
+                                   str((n - 5) // 4), str((n - 1) // 4))
+        assert time.perf_counter() - start < 1
+        assert code == EXIT_OK and err == ""
+        assert data["conference"] is True
+        assert data["distance"]["spectrum"]["eigs"][1]["exact"] == \
+            f"-3/2+1/2*sqrt({n})"
+
+
 class TestVerifyTrees:
     def test_small_orders_clean(self, capsys):
         code, out, _ = run(capsys, "verify-trees", "--max-order", "7")

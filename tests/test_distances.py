@@ -1,5 +1,6 @@
 """BFS distance matrices and their invariants."""
 
+import random
 from collections import deque
 
 import networkx as nx
@@ -144,10 +145,37 @@ class TestTransmission:
         assert rows[0] == sum(bin(v).count("1") for v in range(8))
 
 
+def joined_matrix(mat: list[list[int]]) -> str:
+    """Referee for `format_matrix`: `str` of each entry, joined row by row."""
+    n = len(mat)
+    lines = [str(n)]
+    for row in mat:
+        if len(row) != n:
+            raise ValueError("matrix must be square")
+        lines.append(" ".join(str(x) for x in row))
+    return "\n".join(lines) + "\n"
+
+
 class TestMatrixIO:
     def test_roundtrip(self):
         d = distance_matrix(petersen())
         assert parse_matrix(format_matrix(d)) == d
+
+    def test_format_matches_joined_entries(self):
+        rng = random.Random(7)
+        extremes = [-2**63, 2**63 - 1, 0, -1, 9, 10, -10, 99, -100]
+        mats = [[], [[0]], [[-7]], [[2**63 - 1]],
+                distance_matrix(path(120)), distance_matrix(cycle(1001)),
+                [[rng.choice(extremes) for _ in range(70)] for _ in range(70)],
+                [[rng.randint(-10**12, 10**12) for _ in range(130)]
+                 for _ in range(130)]]
+        for mat in mats:
+            assert format_matrix(mat) == joined_matrix(mat)
+
+    @pytest.mark.parametrize("mat", [[[0, 1]], [[0], [1]], [[0, 1], [1]]])
+    def test_format_refuses_non_square(self, mat):
+        with pytest.raises(ValueError, match="matrix must be square"):
+            format_matrix(mat)
 
     def test_bad_row_length(self):
         with pytest.raises(ValueError, match="line 3: expected 2 entries"):

@@ -13,6 +13,24 @@ from distspec.spectra import (QuadraticNumber, Spectrum, _grouping_tol,
                               exact_string, max_deviation, spectra_match)
 
 
+def trial_division_split(d):
+    """Referee for `_squarefree_split`: trial division by every integer up
+    to the square root of what is left."""
+    root = math.isqrt(d)
+    if d and root * root == d:
+        return root, 1
+    s, r, p = 1, 1, 2
+    while p * p <= d:
+        while d % (p * p) == 0:
+            d //= p * p
+            s *= p
+        if d % p == 0:
+            d //= p
+            r *= p
+        p += 1
+    return s, r * d
+
+
 def qn(a, b, d):
     return QuadraticNumber(Fraction(a), Fraction(b), d)
 
@@ -32,6 +50,19 @@ class TestQuadraticNumber:
             s, r = _squarefree_split(d)
             assert s * s * r == d
             assert all(r % (p * p) for p in range(2, math.isqrt(r) + 1))
+
+    def test_squarefree_split_matches_full_trial_division(self):
+        for d in range(20000):
+            assert _squarefree_split(d) == trial_division_split(d), d
+        # radicands whose prime factors straddle the cube root, where the
+        # search stops and the cofactor is told apart by one isqrt
+        primes = [p for p in range(2, 400)
+                  if all(p % q for q in range(2, math.isqrt(p) + 1))]
+        for i, p in enumerate(primes):
+            for q in primes[i + 1:i + 6]:
+                for d in (p * q, p * p, q * q, p * p * q, p * q * q,
+                          p * p * q * q, 4 * p * q, 12 * q * q):
+                    assert _squarefree_split(d) == trial_division_split(d), d
 
     def test_zero_coefficient_clears_radicand(self):
         assert qn(7, 0, 5).d == 0
