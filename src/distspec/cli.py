@@ -17,9 +17,10 @@ it builds a graph: `jacobi.MAX_ORDER` for numeric spectra, `verify` spectrum
 sweeps and `matrix`, `exact.EXACT_ORDER_CAP` for `det` and determinant
 sweeps, and `bounds.ZF_ORDER_CAP` for `zf-bound`.  A request over its cap is
 a usage error, and a grid point over it is left out of the sweep.  A
-closed-form `spectrum` builds no graph at all.  Numeric eigenvalues closer
-than twice the solver's error estimate are grouped as one; the estimate is
-worked out from the eigenvalues (`spectra.cluster_to_spectrum`).
+closed-form `spectrum` builds no graph at all, nor does `--verify` where the
+family has no closed form.  The solver's error estimate comes from the
+eigenvalues (`spectra.error_bound`); numeric eigenvalues closer than twice
+it are grouped as one.
 
 Exit codes: 0 success (and every check passed), 1 a verification failed,
 2 bad usage or invalid parameters.  Output is deterministic; floats are
@@ -56,9 +57,9 @@ from .graphs import (Graph, GraphError, cocktail_party, complement, complete,
                      generalized_barbell, halved_cube, hamming, hypercube,
                      hypercube_with_leaf, icosahedron, johnson, kneser,
                      lollipop, odd_graph, path, petersen, shrikhande)
-from .jacobi import MAX_ORDER, error_bound, sym_eigenvalues
-from .spectra import (Spectrum, _fmt, cluster_to_spectrum, exact_string,
-                      max_deviation)
+from .jacobi import MAX_ORDER, sym_eigenvalues
+from .spectra import (Spectrum, _fmt, cluster_to_spectrum, error_bound,
+                      exact_string, max_deviation)
 from .srg import (SrgParameterError, SrgParams, classify_one_positive,
                   complement_params, is_conference, is_optimistic,
                   srg_eigen_data)
@@ -165,8 +166,8 @@ def _parse_range(text: str) -> range:
 
 
 def _spectrum_report(name: str, params: Sequence[int], match_tol: float, *,
-                     verify: bool = False, numeric: bool = False,
-                     fallback: bool = True) -> tuple[dict, Spectrum]:
+                     verify: bool = False,
+                     numeric: bool = False) -> tuple[dict, Spectrum]:
     """The `spectrum` JSON document of one instance, and the spectrum it
     reports: the closed form if one was used, else the numeric one.
 
@@ -174,9 +175,11 @@ def _spectrum_report(name: str, params: Sequence[int], match_tol: float, *,
     is built only for the numeric route; outside it the graph is built
     first, so bad parameters meet the generator's message.  A closed form
     that refuses the parameters hands over to the numeric route with a note,
-    or raises if fallback is False.
+    or raises if verify is set: there is then nothing to verify against.
     """
     fam = _family(name, params)
+    if verify and fam.closed is None:
+        raise ValueError(f"{name} has no closed-form spectrum to verify")
     out: dict = {"family": name, "params": list(params),
                  "n": fam.order(*params)}
     use_closed = fam.closed is not None and not numeric
@@ -192,7 +195,7 @@ def _spectrum_report(name: str, params: Sequence[int], match_tol: float, *,
         try:
             cf = fam.closed(*params)
         except ValueError as exc:
-            if not fallback:
+            if verify:
                 raise
             note = f"closed form unavailable here ({exc}); using numeric solver"
         else:
@@ -205,12 +208,12 @@ def _spectrum_report(name: str, params: Sequence[int], match_tol: float, *,
     if verify or closed is None:
         if g is None:
             g = _build(name, params, MAX_ORDER, "supported")
-        dm = distance_matrix(g)
-        bound = error_bound(dm)
-        num = cluster_to_spectrum(sym_eigenvalues(dm))
+        vals = sym_eigenvalues(distance_matrix(g))
+        num = cluster_to_spectrum(vals)
         out["numeric"] = num.to_json_dict()
         if closed is not None:
             # a solver that cannot promise match_tol proves nothing
+            bound = error_bound(vals)
             dev = max_deviation(closed, num)
             out["match"] = dev < match_tol and bound < match_tol
             out["max_deviation"] = _fmt(dev)
@@ -311,12 +314,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         results = [_pick(_det_report(target, p), "det", "inertia", "match")
                    for p in _grid_instances(target, args, EXACT_ORDER_CAP)]
     elif fam.closed is None:
-        print(f"error: {target} has no closed-form spectrum to verify",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"{target} has no closed-form spectrum to verify")
     else:
         results = [_pick(_spectrum_report(target, p, args.match_tol,
-                                          verify=True, fallback=False)[0],
+                                          verify=True)[0],
                          "match", "max_deviation", "error_bound")
                    for p in _grid_instances(target, args, MAX_ORDER)]
 
@@ -457,10 +458,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("spectrum", help="distance spectrum of one graph")
     _add_family_arg(sp)
-    sp.add_argument("--verify", action="store_true",
-                    help="compute both closed form and numeric, compare")
-    sp.add_argument("--numeric", action="store_true",
-                    help="force the numeric route even when a formula exists")
+    route = sp.add_mutually_exclusive_group()
+    route.add_argument("--verify", action="store_true",
+                       help="compute both closed form and numeric, compare")
+    route.add_argument("--numeric", action="store_true",
+                       help="force the numeric route even when a formula "
+                            "exists")
     sp.add_argument("--match-tol", type=float, default=1e-8,
                     help="tolerance for closed-form/numeric comparison; the "
                          "solver's error bound must also be below it")

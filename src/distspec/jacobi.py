@@ -15,7 +15,8 @@ numpy arrays, with the blocks laid side by side so that one count costs as
 many Python steps as the longest block has rows.  Each round counts at 15
 points per interval instead of one, which gains 4 bits per round instead of
 1 for nearly the same Python cost.  The search stops at eps*||T||.
-`error_bound` gives the resulting normwise error estimate.
+`spectra.error_bound` states the resulting normwise error estimate from the
+eigenvalues.
 """
 
 from __future__ import annotations
@@ -30,12 +31,6 @@ import numpy as np
 MAX_ORDER = 1500
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
-# error_bound's multiple of n*eps*||A||_F: 2 for the zeroed couplings and 2
-# for the reduction and the search.  The largest deviation from LAPACK seen
-# is 0.37 of n*eps*||A||_F over the `verify` default grids, and 2.05 on
-# random matrices of order 3, where LAPACK's own error is as large.
-# `spectra._grouping_tol` restates this estimate from the eigenvalues.
-_BOUND_FACTOR = 4.0
 # Each round of the search counts at 15 points inside every interval and
 # keeps the sixteenth that holds the target.
 _BITS = 4
@@ -43,14 +38,22 @@ _POINTS = 2 ** _BITS - 1
 _SYMMETRY_TOL = 1e-12  # largest |a[i][j] - a[j][i]| / max(1, max|a|)
 
 
-def _checked(mat) -> tuple[np.ndarray, float]:
-    """mat as a float array, and its largest absolute entry, after the
-    checks that `sym_eigenvalues` describes."""
+def sym_eigenvalues(mat) -> list[float]:
+    """All eigenvalues of a symmetric matrix, sorted in decreasing order.
+
+    The input may be any square array-like of order at most MAX_ORDER with
+    finite real entries.  A NaN or infinite entry is rejected with the
+    location of the first one, and asymmetry beyond 1e-12 (relative to the
+    matrix scale) with the location of the worst offending pair.  Each
+    eigenvalue is within `spectra.error_bound(values)` of the exact one,
+    an estimate worked out from the returned values alone.
+    """
     a = np.array(mat, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("square matrix required")
-    if a.shape[0] > MAX_ORDER:
-        raise ValueError(f"order {a.shape[0]} exceeds the supported cap {MAX_ORDER}")
+    n = a.shape[0]
+    if n > MAX_ORDER:
+        raise ValueError(f"order {n} exceeds the supported cap {MAX_ORDER}")
     if not np.isfinite(a).all():
         i, j = np.argwhere(~np.isfinite(a))[0]
         raise ValueError(f"matrix entry a[{i}][{j}] = {a[i, j]} is not finite")
@@ -61,20 +64,6 @@ def _checked(mat) -> tuple[np.ndarray, float]:
     if worst > _SYMMETRY_TOL * max(1.0, top):
         i, j = np.unravel_index(int(sym.argmax()), sym.shape)
         raise ValueError(f"matrix not symmetric: |a[{i}][{j}] - a[{j}][{i}]| = {worst:g}")
-    return a, top
-
-
-def sym_eigenvalues(mat) -> list[float]:
-    """All eigenvalues of a symmetric matrix, sorted in decreasing order.
-
-    The input may be any square array-like of order at most MAX_ORDER with
-    finite real entries.  A NaN or infinite entry is rejected with the
-    location of the first one, and asymmetry beyond 1e-12 (relative to the
-    matrix scale) with the location of the worst offending pair.  Each
-    eigenvalue is within `error_bound(mat)` of the exact one.
-    """
-    a, top = _checked(mat)
-    n = a.shape[0]
     if n == 1:
         return [float(a[0, 0])]
 
@@ -88,22 +77,6 @@ def sym_eigenvalues(mat) -> list[float]:
     e[np.abs(e) <= n * _EPS * frob] = 0.0
     vals = _sturm_search(d, e) * math.ldexp(1.0, shift)
     return sorted(vals.tolist(), reverse=True)
-
-
-def error_bound(mat) -> float:
-    """Normwise error estimate c*n*eps*||A||_F for `sym_eigenvalues(mat)`.
-
-    This is the standard backward-error estimate for Householder
-    tridiagonalization (Golub & Van Loan, section 8.3) plus the couplings
-    set to zero and the search width, with c fixed at 4; it is an
-    estimate that holds in practice, not a worst-case proof.  It refuses
-    the inputs that `sym_eigenvalues` refuses, with the same messages.
-    """
-    a, top = _checked(mat)
-    if top == 0.0:
-        return 0.0
-    a /= top
-    return _BOUND_FACTOR * a.shape[0] * _EPS * top * math.sqrt(float(np.vdot(a, a)))
 
 
 def _tridiagonalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

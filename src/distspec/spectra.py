@@ -4,9 +4,9 @@ value types that every route shares.
 Eigenvalue multisets are represented as (value, multiplicity) pairs sorted in
 decreasing order.  Values may be exact (int, Fraction, QuadraticNumber) or
 floating point; exact values carry through to serialized output so that
-irrational eigenvalues like (-5+sqrt(33))/2 survive a round trip.  One rule
-orders and equates values everywhere: as floats when either is a float, and
-exactly otherwise.  Of several equal values given, the first stands for all.
+irrational eigenvalues like (-5+sqrt(33))/2 survive a round trip.  Values
+are ordered and equated exactly, a float as the rational it is, so the order
+is total.  Of several equal values given, the first stands for all.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
 from typing import Iterable, Union
 
 Rational = Union[int, Fraction]
@@ -153,7 +152,9 @@ class QuadraticNumber:
         return f"{self.a}{sign}{bpart}"
 
     def _cmp(self, other) -> int:
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, float) and math.isinf(other):
+            return -1 if other > 0 else 1
+        if isinstance(other, (int, Fraction, float)):
             other = QuadraticNumber(other)
         elif not isinstance(other, QuadraticNumber):
             raise TypeError(f"cannot order QuadraticNumber and "
@@ -191,7 +192,7 @@ class QuadraticNumber:
     def __eq__(self, other):
         if isinstance(other, QuadraticNumber):
             return (self.a, self.b, self.d) == (other.a, other.b, other.d)
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction, float)):
             return self.b == 0 and self.a == other
         return NotImplemented
 
@@ -231,18 +232,11 @@ def _fmt(v: Value) -> float:
         raise ValueError("value beyond the float range +-1.8e308") from None
 
 
-def _cmp_values(x: Value, y: Value) -> int:
-    """-1, 0 or 1 as x < y, x == y or x > y; as floats if either is one."""
-    if isinstance(x, float) or isinstance(y, float):
-        x, y = float(x), float(y)
-    return 0 if x == y else 1 if x > y else -1
-
-
 class Spectrum:
     """Eigenvalue multiset with multiplicities, sorted in decreasing order.
 
-    Values equal under `_cmp_values` (as floats if either is a float, else
-    exactly) form one entry, whose value is the first of them given.
+    Exactly equal values form one entry, whose value is the first of them
+    given.
     """
 
     __slots__ = ("entries",)
@@ -264,17 +258,13 @@ class Spectrum:
         if not items:
             raise ValueError("empty spectrum")
         # stable: equal values keep the order given
-        items.sort(key=cmp_to_key(lambda p, q: _cmp_values(p[0], q[0])), reverse=True)
+        items.sort(key=lambda item: item[0], reverse=True)
         merged = items[:1]
         for item in items[1:]:
-            order = _cmp_values(merged[-1][0], item[0])
-            if order == 0:
+            if merged[-1][0] == item[0]:
                 merged[-1][1] += item[1]
-            elif order > 0:
-                merged.append(item)
             else:
-                # float equality is not transitive over near-equal exact values
-                raise ValueError("spectrum values must strictly decrease")
+                merged.append(item)
         self.entries: tuple[tuple[Value, int], ...] = tuple((v, m) for v, m in merged)
 
     @property
@@ -291,7 +281,7 @@ class Spectrum:
 
     def multiplicity(self, value: Value, tol: float = 0.0) -> int:
         for v, m in self.entries:
-            if _cmp_values(v, value) == 0 or abs(float(v) - float(value)) <= tol:
+            if v == value or abs(float(v) - float(value)) <= tol:
                 return m
         return 0
 
@@ -302,10 +292,9 @@ class Spectrum:
         """(positive, zero, negative) eigenvalue counts, exact where values are."""
         pos = zero = neg = 0
         for v, m in self.entries:
-            s = _cmp_values(v, 0)
-            if s > 0:
+            if v > 0:
                 pos += m
-            elif s < 0:
+            elif v < 0:
                 neg += m
             else:
                 zero += m
@@ -319,12 +308,7 @@ class Spectrum:
     def __eq__(self, other):
         if not isinstance(other, Spectrum):
             return NotImplemented
-        if len(self.entries) != len(other.entries):
-            return False
-        return all(
-            m == m2 and _cmp_values(v, v2) == 0
-            for (v, m), (v2, m2) in zip(self.entries, other.entries)
-        )
+        return self.entries == other.entries
 
     def __repr__(self):
         body = ", ".join(
@@ -337,15 +321,15 @@ class Spectrum:
 def cluster_to_spectrum(values: list[float]) -> Spectrum:
     """Group a descending float eigenvalue list into a Spectrum.
 
-    Adjacent values closer than twice the solver's error estimate for a
-    matrix with these eigenvalues (`_grouping_tol`) land in one cluster
-    represented by the cluster mean.
+    Adjacent values closer than 2 * `error_bound(values)` land in one
+    cluster represented by the cluster mean: computed copies of one
+    eigenvalue lie within that of each other.
     """
     if not values:
         raise ValueError("empty eigenvalue list")
     if any(values[i] < values[i + 1] for i in range(len(values) - 1)):
         raise ValueError("eigenvalue list must be sorted in decreasing order")
-    tol = _grouping_tol(values)
+    tol = 2 * error_bound(values)
     pairs: list[tuple[float, int]] = []
     cluster = [values[0]]
     for v in values[1:]:
@@ -358,12 +342,17 @@ def cluster_to_spectrum(values: list[float]) -> Spectrum:
     return Spectrum(pairs)
 
 
-def _grouping_tol(values: list[float]) -> float:
-    """Twice the solver's error estimate 4*n*eps*||A||_F (`jacobi.error_bound`)
-    for a symmetric matrix with these eigenvalues: computed copies of one
-    eigenvalue lie within it of each other.  ||A||_F is the 2-norm of the
-    eigenvalues, so no matrix is needed."""
-    return 8 * len(values) * sys.float_info.epsilon * math.hypot(*values)
+def error_bound(values: list[float]) -> float:
+    """The numeric solver's normwise error estimate 4*n*eps*||A||_F for a
+    symmetric matrix A with these eigenvalues, whose 2-norm is ||A||_F.
+
+    The factor 4 is 2 for the couplings `jacobi.sym_eigenvalues` sets to
+    zero and 2 for the reduction and the search (Golub & Van Loan, section
+    8.3).  An estimate, not a proof: the largest deviation from LAPACK seen
+    is 0.37 of n*eps*||A||_F over the `verify` default grids, and 2.05 on
+    random matrices of order 3, where LAPACK's own error is as large.
+    """
+    return 4 * len(values) * sys.float_info.epsilon * math.hypot(*values)
 
 
 def spectra_match(a: Spectrum, b: Spectrum, tol: float = 1e-8) -> bool:

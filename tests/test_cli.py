@@ -4,9 +4,10 @@ import dataclasses
 import json
 import time
 
+import numpy as np
 import pytest
 
-from distspec import bounds, cli
+from distspec import bounds, cli, jacobi
 from distspec.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
 
 
@@ -88,6 +89,43 @@ class TestSpectrum:
         assert code == EXIT_FAIL
         assert data["max_deviation"] < 1e-13 <= data["error_bound"]
         assert data["match"] is False
+
+    def test_verify_validates_its_matrix_once(self, capsys, monkeypatch):
+        class CountingNumpy:
+            """numpy, with the shape of every `isfinite` argument kept."""
+
+            def __init__(self):
+                self.shapes = []
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def isfinite(self, a):
+                self.shapes.append(np.shape(a))
+                return np.isfinite(a)
+
+        counting = CountingNumpy()
+        monkeypatch.setattr(jacobi, "np", counting)
+        code, data, _ = run_json(capsys, "spectrum", "hamming", "3", "3",
+                                 "--verify")
+        assert code == EXIT_OK and data["match"] is True
+        assert counting.shapes == [(27, 27)]
+
+    def test_verify_refused_where_the_closed_form_is(self, capsys):
+        code, out, err = run(capsys, "spectrum", "halved-cube", "3",
+                             "--verify")
+        assert (code, out, err) == (
+            EXIT_USAGE, "", "error: halved cube closed form needs d >= 4; "
+                            "use the numeric route below that\n")
+
+    def test_verify_and_numeric_exclude_each_other(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["spectrum", "petersen", "--numeric", "--verify"])
+        out = capsys.readouterr()
+        assert (exc.value.code, out.out) == (EXIT_USAGE, "")
+        assert out.err.splitlines()[-1] == (
+            "distspec spectrum: error: argument --verify: "
+            "not allowed with argument --numeric")
 
     def test_quadratic_exact_strings_in_json(self, capsys):
         code, data, _ = run_json(capsys, "spectrum", "dodecahedron")
@@ -421,6 +459,12 @@ class TestSizeBeforeBuilding:
         code, out, err = run(capsys, *argv.split())
         assert time.perf_counter() - start < 1
         assert (code, out, err) == (EXIT_USAGE, "", f"error: {message}\n")
+
+    def test_verify_without_a_closed_form_builds_nothing(self, capsys,
+                                                         no_graphs):
+        code, out, err = run(capsys, "spectrum", "path", "5", "--verify")
+        assert (code, out, err) == (
+            EXIT_USAGE, "", "error: path has no closed-form spectrum to verify\n")
 
     @pytest.mark.parametrize("argv, message", [
         ("spectrum odd 1", "odd graph needs r >= 2"),

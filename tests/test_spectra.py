@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from distspec.spectra import (QuadraticNumber, Spectrum, _grouping_tol,
-                              _squarefree_split, cluster_to_spectrum,
-                              exact_string, max_deviation, spectra_match)
+from distspec.spectra import (QuadraticNumber, Spectrum, _squarefree_split,
+                              cluster_to_spectrum, error_bound, exact_string,
+                              max_deviation, spectra_match)
 
 
 def trial_division_split(d):
@@ -208,16 +208,17 @@ class TestSpectrumConstruction:
         with pytest.raises(ValueError, match="NaN"):
             Spectrum(pairs)
 
-    def test_refuses_values_equal_only_through_a_float(self):
-        # 1e20 equals both ints as a float, but they differ exactly
-        with pytest.raises(ValueError, match="strictly decrease"):
-            Spectrum([(10**20, 1), (1e20, 1), (10**20 + 1, 1)])
+    def test_values_equal_only_through_a_float_stay_apart(self):
+        # 1e20 is exactly 10**20, and 10**20 + 1 rounds to it as a float
+        pairs = [(10**20, 1), (1e20, 1), (10**20 + 1, 1)]
+        for order in permutations(pairs):
+            assert [m for _, m in Spectrum(order).entries] == [1, 2]
 
 
 class TestClustering:
     def test_near_duplicates_merge(self):
         vals = [3.0 + 4e-15, 3.0 - 4e-15, 1.0]
-        assert vals[0] - vals[1] < _grouping_tol(vals)
+        assert vals[0] - vals[1] < 2 * error_bound(vals)
         s = cluster_to_spectrum(vals)
         assert [(round(float(v), 6), m) for v, m in s.entries] == \
             [(3.0, 2), (1.0, 1)]
@@ -225,7 +226,7 @@ class TestClustering:
     def test_chain_merging_is_transitive(self):
         # each neighbor is within tol even though the ends are not
         vals = [1.0 + 1.2e-14, 1.0 + 6e-15, 1.0]
-        tol = _grouping_tol(vals)
+        tol = 2 * error_bound(vals)
         assert vals[0] - vals[1] < tol and vals[1] - vals[2] < tol
         assert vals[0] - vals[2] > tol
         s = cluster_to_spectrum(vals)
@@ -269,6 +270,15 @@ class TestMixedRadicandOrder:
         x = QuadraticNumber(10**20, 1, 2)
         y = QuadraticNumber(10**20, 1, 3)
         assert x < y and y > x and x <= y and not x >= y
+
+    def test_floats_compare_exactly(self):
+        # the float sqrt(2) is 1.4142135623730951, just above the root
+        root2 = QuadraticNumber(0, 1, 2)
+        assert root2 != math.sqrt(2) and root2 < math.sqrt(2)
+        assert math.sqrt(2) > root2 and not root2 >= math.sqrt(2)
+        assert QuadraticNumber(Fraction(1, 2)) == 0.5
+        assert QuadraticNumber(Fraction(1, 3)) != 1 / 3
+        assert -math.inf < root2 < math.inf
 
     def test_opposite_signs_need_second_squaring(self):
         # 3 + sqrt(2) - sqrt(15) is about 0.541; 3 + sqrt(2) - sqrt(20) < 0
