@@ -9,8 +9,8 @@ numeric oracle, strongly-regular parameter analysis, and zero-forcing based
 bounds on the number of distinct distance eigenvalues.
 """
 
-from .distances import (DisconnectedError, diameter, distance_matrix,
-                        format_matrix, parse_matrix)
+from .distances import (DisconnectedError, distance_matrix, format_matrix,
+                        parse_matrix)
 from .exact import (Inertia, det_exact, distinct_eigenvalue_count,
                     inertia_exact, quotient_matrix)
 from .graphs import (Graph, GraphError, cartesian_product, complement,

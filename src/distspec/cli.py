@@ -20,11 +20,13 @@ a usage error, and a grid point over it is left out of the sweep.  A
 closed-form `spectrum` builds no graph at all, nor does `--verify` where the
 family has no closed form.  The solver's error estimate comes from the
 eigenvalues (`spectra.error_bound`); numeric eigenvalues closer than twice
-it are grouped as one.
+it are grouped as one.  A closed form and the numeric spectrum match when
+both their deviation and that estimate are below `MATCH_TOL`, 1e-8.
 
 Exit codes: 0 success (and every check passed), 1 a verification failed,
-2 bad usage or invalid parameters.  Output is deterministic; floats are
-printed with 12 significant digits.
+2 bad usage or invalid parameters.  `main` refuses every bad request, the
+parser's own usage errors included, with one `error: ...` line on stderr.
+Output is deterministic; floats are printed with 12 significant digits.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NoReturn, Optional, Sequence
 
 from .bounds import (ZF_ORDER_CAP, check_tree_bounds, enumerate_trees,
                      forcing_bound, zero_forcing_number)
@@ -60,13 +62,13 @@ from .graphs import (Graph, GraphError, cocktail_party, complement, complete,
 from .jacobi import MAX_ORDER, sym_eigenvalues
 from .spectra import (Spectrum, _fmt, cluster_to_spectrum, error_bound,
                       exact_string, max_deviation)
-from .srg import (SrgParameterError, SrgParams, classify_one_positive,
-                  complement_params, is_conference, is_optimistic,
-                  srg_eigen_data)
+from .srg import (SrgParams, classify_one_positive, complement_params,
+                  is_conference, is_optimistic, srg_eigen_data)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
+MATCH_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -132,6 +134,10 @@ FAMILIES: dict[str, Family] = {
 }
 
 
+# the parameters that `verify` takes a range flag for
+RANGE_PARAMS = sorted({p for f in FAMILIES.values() for p in f.params})
+
+
 def _family(name: str, params: Sequence[int]) -> Family:
     fam = FAMILIES[name]
     if len(params) != len(fam.params):
@@ -165,7 +171,7 @@ def _parse_range(text: str) -> range:
 # spectrum and det: one report per route, shared with `verify`
 
 
-def _spectrum_report(name: str, params: Sequence[int], match_tol: float, *,
+def _spectrum_report(name: str, params: Sequence[int], *,
                      verify: bool = False,
                      numeric: bool = False) -> tuple[dict, Spectrum]:
     """The `spectrum` JSON document of one instance, and the spectrum it
@@ -212,10 +218,10 @@ def _spectrum_report(name: str, params: Sequence[int], match_tol: float, *,
         num = cluster_to_spectrum(vals)
         out["numeric"] = num.to_json_dict()
         if closed is not None:
-            # a solver that cannot promise match_tol proves nothing
+            # a solver that cannot promise MATCH_TOL proves nothing
             bound = error_bound(vals)
             dev = max_deviation(closed, num)
-            out["match"] = dev < match_tol and bound < match_tol
+            out["match"] = dev < MATCH_TOL and bound < MATCH_TOL
             out["max_deviation"] = _fmt(dev)
             out["error_bound"] = _fmt(bound)
     if note:
@@ -224,8 +230,8 @@ def _spectrum_report(name: str, params: Sequence[int], match_tol: float, *,
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
-    out, spec = _spectrum_report(args.family, args.params, args.match_tol,
-                                 verify=args.verify, numeric=args.numeric)
+    out, spec = _spectrum_report(args.family, args.params, verify=args.verify,
+                                 numeric=args.numeric)
     if args.format == "text":
         print(f"{args.family} {' '.join(map(str, args.params))}  n={out['n']}")
         for value, mult in spec.entries:
@@ -270,11 +276,19 @@ def cmd_det(args: argparse.Namespace) -> int:
 # verify
 
 
+def _refuse_other_range_flags(target: str, takes: Sequence[str],
+                              args: argparse.Namespace) -> None:
+    for pname in RANGE_PARAMS:
+        if getattr(args, f"range_{pname}") is not None and pname not in takes:
+            raise ValueError(f"{target} takes no parameter {pname}")
+
+
 def _grid_instances(name: str, args: argparse.Namespace,
                     cap: int) -> list[tuple[int, ...]]:
     """The family's default grid, each axis replaced by its range flag if
     one is given, less the points outside the domain or above cap."""
     fam = FAMILIES[name]
+    _refuse_other_range_flags(name, fam.params, args)
     axes = []
     for pname, default in zip(fam.params, fam.grid):
         flag = getattr(args, f"range_{pname}")
@@ -303,21 +317,20 @@ def cmd_verify(args: argparse.Namespace) -> int:
     fam = FAMILIES.get(target)
 
     if target == "lemma-identities":
+        _refuse_other_range_flags(target, (), args)
         for sel, kw in _lemma_jobs(args.max, args.max_b):
             lhs, rhs = lemma_identity(sel, **kw)
             results.append({"identity": sel, **kw, "lhs": lhs, "rhs": rhs,
                             "match": lhs == rhs})
     elif fam is None:
-        print(f"error: unknown verify target {target!r}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"unknown verify target {target!r}")
     elif fam.det is not None:
         results = [_pick(_det_report(target, p), "det", "inertia", "match")
                    for p in _grid_instances(target, args, EXACT_ORDER_CAP)]
     elif fam.closed is None:
         raise ValueError(f"{target} has no closed-form spectrum to verify")
     else:
-        results = [_pick(_spectrum_report(target, p, args.match_tol,
-                                          verify=True)[0],
+        results = [_pick(_spectrum_report(target, p, verify=True)[0],
                          "match", "max_deviation", "error_bound")
                    for p in _grid_instances(target, args, MAX_ORDER)]
 
@@ -355,11 +368,7 @@ def _print_csv(results: list[dict]) -> None:
 
 
 def cmd_srg(args: argparse.Namespace) -> int:
-    try:
-        p = SrgParams(args.n, args.k, args.lam, args.mu)
-    except SrgParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    p = SrgParams(args.n, args.k, args.lam, args.mu)
     out: dict = {"params": [p.n, p.k, p.lam, p.mu]}
     feasible = p.is_feasible()
     out["feasible"] = feasible
@@ -442,6 +451,11 @@ def cmd_matrix(args: argparse.Namespace) -> int:
 # parser
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str) -> NoReturn:
+        raise ValueError(message)
+
+
 def _add_family_arg(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("family", choices=sorted(FAMILIES),
                     help="graph family name")
@@ -450,7 +464,7 @@ def _add_family_arg(sp: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="distspec",
         description="distance spectra of graphs: exact formulas, "
                     "numeric checks, and bounds")
@@ -464,9 +478,6 @@ def build_parser() -> argparse.ArgumentParser:
     route.add_argument("--numeric", action="store_true",
                        help="force the numeric route even when a formula "
                             "exists")
-    sp.add_argument("--match-tol", type=float, default=1e-8,
-                    help="tolerance for closed-form/numeric comparison; the "
-                         "solver's error bound must also be below it")
     sp.add_argument("--format", choices=("json", "text"), default="json")
     sp.set_defaults(fn=cmd_spectrum)
 
@@ -474,16 +485,13 @@ def build_parser() -> argparse.ArgumentParser:
                         help="sweep a family grid against the numeric solver")
     sp.add_argument("target",
                     help="family name, or `lemma-identities`")
-    for pname in sorted({p for f in FAMILIES.values() for p in f.params}):
+    for pname in RANGE_PARAMS:
         sp.add_argument(f"--{pname}", dest=f"range_{pname}", default=None,
                         metavar="A..B", help=f"range for parameter {pname}")
     sp.add_argument("--max", type=int, default=20,
                     help="upper index bound for lemma-identities")
     sp.add_argument("--max-b", type=int, default=10,
                     help="upper bound for the shift parameter b")
-    sp.add_argument("--match-tol", type=float, default=1e-8,
-                    help="tolerance for closed-form/numeric comparison; the "
-                         "solver's error bound must also be below it")
     sp.add_argument("--format", choices=("text", "json", "csv"),
                     default="text")
     sp.set_defaults(fn=cmd_verify)
@@ -517,11 +525,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    # GraphError, DisconnectedError and SrgParameterError are ValueErrors
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
-    except (GraphError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

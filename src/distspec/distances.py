@@ -59,10 +59,6 @@ def distance_matrix(g: Graph) -> IntMatrix:
     return inside.tolist()
 
 
-def diameter(g: Graph) -> int:
-    return max(max(row) for row in distance_matrix(g))
-
-
 def format_matrix(mat: IntMatrix) -> str:
     """Text dump: first line "n", then n rows of n space-separated integers.
 

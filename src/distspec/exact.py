@@ -47,27 +47,8 @@ def _check_square(mat) -> int:
 
 
 _PRIMES: list[int] = []  # largest primes below 2**31, descending; grown lazily
-
-
-def _is_prime(m: int) -> bool:
-    """Miller-Rabin with bases 2, 3, 5, 7: deterministic below 3.2e9."""
-    for a in (2, 3, 5, 7):
-        if m % a == 0:
-            return m == a
-    d, s = m - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for a in (2, 3, 5, 7):
-        x = pow(a, d, m)
-        if x in (1, m - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % m
-            if x == m - 1:
-                break
-        else:
-            return False
-    return True
+# every odd trial divisor an odd number below 2**31 needs
+_ODD_DIVISORS = np.arange(3, math.isqrt(2**31) + 1, 2)
 
 
 def _primes_over(bound: int) -> list[int]:
@@ -76,7 +57,7 @@ def _primes_over(bound: int) -> list[int]:
     while prod <= bound:
         if k == len(_PRIMES):
             c = _PRIMES[-1] - 2 if _PRIMES else 2**31 - 1
-            while not _is_prime(c):
+            while not (c % _ODD_DIVISORS).all():
                 c -= 2
             _PRIMES.append(c)
         prod *= _PRIMES[k]

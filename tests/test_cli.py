@@ -82,14 +82,6 @@ class TestSpectrum:
         assert code == EXIT_OK
         assert "  error_bound=" in out.splitlines()[-1]
 
-    def test_bound_over_match_tol_is_a_failure(self, capsys):
-        # the values agree to 1e-14, but the solver promises only ~1e-12
-        code, data, _ = run_json(capsys, "spectrum", "hamming", "3", "3",
-                                 "--verify", "--match-tol", "1e-13")
-        assert code == EXIT_FAIL
-        assert data["max_deviation"] < 1e-13 <= data["error_bound"]
-        assert data["match"] is False
-
     def test_verify_validates_its_matrix_once(self, capsys, monkeypatch):
         class CountingNumpy:
             """numpy, with the shape of every `isfinite` argument kept."""
@@ -119,13 +111,11 @@ class TestSpectrum:
                             "use the numeric route below that\n")
 
     def test_verify_and_numeric_exclude_each_other(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["spectrum", "petersen", "--numeric", "--verify"])
-        out = capsys.readouterr()
-        assert (exc.value.code, out.out) == (EXIT_USAGE, "")
-        assert out.err.splitlines()[-1] == (
-            "distspec spectrum: error: argument --verify: "
-            "not allowed with argument --numeric")
+        code, out, err = run(capsys, "spectrum", "petersen", "--numeric",
+                             "--verify")
+        assert (code, out, err) == (
+            EXIT_USAGE, "", "error: argument --verify: "
+                            "not allowed with argument --numeric\n")
 
     def test_quadratic_exact_strings_in_json(self, capsys):
         code, data, _ = run_json(capsys, "spectrum", "dodecahedron")
@@ -143,9 +133,10 @@ class TestSpectrum:
         assert "parameter" in err
 
     def test_unknown_family_rejected_by_parser(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["spectrum", "klein-bottle"])
-        assert exc.value.code == EXIT_USAGE
+        code, out, err = run(capsys, "spectrum", "klein-bottle")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith(
+            "error: argument family: invalid choice: 'klein-bottle' (")
 
 
 class TestNumericClustering:
@@ -178,9 +169,10 @@ class TestNumericClustering:
         assert data["error_bound"] >= 1e-8
 
     def test_tolerance_flag_for_clustering_is_gone(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["spectrum", "petersen", "--cluster-tol", "1e-3"])
-        assert exc.value.code == EXIT_USAGE
+        code, out, err = run(capsys, "spectrum", "petersen",
+                             "--cluster-tol", "1e-3")
+        assert (code, out, err) == (
+            EXIT_USAGE, "", "error: unrecognized arguments: --cluster-tol 1e-3\n")
 
 
 class TestVerify:
@@ -261,11 +253,11 @@ class TestVerify:
             assert all("  error_bound=" in ln for ln in out.splitlines()[:2])
 
     def test_bound_over_match_tol_fails_the_sweep(self, capsys):
-        code, data, _ = run_json(capsys, "verify", "hamming", "--d", "3",
-                                 "--n", "3", "--match-tol", "1e-13",
+        code, data, _ = run_json(capsys, "verify", "cycle", "--n", "400",
                                  "--format", "json")
         assert code == EXIT_FAIL
         assert data["failures"] == 1
+        assert data["results"][0]["error_bound"] >= cli.MATCH_TOL
 
     def test_csv_output(self, capsys):
         code, out, _ = run(capsys, "verify", "lollipop", "--k", "2..2",
@@ -295,6 +287,31 @@ class TestVerify:
         assert (code, out) == (EXIT_USAGE, "")
         assert err == "error: halved cube closed form needs d >= 4; " \
                       "use the numeric route below that\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("spectrum klein-bottle",
+     "argument family: invalid choice: 'klein-bottle' (choose from"),
+    ("spectrum petersen --numeric --verify",
+     "argument --verify: not allowed with argument --numeric"),
+    ("srg 5 7 0 1", "need 0 < k < n, got k=7, n=5"),
+    ("verify nosuch", "unknown verify target 'nosuch'"),
+    ("spectrum hamming 3 3 --verify --match-tol 1e-6",
+     "unrecognized arguments: --match-tol 1e-6"),
+    ("spectrum", "the following arguments are required: family"),
+    ("det lollipop x 2", "argument params: invalid int value: 'x'"),
+    ("verify cycle --d 3..4", "cycle takes no parameter d"),
+    ("verify petersen --n 5", "petersen takes no parameter n"),
+    ("verify lemma-identities --n 3..4",
+     "lemma-identities takes no parameter n"),
+    ("spectrum johnson 4 7", "johnson needs 1 <= r <= n-1"),
+])
+def test_every_refusal_is_one_line_from_main(capsys, argv, message):
+    # main returns the code itself: no refusal raises SystemExit
+    code, out, err = run(capsys, *argv.split())
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1 \
+        and err.endswith("\n")
 
 
 class TestSrg:

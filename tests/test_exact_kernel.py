@@ -205,9 +205,10 @@ class TestKernelSharing:
         def trial(m):
             return m > 1 and all(m % q for q in range(2, math.isqrt(m) + 1))
 
-        assert [m for m in range(3, 5000, 2) if exact._is_prime(m)] == \
-            [m for m in range(3, 5000, 2) if trial(m)]
         primes = exact._primes_over(2 ** 200)
         assert primes[0] == 2 ** 31 - 1
         assert primes == sorted(set(primes), reverse=True)
         assert all(trial(p) for p in primes)
+        # and no prime between them is skipped
+        assert [m for m in range(primes[-1], 2 ** 31, 2) if trial(m)] == \
+            primes[::-1]

@@ -37,13 +37,14 @@ def test_every_public_name_is_used():
 
 
 def code_names(path):
-    """Names, attributes and imported names in the code of one file;
-    words in strings, comments and docstrings do not count."""
+    """Names and attributes read, and imported names, in the code of one
+    file; names assigned to, and words in strings, comments and docstrings,
+    do not count."""
     names = Counter()
     for n in ast.walk(ast.parse(path.read_text())):
-        if isinstance(n, ast.Name):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
             names[n.id] += 1
-        elif isinstance(n, ast.Attribute):
+        elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
             names[n.attr] += 1
         elif isinstance(n, ast.alias):
             names[n.name] += 1
@@ -89,6 +90,13 @@ def test_test_only_guard_sees_a_test_only_name(tmp_path):
                      "y = {'only_named_in_words': 1}  # only_named_in_words\n")
     assert unused_outside_tests([src], [src, bench]) == [
         "only_named_in_words", "only_tested"]
+
+
+def test_test_only_guard_sees_past_a_field_of_the_same_name(tmp_path):
+    src = tmp_path / "probe.py"
+    src.write_text("def width(x):\n    return x\n\n\nclass Report:\n"
+                   "    width: int\n\n\nr = Report()\nr.width = 4\n")
+    assert unused_outside_tests([src], [src]) == ["width"]
 
 
 def unused_imports(path):
