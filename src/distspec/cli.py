@@ -281,6 +281,9 @@ def _refuse_other_range_flags(target: str, takes: Sequence[str],
     for pname in RANGE_PARAMS:
         if getattr(args, f"range_{pname}") is not None and pname not in takes:
             raise ValueError(f"{target} takes no parameter {pname}")
+    for flag in ("max", "max_b"):
+        if getattr(args, flag) is not None and target != "lemma-identities":
+            raise ValueError(f"{target} takes no option --{flag.replace('_', '-')}")
 
 
 def _grid_instances(name: str, args: argparse.Namespace,
@@ -318,7 +321,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     if target == "lemma-identities":
         _refuse_other_range_flags(target, (), args)
-        for sel, kw in _lemma_jobs(args.max, args.max_b):
+        for sel, kw in _lemma_jobs(20 if args.max is None else args.max,
+                                   10 if args.max_b is None else args.max_b):
             lhs, rhs = lemma_identity(sel, **kw)
             results.append({"identity": sel, **kw, "lhs": lhs, "rhs": rhs,
                             "match": lhs == rhs})
@@ -488,9 +492,9 @@ def build_parser() -> argparse.ArgumentParser:
     for pname in RANGE_PARAMS:
         sp.add_argument(f"--{pname}", dest=f"range_{pname}", default=None,
                         metavar="A..B", help=f"range for parameter {pname}")
-    sp.add_argument("--max", type=int, default=20,
+    sp.add_argument("--max", type=int, default=None,
                     help="upper index bound for lemma-identities")
-    sp.add_argument("--max-b", type=int, default=10,
+    sp.add_argument("--max-b", type=int, default=None,
                     help="upper bound for the shift parameter b")
     sp.add_argument("--format", choices=("text", "json", "csv"),
                     default="text")

@@ -9,14 +9,20 @@ reflections, one column at a time (Golub & Van Loan, Matrix Computations,
 section 8.3.1).  Couplings of T no larger than n*eps*||A||_F are set to zero,
 which by Weyl's theorem moves no eigenvalue by more than twice that; on
 distance matrices with few distinct eigenvalues T then falls apart into short
-blocks.  Every eigenvalue is then located by the Sturm count of its block
-(Barth, Martin & Wilkinson, Numer. Math. 9, 1967), all n of them at once as
-numpy arrays, with the blocks laid side by side so that one count costs as
-many Python steps as the longest block has rows.  Each round counts at 15
-points per interval instead of one, which gains 4 bits per round instead of
-1 for nearly the same Python cost.  The search stops at eps*||T||.
-`spectra.error_bound` states the resulting normwise error estimate from the
-eigenvalues.
+blocks.  A block of one row is its own eigenvalue.  Every other eigenvalue
+is located by the Sturm count of its block (Barth, Martin & Wilkinson,
+Numer. Math. 9, 1967), all of them at once as numpy arrays: the live blocks
+are laid side by side, longest first, so that one count costs as many
+Python steps as the longest block has rows and row i touches only the
+blocks longer than i.  Each round counts at 15 points per interval instead
+of one, which gains 4 bits per round instead of 1 for nearly the same Python
+cost.  The search stops at eps*||T||.  The count runs in slabs of rows
+without the guard against tiny pivots and checks each slab once, running
+it again with the guard only where a pivot came out tiny (Demmel & Li,
+IEEE Trans. Comput. 43(8), 1994; Marques, Riedy & Voemel, SIAM J. Sci.
+Comput. 28(5), 2006, as in LAPACK's dlaneg), so its results are those of
+the guarded count, bit for bit.  `spectra.error_bound` states the resulting
+normwise error estimate from the eigenvalues.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ import numpy as np
 
 # Sizes beyond this are outside the intended desk scale: the reduction is
 # O(n^3) in numpy and one count O(n * longest block), so order 1500 takes
-# about 7 s when T does not split (a dense random matrix, 2-vCPU Xeon).
+# about 5 s when T does not split (a dense random matrix, 2-vCPU Xeon).
 MAX_ORDER = 1500
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
@@ -35,6 +41,11 @@ _TINY = float(np.finfo(float).tiny)
 # keeps the sixteenth that holds the target.
 _BITS = 4
 _POINTS = 2 ** _BITS - 1
+# Rows of the count run between two checks of their pivots.  From order 120
+# up the slab buffer, 8 * 15 rows of the layout, is smaller than the
+# reduction's (n x n) arrays, so the search raises no memory peak; 16-row
+# slabs were about 7% faster at orders 40-150 but raised it.
+_SLAB = 8
 _SYMMETRY_TOL = 1e-12  # largest |a[i][j] - a[j][i]| / max(1, max|a|)
 
 
@@ -64,6 +75,7 @@ def sym_eigenvalues(mat) -> list[float]:
     if worst > _SYMMETRY_TOL * max(1.0, top):
         i, j = np.unravel_index(int(sym.argmax()), sym.shape)
         raise ValueError(f"matrix not symmetric: |a[{i}][{j}] - a[{j}][{i}]| = {worst:g}")
+    del sym
     if n == 1:
         return [float(a[0, 0])]
 
@@ -74,6 +86,7 @@ def sym_eigenvalues(mat) -> list[float]:
     a = a + a.T
     frob = math.sqrt(float(np.vdot(a, a)))
     d, e = _tridiagonalize(a)
+    del a  # an (n x n) array, not needed while searching
     e[np.abs(e) <= n * _EPS * frob] = 0.0
     vals = _sturm_search(d, e) * math.ldexp(1.0, shift)
     return sorted(vals.tolist(), reverse=True)
@@ -118,17 +131,18 @@ def _tridiagonalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _sturm_search(d: np.ndarray, e: np.ndarray) -> np.ndarray:
     """The eigenvalues of the tridiagonal (d, e), searched for all at once.
 
-    The zeros of e cut T into blocks.  Target j is the k-th smallest
+    The zeros of e cut T into blocks.  A block of one row is its diagonal
+    entry and needs no search.  Every other target j is the k-th smallest
     eigenvalue of its block and starts from the block's Gershgorin interval.
-    Its block is column j of an (L x n) layout, L the longest block, padded
-    below with diagonal entries above every interval and zero couplings, so
-    the padding never counts.
+    Its block is a column of an (L x m) layout, L the longest block and m
+    the number of such targets, longest block first, so that row i is the
+    prefix of the columns whose block is longer than i.  Below its block a
+    column is padded with a diagonal entry above every interval.
     """
     n = len(d)
     starts = np.flatnonzero(np.concatenate(([True], e == 0.0)))
     lengths = np.diff(np.append(starts, n))
     block = np.repeat(np.arange(len(starts)), lengths)
-    rank = np.arange(n) - starts[block]
 
     ae = np.abs(e)
     radius = np.zeros(n)
@@ -139,40 +153,119 @@ def _sturm_search(d: np.ndarray, e: np.ndarray) -> np.ndarray:
     e2 = e * e
     tnorm = max(float(np.max(np.abs(lo))), float(np.max(np.abs(hi))))
     pivmin = _TINY * max(1.0, float(np.max(e2)))
-    # room for rounding in the counts; a block of one row is exact as it is
-    margin = (2.1 * n * _EPS * tnorm + 4.2 * pivmin) * (lengths > 1)
-    lo = (lo - margin)[block]
-    hi = (hi + margin)[block]
+    margin = 2.1 * n * _EPS * tnorm + 4.2 * pivmin  # room for rounding
 
-    # entry i of column j is T's entry starts[block[j]] + i, or the padding
-    # at index n past the end of the block; the coupling into the first row
-    # of a block is a zero of e
-    rows = np.arange(int(lengths.max()))[:, None]
-    at = np.where(rows < lengths[block], starts[block] + rows, n)
-    dpad = np.append(d, np.max(hi) + max(1.0, tnorm))[at]
-    e2pad = np.concatenate(([0.0], e2, [0.0]))[at]
-    del at  # an (L x n) index array, not needed while searching
+    # a block of one row is its entry, as the midpoint of [d - 0.0, d + 0.0]
+    # gives it: -0.0 becomes 0.0
+    vals = d + 0.0
+    length = lengths[block].tolist()
+    cols = sorted((j for j in range(n) if length[j] > 1),
+                  key=length.__getitem__, reverse=True)
+    if not cols:
+        return vals
+    cols = np.array(cols)
+    first, size = starts[block[cols]], lengths[block[cols]]
+    rank = cols - first
+    lo = lo[block[cols]] - margin
+    hi = hi[block[cols]] + margin
+
+    # entry i of column j is T's entry first[j] + i, or the padding at index
+    # n past the end of the block; the coupling into the first row of a
+    # block is a zero of e
+    rows = np.arange(size[0])[:, None]
+    inside = rows < size
+    at = np.where(inside, first + rows, n)
+    dpad = np.append(d, np.max(hi) + max(1.0, tnorm))[at][:, None]
+    e2pad = np.concatenate(([0.0], e2, [0.0]))[at][:, None]
+    # how many columns row i reaches: those whose block is longer than i
+    reach = inside.sum(axis=1)
+    del at, inside  # (L x m) arrays, not needed while searching
+
+    # row p of x is the p-th point of every column's interval
+    x = np.empty((_POINTS, len(cols)))
+    count = np.empty(x.shape, dtype=np.int64)
+    slabs = _slabs(dpad, e2pad, reach, x, count)
 
     # rounds enough to take the widest interval below eps * ||T||
     widest = float(np.max(hi - lo)) / max(_EPS * tnorm, pivmin)
     points = np.arange(1.0, _POINTS + 1)[:, None]
-    for _ in range(-(-math.frexp(widest)[1] // _BITS)):
-        step = (hi - lo) / (_POINTS + 1)
-        below = _count_below(dpad, e2pad, lo + points * step, pivmin) <= rank
-        lo = lo + below.sum(axis=0) * step
-        hi = lo + step
-    return 0.5 * (lo + hi)
+    with np.errstate(all="ignore"):  # the unchecked pivots of a slab
+        for _ in range(-(-math.frexp(widest)[1] // _BITS)):
+            step = (hi - lo) / (_POINTS + 1)
+            np.multiply(points, step, out=x)
+            np.add(lo, x, out=x)
+            _count_below(slabs, pivmin, count)
+            lo = lo + (count <= rank).sum(axis=0) * step
+            hi = lo + step
+    vals[cols] = 0.5 * (lo + hi)
+    return vals
 
 
-def _count_below(dpad: np.ndarray, e2pad: np.ndarray, x: np.ndarray,
-                 pivmin: float) -> np.ndarray:
-    """Per column j, the number of eigenvalues of its block below x[j]:
-    the negative pivots of q_i = d_i - x - e_{i-1}^2 / q_{i-1}, with a pivot
-    smaller than pivmin in magnitude taken as -pivmin."""
-    count = np.zeros(x.shape, dtype=np.int64)
-    q = np.ones(x.shape)
-    for drow, e2row in zip(dpad, e2pad):
-        q = drow - x - e2row / q
-        q[np.abs(q) < pivmin] = -pivmin
-        count += q < 0.0
-    return count
+def _slabs(dpad: np.ndarray, e2pad: np.ndarray, reach: np.ndarray,
+           x: np.ndarray, count: np.ndarray) -> list[tuple]:
+    """The slabs of _SLAB rows that `_count_below` runs through: views into
+    buffers allocated once per search.  A slab is (d, x, q, mask, count,
+    steps, end): its rows of d; the columns of x and count that its first
+    row reaches; its pivots q, one (points x columns) array per row, and a
+    mask of their shape; per row, the (e^2, q_prev, quotient, q) views of
+    one step of the recurrence; and where its last row of pivots is kept."""
+    rows, m = len(dpad), x.shape[1]
+    height = min(_SLAB, rows)
+    pivots = np.empty(height * _POINTS * m)
+    masks = np.empty(pivots.shape, dtype=bool)
+    quotient = np.empty(x.shape)
+    end = np.empty(x.shape)
+    prev = np.ones(x.shape)  # before the first row, so e_0^2 / 1 = 0
+    slabs = []
+    for r0 in range(0, rows, height):
+        r1 = min(r0 + height, rows)
+        k = reach[r0]
+        q = pivots[:(r1 - r0) * _POINTS * k].reshape(r1 - r0, _POINTS, k)
+        steps = []
+        for i in range(r0, r1):
+            row = q[i - r0, :, :reach[i]]
+            steps.append((e2pad[i, :, :reach[i]], prev[:, :reach[i]],
+                          quotient[:, :reach[i]], row))
+            prev = row
+        slabs.append((dpad[r0:r1, :, :k], x[:, :k], q,
+                      masks[:q.size].reshape(q.shape), count[:, :k], steps,
+                      end[:, :k]))
+        prev = end
+    return slabs
+
+
+def _count_below(slabs: list[tuple], pivmin: float, count: np.ndarray) -> None:
+    """Per point p and column j, count[p, j] = the number of eigenvalues of
+    its block below x[p, j]: the negative pivots of
+    q_i = d_i - x - e_{i-1}^2 / q_{i-1}, with a pivot smaller than pivmin in
+    magnitude taken as -pivmin.
+
+    Each slab first runs without that guard and is then checked once: if
+    every pivot is at least pivmin above or below zero, the guard would not
+    have fired and the pivots are the guarded ones.  A tiny pivot fails the
+    check, and so does a NaN, which can only follow one; the slab is then
+    run again with the guard, from the same starting row.
+    """
+    count.fill(0)
+    for d, x, q, mask, cnt, steps, end in slabs:
+        _pivots(d, x, q, steps, 0.0)
+        np.greater_equal(q, pivmin, out=mask)
+        clear = np.count_nonzero(mask)
+        np.less_equal(q, -pivmin, out=mask)
+        if clear + np.count_nonzero(mask) < q.size:
+            _pivots(d, x, q, steps, pivmin)
+            np.less(q, 0.0, out=mask)
+        np.copyto(end, q[-1])
+        cnt += mask.sum(axis=0)
+
+
+def _pivots(d: np.ndarray, x: np.ndarray, q: np.ndarray, steps: list[tuple],
+            guard: float) -> None:
+    """A slab's pivots into q, each smaller than guard in magnitude taken as
+    -guard as soon as it is formed."""
+    np.subtract(d, x, out=q)
+    for e2, prev, quot, row in steps:
+        np.divide(e2, prev, out=quot)
+        np.subtract(row, quot, out=row)
+        if guard:
+            row[np.abs(row) < guard] = -guard

@@ -206,6 +206,12 @@ class TestVerify:
         assert code == EXIT_OK
         assert "0 failure(s)" in out
 
+    def test_lemma_bounds_default_to_20_and_10(self, capsys):
+        default = run(capsys, "verify", "lemma-identities", "--format", "csv")
+        given = run(capsys, "verify", "lemma-identities", "--max", "20",
+                    "--max-b", "10", "--format", "csv")
+        assert default == given and default[0] == EXIT_OK
+
     def test_lemma_rows_in_order(self, capsys):
         code, data, _ = run_json(capsys, "verify", "lemma-identities",
                                  "--max", "7", "--max-b", "3",
@@ -304,6 +310,9 @@ class TestVerify:
     ("verify petersen --n 5", "petersen takes no parameter n"),
     ("verify lemma-identities --n 3..4",
      "lemma-identities takes no parameter n"),
+    ("verify cycle --max 3", "cycle takes no option --max"),
+    ("verify cycle --max-b 3", "cycle takes no option --max-b"),
+    ("verify lollipop --max 3", "lollipop takes no option --max"),
     ("spectrum johnson 4 7", "johnson needs 1 <= r <= n-1"),
 ])
 def test_every_refusal_is_one_line_from_main(capsys, argv, message):

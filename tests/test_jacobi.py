@@ -3,15 +3,17 @@
 import itertools
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from distspec import jacobi
 from distspec.cli import FAMILIES
 from distspec.distances import distance_matrix
 from distspec.exact import distinct_eigenvalue_count
 from distspec.graphs import (cycle, hypercube, hypercube_with_leaf,
-                             make_graph, petersen)
+                             make_graph, path, petersen)
 from distspec.jacobi import MAX_ORDER, sym_eigenvalues
 from distspec.spectra import cluster_to_spectrum, error_bound
 
@@ -159,18 +161,22 @@ def random_connected(n, density, seed):
 
 
 class TestDifferential:
+    """Against LAPACK within the error bound, and against the referee
+    search bit for bit."""
+
     def test_every_default_grid_instance(self):
         instances = list(grid_instances(256))
         assert len(instances) == 159
         for name, p in instances:
-            assert_matches_eigvalsh(distance_matrix(FAMILIES[name].gen(*p)))
+            dm = distance_matrix(FAMILIES[name].gen(*p))
+            assert_same_bits(dm, assert_matches_eigvalsh(dm))
 
     @pytest.mark.parametrize("n,density,seed", [
         (40, 0.02, 1), (40, 0.6, 2), (55, 0.1, 3), (70, 0.3, 4),
         (90, 0.02, 5), (110, 0.6, 6), (130, 0.1, 7), (150, 0.3, 8)])
     def test_random_connected_graphs(self, n, density, seed):
-        assert_matches_eigvalsh(distance_matrix(
-            random_connected(n, density, seed)))
+        dm = distance_matrix(random_connected(n, density, seed))
+        assert_same_bits(dm, assert_matches_eigvalsh(dm))
 
 
 class TestGrouping:
@@ -257,3 +263,144 @@ class TestNonFinite:
     def test_rejected_with_the_first_location(self, mat, where):
         with pytest.raises(ValueError, match=where):
             sym_eigenvalues(mat)
+
+
+def referee_search(d, e):
+    """The Sturm search one guarded row at a time over every column, one-row
+    blocks included: the plain form of `jacobi._sturm_search`, with the
+    same floating-point operations in each column."""
+    n = len(d)
+    starts = np.flatnonzero(np.concatenate(([True], e == 0.0)))
+    lengths = np.diff(np.append(starts, n))
+    block = np.repeat(np.arange(len(starts)), lengths)
+    rank = np.arange(n) - starts[block]
+
+    ae = np.abs(e)
+    radius = np.zeros(n)
+    radius[:-1] += ae
+    radius[1:] += ae
+    lo = np.minimum.reduceat(d - radius, starts)
+    hi = np.maximum.reduceat(d + radius, starts)
+    e2 = e * e
+    tnorm = max(float(np.max(np.abs(lo))), float(np.max(np.abs(hi))))
+    pivmin = jacobi._TINY * max(1.0, float(np.max(e2)))
+    margin = (2.1 * n * jacobi._EPS * tnorm + 4.2 * pivmin) * (lengths > 1)
+    lo = (lo - margin)[block]
+    hi = (hi + margin)[block]
+
+    rows = np.arange(int(lengths.max()))[:, None]
+    at = np.where(rows < lengths[block], starts[block] + rows, n)
+    dpad = np.append(d, np.max(hi) + max(1.0, tnorm))[at]
+    e2pad = np.concatenate(([0.0], e2, [0.0]))[at]
+
+    widest = float(np.max(hi - lo)) / max(jacobi._EPS * tnorm, pivmin)
+    points = np.arange(1.0, jacobi._POINTS + 1)[:, None]
+    for _ in range(-(-math.frexp(widest)[1] // jacobi._BITS)):
+        step = (hi - lo) / (jacobi._POINTS + 1)
+        x = lo + points * step
+        count = np.zeros(x.shape, dtype=np.int64)
+        q = np.ones(x.shape)
+        for drow, e2row in zip(dpad, e2pad):
+            q = drow - x - e2row / q
+            q[np.abs(q) < pivmin] = -pivmin
+            count += q < 0.0
+        lo = lo + (count <= rank).sum(axis=0) * step
+        hi = lo + step
+    return 0.5 * (lo + hi)
+
+
+def referee_eigenvalues(mat):
+    """`sym_eigenvalues` with the referee search in place of the solver's."""
+    with mock.patch.object(jacobi, "_sturm_search", referee_search):
+        return sym_eigenvalues(mat)
+
+
+def assert_same_bits(mat, ours=None):
+    """The solver's eigenvalues, ours if given, are the referee's, bit for
+    bit: equal as floats and with the same sign of every zero."""
+    ours = sym_eigenvalues(mat) if ours is None else ours
+    ref = referee_eigenvalues(mat)
+    assert ours == ref
+    assert [v.hex() for v in ours] == [v.hex() for v in ref]
+
+
+def fuzz_matrix(kind, seed):
+    """A seeded small symmetric matrix of one of the kinds that stress the
+    search: exact splits, no couplings, tiny or graded scales, close or
+    repeated eigenvalues, and signed zeros."""
+    rng = np.random.RandomState(seed)
+    n = 1 + seed % 23
+    b = rng.randn(n, n)
+    b = b + b.T
+    if kind == "diagonal":
+        return np.diag(rng.randint(-3, 4, n) * rng.choice([1.0, 0.5], n))
+    if kind == "zero":
+        return np.zeros((n, n))
+    if kind == "block-diagonal":
+        b[:n // 2, n // 2:] = b[n // 2:, :n // 2] = 0.0
+        return b
+    if kind == "tiny":
+        return b * 1e-200
+    if kind == "graded":
+        g = 10.0 ** (np.arange(n) - n / 2)
+        return b * np.sqrt(np.outer(g, g))
+    if kind == "wilkinson":
+        m = n // 2
+        return np.diag(np.abs(np.arange(n) - m).astype(float)) + \
+            np.diag(np.ones(n - 1), 1) + np.diag(np.ones(n - 1), -1)
+    if kind == "ones":
+        return np.ones((n, n))
+    assert kind == "signed-zero"
+    a = np.diag(np.full(n, -0.0))
+    a[:n // 2, :n // 2] += np.ones((n // 2, n // 2))
+    return a
+
+
+FUZZ_KINDS = ["diagonal", "zero", "block-diagonal", "tiny", "graded",
+              "wilkinson", "ones", "signed-zero"]
+
+
+class TestSlabsAgainstReferee:
+    """The slab search returns the referee's eigenvalues exactly; the
+    default grid and random graphs are checked in TestDifferential."""
+
+    @pytest.mark.parametrize("kind", FUZZ_KINDS)
+    def test_fuzzed_matrices(self, kind):
+        for seed in range(24):
+            assert_same_bits(fuzz_matrix(kind, seed))
+
+    def test_last_slab_of_every_height(self):
+        # one block of 40 to 40 + _SLAB - 1 rows: its last slab takes every
+        # height from 1 to _SLAB
+        for seed in range(jacobi._SLAB):
+            assert_same_bits(random_symmetric(40 + seed, seed))
+
+
+class TestRedo:
+    """A slab whose unchecked pass meets a pivot below pivmin is run again
+    with the guard.  The path on three vertices meets one at once: its
+    eigenvalues are -sqrt(2), 0 and sqrt(2), and in the first round the
+    middle one of the 15 points of every interval is 0 exactly, where the
+    first pivot is d_0 - 0 = 0."""
+
+    MAT = [[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]
+
+    def test_zero_pivot_reaches_the_redo(self):
+        pivots = jacobi._pivots
+        with mock.patch.object(jacobi, "_pivots", wraps=pivots) as spy:
+            assert_same_bits(self.MAT)
+        assert any(c.args[-1] > 0.0 for c in spy.call_args_list)
+        # with the redo unguarded, the signs of the unchecked pass stand and
+        # the count moves
+        with mock.patch.object(jacobi, "_pivots",
+                               lambda *args: pivots(*args[:-1], 0.0)):
+            unguarded = sym_eigenvalues(self.MAT)
+        assert unguarded != referee_eigenvalues(self.MAT)
+
+    def test_paths_match(self):
+        # adjacency matrices of paths: symmetric spectra, so the middle of
+        # an interval is often an eigenvalue
+        for n in range(2, 40):
+            a = np.diag(np.ones(n - 1), 1)
+            assert_same_bits(a + a.T)
+        assert_same_bits(distance_matrix(path(9)))
