@@ -11,8 +11,7 @@ bounds on the number of distinct distance eigenvalues.
 
 from .distances import (DisconnectedError, distance_matrix, format_matrix,
                         parse_matrix)
-from .exact import (Inertia, det_exact, distinct_eigenvalue_count,
-                    inertia_exact, quotient_matrix)
+from .exact import Inertia, det_exact, distinct_eigenvalue_count, inertia_exact
 from .graphs import (Graph, GraphError, cartesian_product, complement,
                      complete, cocktail_party, cycle, dodecahedron, double_odd,
                      doob, generalized_barbell, halved_cube, hamming,

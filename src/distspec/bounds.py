@@ -136,18 +136,10 @@ def forcing_bound(n: int, z: int) -> Fraction:
 # ---------------------------------------------------------------------------
 # isomorph-free tree enumeration
 
-def _tree_centers(n: int, edges: list[tuple[int, int]]) -> list[int]:
-    if n == 1:
-        return [0]
-    deg = [0] * n
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        deg[u] += 1
-        deg[v] += 1
-        adj[u].append(v)
-        adj[v].append(u)
-    layer = [v for v in range(n) if deg[v] == 1]
-    remaining = n
+def _tree_centers(adj: list[list[int]]) -> list[int]:
+    deg = [len(nbrs) for nbrs in adj]
+    layer = [v for v, k in enumerate(deg) if k <= 1]
+    remaining = len(adj)
     while remaining > 2:
         remaining -= len(layer)
         nxt = []
@@ -176,7 +168,7 @@ def tree_canonical_code(n: int, edges: list[tuple[int, int]]) -> str:
     for u, v in edges:
         adj[u].append(v)
         adj[v].append(u)
-    return min(_rooted_code(adj, c) for c in _tree_centers(n, edges))
+    return min(_rooted_code(adj, c) for c in _tree_centers(adj))
 
 
 def enumerate_trees(n: int) -> list[Graph]:

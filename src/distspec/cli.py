@@ -60,15 +60,14 @@ from .graphs import (Graph, GraphError, cocktail_party, complement, complete,
                      hypercube_with_leaf, icosahedron, johnson, kneser,
                      lollipop, odd_graph, path, petersen, shrikhande)
 from .jacobi import MAX_ORDER, sym_eigenvalues
-from .spectra import (Spectrum, _fmt, cluster_to_spectrum, error_bound,
-                      exact_string, max_deviation)
+from .spectra import (MATCH_TOL, Spectrum, _fmt, cluster_to_spectrum,
+                      error_bound, exact_string, max_deviation)
 from .srg import (SrgParams, classify_one_positive, complement_params,
                   is_conference, is_optimistic, srg_eigen_data)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
-MATCH_TOL = 1e-8
 
 
 @dataclass(frozen=True)

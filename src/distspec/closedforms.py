@@ -22,10 +22,6 @@ class ClosedFormSpectrum:
     spectrum: Spectrum
     formula: str
 
-    @property
-    def order(self) -> int:
-        return self.spectrum.dimension
-
 
 def _comb0(a: int, b: int) -> int:
     """Binomial coefficient extended by zero outside 0 <= b <= a."""

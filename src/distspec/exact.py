@@ -31,19 +31,10 @@ import numpy as np
 
 from .spectra import Inertia
 
-Partition = Sequence[Sequence[int]]
-
 
 # Largest order accepted: chi costs O(rank * n^2) per prime, and the prime
 # count grows with rank times the bit length of the row norms.
 EXACT_ORDER_CAP = 256
-
-
-def _check_square(mat) -> int:
-    n = len(mat)
-    if any(len(row) != n for row in mat):
-        raise ValueError("matrix must be square")
-    return n
 
 
 _PRIMES: list[int] = []  # largest primes below 2**31, descending; grown lazily
@@ -244,7 +235,9 @@ def _kernel(mat: Sequence[Sequence], *, symmetric: bool = False,
     """
     global _last
     key = tuple(map(tuple, mat))
-    n = _check_square(key)
+    n = len(key)
+    if any(len(row) != n for row in key):
+        raise ValueError("matrix must be square")
     if integer and not all(issubclass(t, int) for t in _entry_types(key)):
         raise ValueError("integer entries required")
     if symmetric and key != tuple(zip(*key)):
@@ -331,46 +324,3 @@ def distinct_eigenvalue_count(mat: Sequence[Sequence[int]]) -> int:
     f = kern.chi[n - rank:][::-1]
     df = [(rank - k) * c for k, c in enumerate(f[:-1])]
     return (rank < n) + rank - _gcd_degree(f, df)
-
-
-def check_partition(n: int, cells: Partition) -> list[list[int]]:
-    """Validate that cells are disjoint, nonempty, and cover 0..n-1."""
-    seen: set[int] = set()
-    out = []
-    for cell in cells:
-        cl = list(cell)
-        if not cl:
-            raise ValueError("empty partition cell")
-        for v in cl:
-            if not 0 <= v < n:
-                raise ValueError(f"vertex {v} out of range")
-            if v in seen:
-                raise ValueError(f"vertex {v} appears in two cells")
-            seen.add(v)
-        out.append(cl)
-    if len(seen) != n:
-        missing = next(v for v in range(n) if v not in seen)
-        raise ValueError(f"partition misses vertex {missing}")
-    return out
-
-
-def quotient_matrix(mat: Sequence[Sequence], cells: Partition) -> tuple[list[list[Fraction]], bool]:
-    """Quotient matrix of a partition plus an exact equitability flag.
-
-    Entry (i, j) is the average over rows in cell i of the row sum across
-    cell j; the partition is equitable exactly when those row sums are
-    constant within every block, tested with rational arithmetic.
-    """
-    n = _check_square(mat)
-    parts = check_partition(n, cells)
-    b = []
-    equitable = True
-    for ci in parts:
-        row = []
-        for cj in parts:
-            sums = [sum(Fraction(mat[u][v]) for v in cj) for u in ci]
-            if any(s != sums[0] for s in sums[1:]):
-                equitable = False
-            row.append(sum(sums) / len(ci))
-        b.append(row)
-    return b, equitable

@@ -41,19 +41,10 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self._adj[v])
 
-    def degrees(self) -> list[int]:
-        return [len(a) for a in self._adj]
-
     def has_edge(self, u: int, v: int) -> bool:
         if u > v:
             u, v = v, u
         return (u, v) in self.edges
-
-    def adjacency_matrix(self) -> list[list[int]]:
-        a = [[0] * self.n for _ in range(self.n)]
-        for u, v in self.edges:
-            a[u][v] = a[v][u] = 1
-        return a
 
     def __eq__(self, other):
         if not isinstance(other, Graph):

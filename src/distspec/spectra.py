@@ -48,12 +48,26 @@ def _squarefree_split(d: int) -> tuple[int, int]:
     return s, r * d
 
 
+def _sign(a: Fraction, b: Fraction, d: int) -> int:
+    """Exact sign of a + b*sqrt(d) for rational a, b and any integer d >= 0."""
+    sa = (a > 0) - (a < 0)
+    if not (b and d):
+        return sa
+    sb = 1 if b > 0 else -1
+    if sa in (0, sb):
+        return sb
+    # opposite signs: the larger of a*a and b*b*d decides
+    gap = a * a - b * b * d
+    return sa if gap > 0 else sb if gap < 0 else 0
+
+
 @dataclass(frozen=True)
 class QuadraticNumber:
     """Exact number of the form a + b*sqrt(d) with rational a, b.
 
     Stored canonically: d square-free, and b == 0 forces d == 0, so equal
-    values compare equal as dataclasses.
+    values compare equal as dataclasses.  Only this constructor factors d:
+    sums and products of canonical values are built by `_canonical`.
     """
 
     a: Fraction
@@ -63,14 +77,23 @@ class QuadraticNumber:
     def __init__(self, a: Rational, b: Rational = 0, d: int = 0):
         a, b = Fraction(a), Fraction(b)
         s, r = _squarefree_split(int(d))
-        b *= s
-        if r <= 1 or b == 0:
-            # sqrt(0) = 0 and sqrt(1) = 1 fold into the rational part
-            a += b * r if r == 1 else 0
-            b, r = Fraction(0), 0
+        if r == 1:  # sqrt(s*s) = s folds into the rational part
+            a += b * s
+        self._set(a, b * s, r)
+
+    def _set(self, a: Fraction, b: Fraction, d: int) -> None:
+        if not (b and d > 1):
+            b, d = Fraction(0), 0
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-        object.__setattr__(self, "d", r)
+        object.__setattr__(self, "d", d)
+
+    @classmethod
+    def _canonical(cls, a: Fraction, b: Fraction, d: int) -> QuadraticNumber:
+        """a + b*sqrt(d) for a square-free d, built without factoring."""
+        x = object.__new__(cls)
+        x._set(a, b, d)
+        return x
 
     @property
     def is_rational(self) -> bool:
@@ -81,38 +104,20 @@ class QuadraticNumber:
             raise ValueError(f"{self} is irrational")
         return self.a
 
-    def _sign(self) -> int:
-        """Exact sign of a + b*sqrt(d)."""
-        a, b = self.a, self.b
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return 1 if b > 0 else -1
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # opposite signs: compare a*a against b*b*d, sign decided by larger
-        lhs, rhs = a * a, b * b * self.d
-        if lhs == rhs:
-            return 0
-        big_is_a = lhs > rhs
-        return 1 if (a > 0) == big_is_a else -1
-
     def __add__(self, other):
         if isinstance(other, QuadraticNumber):
             if self.d == other.d or self.b == 0 or other.b == 0:
-                d = self.d or other.d
-                return QuadraticNumber(self.a + other.a, self.b + other.b, d)
+                return QuadraticNumber._canonical(
+                    self.a + other.a, self.b + other.b, self.d or other.d)
             return NotImplemented
         if isinstance(other, (int, Fraction)):
-            return QuadraticNumber(self.a + other, self.b, self.d)
+            return QuadraticNumber._canonical(self.a + other, self.b, self.d)
         return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadraticNumber(-self.a, -self.b, self.d)
+        return QuadraticNumber._canonical(-self.a, -self.b, self.d)
 
     def __sub__(self, other):
         if isinstance(other, (QuadraticNumber, int, Fraction)):
@@ -126,14 +131,14 @@ class QuadraticNumber:
         if isinstance(other, QuadraticNumber):
             if self.d == other.d or self.b == 0 or other.b == 0:
                 d = self.d or other.d
-                return QuadraticNumber(
+                return QuadraticNumber._canonical(
                     self.a * other.a + self.b * other.b * d,
                     self.a * other.b + self.b * other.a,
                     d,
                 )
             return NotImplemented
         if isinstance(other, (int, Fraction)):
-            return QuadraticNumber(self.a * other, self.b * other, self.d)
+            return QuadraticNumber._canonical(self.a * other, self.b * other, self.d)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -155,15 +160,15 @@ class QuadraticNumber:
         if isinstance(other, float) and math.isinf(other):
             return -1 if other > 0 else 1
         if isinstance(other, (int, Fraction, float)):
-            other = QuadraticNumber(other)
-        elif not isinstance(other, QuadraticNumber):
+            return _sign(self.a - Fraction(other), self.b, self.d)
+        if not isinstance(other, QuadraticNumber):
             raise TypeError(f"cannot order QuadraticNumber and "
                             f"{type(other).__name__}")
+        a = self.a - other.a
         if self.d == other.d or self.b == 0 or other.b == 0:
-            return (self - other)._sign()
+            return _sign(a, self.b - other.b, self.d or other.d)
         # different radicands: the sign of a + w with w = u + v,
         # u = b1*sqrt(d1) and v = -b2*sqrt(d2), decided by squaring twice
-        a = self.a - other.a
         u2, v2 = self.b * self.b * self.d, other.b * other.b * other.d
         su, sv = (1 if self.b > 0 else -1), (1 if other.b < 0 else -1)
         # u2 != v2, since d1/d2 is not the square of a rational
@@ -173,9 +178,8 @@ class QuadraticNumber:
             return sw
         # a and w differ in sign: compare a^2 with w^2 = u2 + v2 + 2uv,
         # never equal since sqrt(d1*d2) is irrational
-        gap = QuadraticNumber(a * a - u2 - v2, 2 * self.b * other.b,
-                              self.d * other.d)
-        return sa if gap._sign() > 0 else sw
+        gap = _sign(a * a - u2 - v2, 2 * self.b * other.b, self.d * other.d)
+        return sa if gap > 0 else sw
 
     def __lt__(self, other):
         return self._cmp(other) < 0
@@ -271,23 +275,6 @@ class Spectrum:
     def dimension(self) -> int:
         return sum(m for _, m in self.entries)
 
-    @property
-    def largest(self) -> Value:
-        return self.entries[0][0]
-
-    @property
-    def smallest(self) -> Value:
-        return self.entries[-1][0]
-
-    def multiplicity(self, value: Value, tol: float = 0.0) -> int:
-        for v, m in self.entries:
-            if v == value or abs(float(v) - float(value)) <= tol:
-                return m
-        return 0
-
-    def trace(self) -> float:
-        return sum(float(v) * m for v, m in self.entries)
-
     def inertia_counts(self) -> tuple[int, int, int]:
         """(positive, zero, negative) eigenvalue counts, exact where values are."""
         pos = zero = neg = 0
@@ -355,7 +342,12 @@ def error_bound(values: list[float]) -> float:
     return 4 * len(values) * sys.float_info.epsilon * math.hypot(*values)
 
 
-def spectra_match(a: Spectrum, b: Spectrum, tol: float = 1e-8) -> bool:
+# Largest deviation from a closed form, and largest error bound, that a
+# numeric spectrum may show and still match it.
+MATCH_TOL = 1e-8
+
+
+def spectra_match(a: Spectrum, b: Spectrum, tol: float = MATCH_TOL) -> bool:
     """True when both spectra agree in multiplicities and in values to tol."""
     return max_deviation(a, b) < tol
 

@@ -16,6 +16,38 @@ import numpy as np
 
 from distspec import (Graph, Spectrum, cluster_to_spectrum, distance_matrix,
                       sym_eigenvalues)
+from distspec.spectra import Value
+
+
+def degrees(g: Graph) -> list[int]:
+    return [g.degree(v) for v in range(g.n)]
+
+
+def adjacency_matrix(g: Graph) -> list[list[int]]:
+    a = [[0] * g.n for _ in range(g.n)]
+    for u, v in g.edges:
+        a[u][v] = a[v][u] = 1
+    return a
+
+
+def largest(s: Spectrum) -> Value:
+    return s.entries[0][0]
+
+
+def smallest(s: Spectrum) -> Value:
+    return s.entries[-1][0]
+
+
+def multiplicity(s: Spectrum, value: Value, tol: float = 0.0) -> int:
+    """Multiplicity of the entry equal to value, or within tol of it."""
+    for v, m in s.entries:
+        if v == value or abs(float(v) - float(value)) <= tol:
+            return m
+    return 0
+
+
+def trace(s: Spectrum) -> float:
+    return sum(float(v) * m for v, m in s.entries)
 
 
 def numeric_spectrum(g: Graph) -> Spectrum:

@@ -8,7 +8,7 @@ carries its tolerance and, where one applies, its runtime budget.
 import math
 import time
 
-from conftest import numeric_spectrum
+from conftest import largest, multiplicity, numeric_spectrum, smallest
 from distspec.bounds import (check_tree_bounds, enumerate_trees,
                              forcing_bound, zero_forcing_number)
 from distspec.closedforms import (barbell_determinant, barbell_inertia,
@@ -301,10 +301,10 @@ def test_criterion_11_cube_with_leaf():
     spec = numeric_spectrum(g)
     check(failures, len(spec.entries) == 5,
           f"{len(spec.entries)} clusters")
-    check(failures, round(float(spec.largest), 4) == 36.0366, "largest")
-    check(failures, round(float(spec.smallest), 4) == -10.3149, "smallest")
-    check(failures, spec.multiplicity(0.0, tol=1e-8) == 11, "null mult")
-    check(failures, spec.multiplicity(-8.0, tol=1e-8) == 3, "mult at -8")
+    check(failures, round(float(largest(spec)), 4) == 36.0366, "largest")
+    check(failures, round(float(smallest(spec)), 4) == -10.3149, "smallest")
+    check(failures, multiplicity(spec, 0.0, tol=1e-8) == 11, "null mult")
+    check(failures, multiplicity(spec, -8.0, tol=1e-8) == 3, "mult at -8")
     d = distance_matrix(g)
     check(failures, g.n - (len(d) - inertia_exact(d).zero) == 11,
           "exact null rank")

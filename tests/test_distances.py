@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import adjacency_matrix
 from distspec.distances import (DisconnectedError, distance_matrix,
                                 format_matrix, parse_matrix)
 from distspec.graphs import (Graph, cocktail_party, complete, cycle,
@@ -73,7 +74,7 @@ class TestDistanceMatrix:
     def test_diameter_two_identity(self):
         # for diameter <= 2, D = 2(J - I) - A entrywise
         g = petersen()
-        a = g.adjacency_matrix()
+        a = adjacency_matrix(g)
         d = distance_matrix(g)
         n = g.n
         for i in range(n):

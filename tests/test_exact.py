@@ -1,5 +1,5 @@
 """Exact integer/rational linear algebra: determinant, inertia, rank,
-minimal polynomial degree, quotient matrices."""
+minimal polynomial degree."""
 
 from fractions import Fraction
 
@@ -9,9 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from distspec.distances import distance_matrix
-from distspec.exact import (Inertia, check_partition, det_exact,
-                            distinct_eigenvalue_count, inertia_exact,
-                            quotient_matrix)
+from distspec.exact import (Inertia, det_exact, distinct_eigenvalue_count,
+                            inertia_exact)
 from distspec.graphs import (complete, cycle, generalized_barbell, hamming,
                              hypercube, hypercube_with_leaf, path, petersen)
 
@@ -176,36 +175,3 @@ class TestDistinctEigenvalueCount:
             if b - a > 1e-6:
                 clusters += 1
         assert distinct_eigenvalue_count(m) == clusters
-
-
-class TestQuotient:
-    def test_path_3_endpoints_vs_middle(self):
-        d = distance_matrix(path(3))
-        b, equitable = quotient_matrix(d, [[0, 2], [1]])
-        assert b == [[2, 1], [2, 0]]
-        assert equitable
-
-    def test_inequitable_partition_averages(self):
-        d = distance_matrix(path(4))
-        b, equitable = quotient_matrix(d, [[0, 1], [2, 3]])
-        assert not equitable
-        assert b[0][1] == Fraction(4)  # mean of row sums 5 and 3
-
-    def test_orbit_partition_of_barbell(self):
-        g = generalized_barbell(3, 3, 2)
-        d = distance_matrix(g)
-        # orbits under the automorphisms fixing each side:
-        # non-join clique vertices, join vertices, path vertices
-        cells = [[0, 1], [2], [3, 4], [5], [6], [7]]
-        _, equitable = quotient_matrix(d, cells)
-        assert equitable
-
-    def test_partition_validation(self):
-        with pytest.raises(ValueError, match="misses vertex"):
-            check_partition(3, [[0, 1]])
-        with pytest.raises(ValueError, match="two cells"):
-            check_partition(3, [[0, 1], [1, 2]])
-        with pytest.raises(ValueError, match="out of range"):
-            check_partition(3, [[0, 3], [1, 2]])
-        with pytest.raises(ValueError, match="empty"):
-            check_partition(2, [[0, 1], []])

@@ -57,7 +57,7 @@ def test_order_agrees_with_generator_and_closed_form(name):
             except ValueError:
                 pass
             else:
-                assert cf.order == n, p
+                assert cf.spectrum.dimension == n, p
         if n > 3000:
             continue
         try:

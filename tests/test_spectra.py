@@ -1,6 +1,7 @@
 """Exact value arithmetic and spectrum containers."""
 
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import permutations
 
@@ -8,6 +9,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import largest, multiplicity, smallest, trace
+from distspec import cli, spectra
 from distspec.spectra import (QuadraticNumber, Spectrum, _squarefree_split,
                               cluster_to_spectrum, error_bound, exact_string,
                               max_deviation, spectra_match)
@@ -142,20 +145,20 @@ class TestSpectrum:
 
     def test_multiplicity_lookup(self):
         s = Spectrum([(6, 1), (0, 3), (-2, 2)])
-        assert s.multiplicity(0) == 3
-        assert s.multiplicity(-2) == 2
-        assert s.multiplicity(7) == 0
-        assert s.multiplicity(-2 + 1e-12, tol=1e-9) == 2
+        assert multiplicity(s, 0) == 3
+        assert multiplicity(s, -2) == 2
+        assert multiplicity(s, 7) == 0
+        assert multiplicity(s, -2 + 1e-12, tol=1e-9) == 2
 
     def test_trace_and_inertia(self):
         s = Spectrum([(6, 1), (0, 3), (-2, 3)])
-        assert s.trace() == 0
+        assert trace(s) == 0
         assert s.inertia_counts() == (1, 3, 3)
 
     def test_largest_smallest(self):
         s = Spectrum([(6, 1), (0, 3), (-2, 3)])
-        assert s.largest == 6
-        assert s.smallest == -2
+        assert largest(s) == 6
+        assert smallest(s) == -2
 
     def test_json_dict_rounds_floats(self):
         s = Spectrum([(1.23456789012345e-5, 2)])
@@ -187,9 +190,9 @@ class TestSpectrumConstruction:
 
     def test_first_given_value_stands_for_equal_ones(self):
         s = Spectrum([(3, 1), (3.0, 2), (Fraction(6, 2), 1)])
-        assert s.entries == ((3, 4),) and type(s.largest) is int
+        assert s.entries == ((3, 4),) and type(largest(s)) is int
         s = Spectrum([(3.0, 1), (3, 1)])
-        assert s.entries == ((3.0, 2),) and type(s.largest) is float
+        assert s.entries == ((3.0, 2),) and type(largest(s)) is float
 
     def test_every_input_order_gives_one_tuple(self):
         mix = [(2, 1), (Fraction(1, 3), 1), (-0.5, 1), (qn(-3, 1, 5), 1),
@@ -294,3 +297,85 @@ class TestMixedRadicandOrder:
         ordered = sorted(vals)
         assert ordered == sorted(vals, key=float)
         assert all(a < b for a, b in zip(ordered, ordered[1:]))
+
+
+def decimal_value(a, b, d):
+    """Referee for the exact order: a + b*sqrt(d) to 80 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 80
+        return (Decimal(a.numerator) / a.denominator
+                + Decimal(b.numerator) / b.denominator * Decimal(d).sqrt())
+
+
+def decimal_sign(x, y):
+    """Sign of x - y by the referee; closer than 1e-70 counts as equal,
+    far below the gap between distinct values of such small height."""
+    gap = x - y
+    return 0 if abs(gap) < Decimal("1e-70") else 1 if gap > 0 else -1
+
+
+small_fractions = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 6))
+# square-free radicands, and inputs that reduce to them or to a square
+radicands = st.sampled_from([0, 1, 2, 3, 4, 5, 6, 7, 8, 12, 18, 20, 45, 50])
+
+
+class TestExactOrderReferee:
+    @given(small_fractions, small_fractions, radicands,
+           small_fractions, small_fractions, radicands)
+    def test_order_equality_and_differences(self, a1, b1, d1, a2, b2, d2):
+        x, y = QuadraticNumber(a1, b1, d1), QuadraticNumber(a2, b2, d2)
+        sign = decimal_sign(decimal_value(a1, b1, d1), decimal_value(a2, b2, d2))
+        assert (x < y, x == y, x > y) == (sign < 0, sign == 0, sign > 0)
+        assert (x <= y, x >= y) == (sign <= 0, sign >= 0)
+        if x.d == y.d or x.is_rational or y.is_rational:
+            diff = x - y
+            assert (diff > 0) - (diff < 0) == sign
+            assert (diff == 0) == (sign == 0)
+
+    @given(small_fractions, small_fractions, st.integers(0, 100))
+    def test_sign_for_any_radicand(self, a, b, d):
+        # squares included, where a + b*sqrt(d) can vanish with b != 0
+        zero = decimal_value(Fraction(0), Fraction(0), 0)
+        assert spectra._sign(a, b, d) == decimal_sign(decimal_value(a, b, d), zero)
+
+    def test_sign_of_vanishing_sums(self):
+        assert spectra._sign(Fraction(-3), Fraction(1), 9) == 0
+        assert spectra._sign(Fraction(4), Fraction(-2), 4) == 0
+        assert spectra._sign(Fraction(-2), Fraction(1), 8) == 1
+
+    @given(small_fractions, small_fractions, radicands,
+           st.floats(-100, 100) | small_fractions | st.integers(-100, 100))
+    def test_order_against_rationals_and_floats(self, a, b, d, other):
+        x = QuadraticNumber(a, b, d)
+        sign = decimal_sign(decimal_value(a, b, d),
+                            decimal_value(Fraction(other), Fraction(0), 0))
+        assert (x < other, x == other, x > other) == (
+            sign < 0, sign == 0, sign > 0)
+
+
+class TestFactorOnce:
+    def test_srg_splits_its_radicand_once(self, monkeypatch, capsys):
+        calls = []
+        split = spectra._squarefree_split
+        monkeypatch.setattr(spectra, "_squarefree_split",
+                            lambda d: calls.append(d) or split(d))
+        code = cli.main(["srg", "1000000000000037", "500000000000018",
+                         "250000000000008", "250000000000009"])
+        assert code == 0 and capsys.readouterr().out
+        assert [d for d in calls if d > 1] == [1000000000000037]
+
+    def test_comparing_radicands_factors_nothing(self, monkeypatch):
+        # two primes near 1e30: factoring their product by trial division
+        # up to its cube root would never finish
+        p, q = 10**30 + 57, 10**30 + 99
+        x = QuadraticNumber._canonical(Fraction(0), Fraction(1), p)
+        y = QuadraticNumber._canonical(Fraction(0), Fraction(1), q)
+
+        def refuse(d):
+            raise AssertionError(f"factored {d}")
+
+        monkeypatch.setattr(spectra, "_squarefree_split", refuse)
+        assert x < y and y > x and x != y and not x >= y
+        # sqrt(q) - sqrt(p) is about 2e-14, so 1 + sqrt(p) lies above
+        assert 1 + x > y and y < x + 1 and -x > -y
+        assert sorted([y, x + 1, -y, x, -x]) == [-y, -x, x, y, x + 1]

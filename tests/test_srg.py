@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import numeric_spectrum
+from conftest import adjacency_matrix, degrees, numeric_spectrum
 from distspec.distances import distance_matrix
 from distspec.exact import inertia_exact
 from distspec.graphs import (Graph, cocktail_party, complement, cycle,
@@ -43,7 +43,7 @@ def complete_tripartite_333() -> Graph:
 
 def srg_params_of(g: Graph) -> SrgParams:
     """Read off (n, k, lambda, mu) and assert strong regularity."""
-    degs = set(g.degrees())
+    degs = set(degrees(g))
     assert len(degs) == 1, "graph is not regular"
     k = degs.pop()
     common = lambda u, v: len(set(g.neighbors(u)) & set(g.neighbors(v)))
@@ -153,7 +153,7 @@ class TestEigenData:
             g = ctor()
             data = srg_eigen_data(SrgParams(*params))
             ref = sorted(np.linalg.eigvalsh(
-                np.array(g.adjacency_matrix(), dtype=float)), reverse=True)
+                np.array(adjacency_matrix(g), dtype=float)), reverse=True)
             assert abs(ref[0] - params[1]) < 1e-9
             mid = ref[1:1 + data.m_theta]
             low = ref[1 + data.m_theta:]
