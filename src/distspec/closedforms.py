@@ -33,15 +33,26 @@ def _comb0(a: int, b: int) -> int:
 # ---------------------------------------------------------------------------
 # spectra
 
+# the most (value, multiplicity) entries a closed form builds; only the
+# cycle's grow with its order
+ENTRY_CAP = 10 ** 6
+
+
 def cycle_spectrum(n: int) -> ClosedFormSpectrum:
     """Distance spectrum of the cycle C_n.
 
     Odd n = 2p+1: (n^2-1)/4 once and -sec^2(pi j / n)/4 twice for j = 1..p.
     Even n = 2p: n^2/4 once, 0 with multiplicity p-1, -csc^2(pi(2j-1)/n)
     twice for j = 1..p/2, and a single extra -1 exactly when p is odd.
+    The list has about n/2 entries for odd n and n/4 + 2 for even n; more
+    than ENTRY_CAP of them are refused before any is built.
     """
     if n < 3:
         raise ValueError("cycle needs n >= 3")
+    entries = (n + 1) // 2 if n % 2 else 2 + (n // 2 + 1) // 2
+    if entries > ENTRY_CAP:
+        raise ValueError(f"cycle({n}) has {entries} spectrum entries, "
+                         f"over the cap {ENTRY_CAP}")
     pairs: list[tuple[Value, int]] = []
     if n % 2:
         p = (n - 1) // 2

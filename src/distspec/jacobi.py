@@ -6,23 +6,26 @@ oracle that closed-form spectra are checked against, so it must not share
 code paths with them or with LAPACK-backed routines.  The matrix is scaled by
 a power of two and reduced to a symmetric tridiagonal T by Householder
 reflections, one column at a time (Golub & Van Loan, Matrix Computations,
-section 8.3.1).  Couplings of T no larger than n*eps*||A||_F are set to zero,
-which by Weyl's theorem moves no eigenvalue by more than twice that; on
-distance matrices with few distinct eigenvalues T then falls apart into short
-blocks.  A block of one row is its own eigenvalue.  Every other eigenvalue
-is located by the Sturm count of its block (Barth, Martin & Wilkinson,
-Numer. Math. 9, 1967), all of them at once as numpy arrays: the live blocks
-are laid side by side, longest first, so that one count costs as many
-Python steps as the longest block has rows and row i touches only the
-blocks longer than i.  Each round counts at 15 points per interval instead
-of one, which gains 4 bits per round instead of 1 for nearly the same Python
-cost.  The search stops at eps*||T||.  The count runs in slabs of rows
-without the guard against tiny pivots and checks each slab once, running
-it again with the guard only where a pivot came out tiny (Demmel & Li,
-IEEE Trans. Comput. 43(8), 1994; Marques, Riedy & Voemel, SIAM J. Sci.
-Comput. 28(5), 2006, as in LAPACK's dlaneg), so its results are those of
-the guarded count, bit for bit.  `spectra.error_bound` states the resulting
-normwise error estimate from the eigenvalues.
+section 8.3.1), which ends once the block left to reduce is no larger than
+n*eps*||A||_F: that block's diagonal is the rest of T, with zero couplings,
+so a distance matrix of rank r takes at most about 2r steps, not n.
+Couplings of T no larger than n*eps*||A||_F are set to zero.  By Weyl's
+theorem the stop moves no eigenvalue by more than n*eps*||A||_F and the split
+by no more than twice that; on distance matrices with few distinct
+eigenvalues T then falls apart into short blocks.  A block of one row is its
+own eigenvalue.  Every other eigenvalue is located by the Sturm count of its
+block (Barth, Martin & Wilkinson, Numer. Math. 9, 1967), all of them at
+once as numpy arrays: the live blocks are laid side by side, longest first,
+so that one count costs as many Python steps as the longest block has rows
+and row i touches only the blocks longer than i.  Each round counts at 15
+points per interval instead of one, which gains 4 bits per round instead of 1
+for nearly the same Python cost.  The search stops at eps*||T||.  The count
+runs in slabs of rows without the guard against tiny pivots and checks each
+slab once, running it again with the guard only where a pivot came out tiny
+(Demmel & Li, IEEE Trans. Comput. 43(8), 1994; Marques, Riedy & Voemel,
+SIAM J. Sci. Comput. 28(5), 2006, as in LAPACK's dlaneg), so its results
+are those of the guarded count, bit for bit.  `spectra.error_bound` states
+the resulting normwise error estimate from the eigenvalues.
 """
 
 from __future__ import annotations
@@ -84,31 +87,50 @@ def sym_eigenvalues(mat) -> list[float]:
     shift = min(max(math.frexp(top)[1], -1000), 1000)
     a *= math.ldexp(0.5, -shift)
     a = a + a.T
-    frob = math.sqrt(float(np.vdot(a, a)))
-    d, e = _tridiagonalize(a)
+    tol = n * _EPS * math.sqrt(float(np.vdot(a, a)))
+    d, e = _tridiagonalize(a, tol)
     del a  # an (n x n) array, not needed while searching
-    e[np.abs(e) <= n * _EPS * frob] = 0.0
+    e[np.abs(e) <= tol] = 0.0
     vals = _sturm_search(d, e) * math.ldexp(1.0, shift)
     return sorted(vals.tolist(), reverse=True)
 
 
-def _tridiagonalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _tridiagonalize(a: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal and off-diagonal of a tridiagonal matrix orthogonally
-    similar to the symmetric a, which is overwritten.
+    similar to the symmetric a, which is overwritten, to within tol =
+    n*eps*||a||_F.
 
     Column k is mapped onto its first subdiagonal entry by the reflection
     H = I - 2vv'/v'v, applied to the trailing block B as
     B - vw' - wv' with p = 2Bv/v'v and w = p - (v'p/v'v)v.  A column that is
     already zero below that entry needs no reflection and is skipped.  The
     rank-2 term is one matrix product into a buffer allocated once.
+
+    The reflections keep ||a||_F, so ||a[k:, k:]||_F^2 is ||a||_F^2 less
+    d_i^2 + 2e_i^2 for each i < k.  Once that running estimate is down to
+    its own rounding, n*eps*||a||_F^2, the block's norm is measured, and a
+    block no larger than tol is left as its diagonal with zero couplings,
+    which by Weyl's theorem moves no eigenvalue by more than tol.  A failed
+    check is made again only once the estimate has fallen to a quarter of
+    the measured norm^2.  A matrix of full rank never gets that low, and its
+    d and e are those of the reduction without the stop, bit for bit.
     """
     n = a.shape[0]
-    e = np.empty(n - 1)
+    e = np.zeros(n - 1)
     work = np.empty((n - 1) ** 2)
+    left = (tol / (n * _EPS)) ** 2
+    check = n * _EPS * left
     for k in range(n - 2):
+        if left <= check:
+            rest = a[k:, k:]
+            left = float(np.einsum("ij,ij->", rest, rest))  # copies no view
+            if left <= tol * tol:
+                break
+            check = left / 4
         x = a[k + 1:, k]
         sigma = float(x[1:] @ x[1:])
         x0 = float(x[0])
+        left -= float(a[k, k]) ** 2 + 2.0 * (x0 * x0 + sigma)
         if sigma == 0.0:
             e[k] = x0
             continue
@@ -124,7 +146,8 @@ def _tridiagonalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         np.matmul(pair.T, pair[::-1], out=rank2)
         b -= rank2
         e[k] = alpha
-    e[n - 2] = a[n - 1, n - 2]
+    else:
+        e[n - 2] = a[n - 1, n - 2]
     return a.diagonal().copy(), e
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 from .spectra import QuadraticNumber, Spectrum
 
@@ -222,21 +222,19 @@ def classify_one_positive(n: int, k: int, lam: int, mu: int | None = None) -> bo
 def feasible_parameter_sets(max_n: int) -> list[SrgParams]:
     """All feasible tuples with mu > 0 and n <= max_n, ascending.
 
-    Loops over n, k, lam and solves the counting identity for mu, so the
-    scan is cubic in max_n rather than quartic.
+    The counting identity k(k - lam - 1) = mu(n - k - 1) needs n - k - 1
+    to divide k(k - lam - 1), that is (n - k - 1)/g to divide k - lam - 1
+    with g = gcd(k, n - k - 1).  So for each n and k the candidates are
+    lam = k - 1 - j(n - k - 1)/g and mu = jk/g, j from the largest with
+    lam >= 0 and mu <= k down to 1, in ascending lam.
     """
     out = []
     for n in range(4, max_n + 1):
         for k in range(2, n - 1):
-            for lam in range(0, k):
-                num = k * (k - lam - 1)
-                den = n - k - 1
-                if num % den != 0:
-                    continue
-                mu = num // den
-                if not 1 <= mu <= k:
-                    continue
-                p = SrgParams(n, k, lam, mu)
+            den = n - k - 1
+            g = gcd(k, den)
+            for j in range(min(g, (k - 1) * g // den), 0, -1):
+                p = SrgParams(n, k, k - 1 - j * den // g, j * k // g)
                 if p.is_feasible():
                     out.append(p)
     return out

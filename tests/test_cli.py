@@ -486,6 +486,16 @@ class TestSizeBeforeBuilding:
         assert time.perf_counter() - start < 1
         assert (code, out, err) == (EXIT_USAGE, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("flags", [(), ("--verify",)])
+    def test_cycle_over_the_entry_cap_is_refused(self, capsys, no_graphs,
+                                                 flags):
+        # 2,500,002 closed-form entries, and an order over the solver's cap
+        start = time.perf_counter()
+        code, out, err = run(capsys, "spectrum", "cycle", "10000000", *flags)
+        assert time.perf_counter() - start < 1
+        assert (code, out, err) == (
+            EXIT_USAGE, "", "error: order 10000000 exceeds the supported cap 1500\n")
+
     def test_verify_without_a_closed_form_builds_nothing(self, capsys,
                                                          no_graphs):
         code, out, err = run(capsys, "spectrum", "path", "5", "--verify")

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import multiplicity, numeric_spectrum, trace
+from distspec import closedforms
 from distspec.closedforms import (ClosedFormSpectrum, barbell_determinant,
                                   barbell_inertia, cocktail_party_spectrum,
                                   complete_spectrum, cycle_spectrum,
@@ -140,6 +141,20 @@ class TestFrozenValues:
         s = cycle_spectrum(40000).spectrum
         assert time.perf_counter() - start < 1
         assert len(s.entries) == 10002 and s.dimension == 40000
+
+    def test_entry_cap_is_checked_before_building(self, monkeypatch):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"^cycle\(10000000\) has "
+                           r"2500002 spectrum entries, over the cap 1000000$"):
+            cycle_spectrum(10 ** 7)
+        assert time.perf_counter() - start < 0.1
+        # the count is exact: 5 entries for n = 9, 10 and 12, 6 for 11 and 14
+        monkeypatch.setattr(closedforms, "ENTRY_CAP", 5)
+        for n in (9, 10, 12):
+            assert len(cycle_spectrum(n).spectrum.entries) == 5
+        for n in (11, 14):
+            with pytest.raises(ValueError, match="6 spectrum entries"):
+                cycle_spectrum(n)
 
     def test_hamming(self):
         assert hamming_spectrum(2, 3).spectrum.entries == \

@@ -12,7 +12,8 @@ from distspec import jacobi
 from distspec.cli import FAMILIES
 from distspec.distances import distance_matrix
 from distspec.exact import distinct_eigenvalue_count
-from distspec.graphs import (cycle, hypercube, hypercube_with_leaf,
+from distspec.graphs import (complete, cycle, halved_cube, hamming,
+                             hypercube, hypercube_with_leaf, johnson, kneser,
                              make_graph, path, petersen)
 from distspec.jacobi import MAX_ORDER, sym_eigenvalues
 from distspec.spectra import cluster_to_spectrum, error_bound
@@ -404,3 +405,118 @@ class TestRedo:
             a = np.diag(np.ones(n - 1), 1)
             assert_same_bits(a + a.T)
         assert_same_bits(distance_matrix(path(9)))
+
+
+def unstopped_reduction(a):
+    """The Householder reduction of a copy of a through every column, with
+    no stop: the plain form of `jacobi._tridiagonalize`, with the same
+    floating-point operations in each step."""
+    a = a.copy()
+    n = len(a)
+    e = np.empty(n - 1)
+    for k in range(n - 2):
+        x = a[k + 1:, k]
+        sigma = float(x[1:] @ x[1:])
+        x0 = float(x[0])
+        if sigma == 0.0:
+            e[k] = x0
+            continue
+        alpha = -math.copysign(math.sqrt(x0 * x0 + sigma), x0)
+        v = x.copy()
+        v[0] = x0 - alpha
+        vv = sigma + v[0] * v[0]
+        b = a[k + 1:, k + 1:]
+        p = (b @ v) * (2.0 / vv)
+        w = p - (float(v @ p) / vv) * v
+        pair = np.array((v, w))
+        b -= pair.T @ pair[::-1]
+        e[k] = alpha
+    e[n - 2] = a[n - 1, n - 2]
+    return a.diagonal().copy(), e
+
+
+def graph_id(value):
+    """A generator's name, or its parameters joined by dashes."""
+    return value.__name__ if callable(value) else "-".join(map(str, value))
+
+
+def reduction(mat):
+    """The scaled matrix the solver reduces for mat, and the d and e the
+    reduction returns, before the split rule zeroes any coupling."""
+    seen = []
+    reduce = jacobi._tridiagonalize
+
+    def record(a, tol):
+        seen.append(a.copy())
+        d, e = reduce(a, tol)
+        seen.append((d.copy(), e.copy()))
+        return d, e
+
+    with mock.patch.object(jacobi, "_tridiagonalize", record):
+        sym_eigenvalues(mat)
+    a, (d, e) = seen
+    return a, d, e
+
+
+class TestEarlyStop:
+    """The reduction ends once the trailing block is no larger than
+    tol = n*eps*||A||_F, leaving its diagonal with zero couplings."""
+
+    @pytest.mark.parametrize("gen,args", [
+        (random_connected, args) for args in [
+            (40, 0.02, 1), (40, 0.6, 2), (55, 0.1, 3), (70, 0.3, 4),
+            (90, 0.02, 5), (110, 0.6, 6), (130, 0.1, 7), (150, 0.3, 8)]] +
+        [(complete, (25,)), (kneser, (9, 4))] +
+        [(cycle, (n,)) for n in range(5, 40, 6)], ids=graph_id)
+    def test_matrices_that_never_stop_reduce_bit_for_bit(self, gen, args):
+        a, d, e = reduction(distance_matrix(gen(*args)))
+        d0, e0 = unstopped_reduction(a)
+        assert d.tobytes() == d0.tobytes() and e.tobytes() == e0.tobytes()
+
+    @pytest.mark.parametrize("gen,args", [
+        (hypercube, (8,)), (hamming, (4, 4)), (johnson, (9, 4)),
+        (halved_cube, (9,))], ids=graph_id)
+    def test_low_rank_couplings_end_at_twice_the_rank(self, gen, args):
+        dm = distance_matrix(gen(*args))
+        tail = 2 * np.linalg.matrix_rank(np.array(dm, dtype=float)) + 2
+        a, d, e = reduction(dm)
+        assert np.all(e[tail:] == 0.0)
+        # without the stop they are rounding noise, not zeros
+        assert np.any(unstopped_reduction(a)[1][tail:] != 0.0)
+
+    @staticmethod
+    def rank_one_plus(size):
+        """J of order 30 and [0 delta; delta 0], ||.||_F = size * tol,
+        side by side, with tol = n*eps*||A||_F of the whole matrix."""
+        n = 32
+        tol = n * np.finfo(float).eps * 30.0
+        delta = size * tol / math.sqrt(2)
+        a = np.zeros((n, n))
+        a[:30, :30] = 1.0
+        a[30, 31] = a[31, 30] = delta
+        return a, tol
+
+    def test_block_above_tol_is_still_resolved(self):
+        a, tol = self.rank_one_plus(4)
+        ours, ref = sym_eigenvalues(a), eigvalsh(a)
+        assert max(abs(x - y) for x, y in zip(ours, ref)) <= tol
+        assert ours[1] >= 2 * tol and ours[-1] <= -2 * tol
+
+    def test_failed_check_is_not_made_again_each_step(self):
+        # after it, the block loses only rounding noise at each step
+        a, _ = self.rank_one_plus(4)
+        with mock.patch.object(np, "einsum", wraps=np.einsum) as norm:
+            sym_eigenvalues(a)
+        assert norm.call_count == 1
+
+    def test_block_below_tol_moves_no_eigenvalue_beyond_it(self):
+        a, tol = self.rank_one_plus(0.25)
+        _, _, e = reduction(a)
+        assert np.all(e[1:] == 0.0)
+        ours, ref = sym_eigenvalues(a), eigvalsh(a)
+        assert max(abs(x - y) for x, y in zip(ours, ref)) <= tol
+
+    @pytest.mark.parametrize("gen,args", [(hypercube, (10,)),
+                                          (johnson, (12, 6))], ids=graph_id)
+    def test_large_low_rank_within_the_bound(self, gen, args):
+        assert_matches_eigvalsh(distance_matrix(gen(*args)))

@@ -337,3 +337,21 @@ class TestFeasibleSweep:
     def test_sorted_deterministic(self):
         sets = [p.as_tuple() for p in feasible_parameter_sets(40)]
         assert sets == sorted(sets)
+
+    def test_same_list_as_the_cubic_scan(self):
+        assert feasible_parameter_sets(200) == cubic_scan(200)
+
+
+def cubic_scan(max_n):
+    """Every (n, k, lam) with mu solved from the counting identity: the
+    plain form of `feasible_parameter_sets`, in the same order."""
+    out = []
+    for n in range(4, max_n + 1):
+        for k in range(2, n - 1):
+            for lam in range(0, k):
+                num, den = k * (k - lam - 1), n - k - 1
+                if num % den == 0 and 1 <= num // den <= k:
+                    p = SrgParams(n, k, lam, num // den)
+                    if p.is_feasible():
+                        out.append(p)
+    return out
