@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
+from typing import Iterator
 
 from .distances import distance_matrix
 from .exact import distinct_eigenvalue_count
@@ -171,26 +172,26 @@ def tree_canonical_code(n: int, edges: list[tuple[int, int]]) -> str:
     return min(_rooted_code(adj, c) for c in _tree_centers(adj))
 
 
-def enumerate_trees(n: int) -> list[Graph]:
-    """One representative per isomorphism class of trees on n vertices.
+def trees_by_order(max_n: int) -> Iterator[list[Graph]]:
+    """One representative per isomorphism class of trees, as one list for
+    each order 2, 3, ..., max_n in turn.
 
-    Grows trees by attaching a leaf to every vertex of every smaller class
-    and deduplicating by canonical code; every tree arises from a leaf
-    deletion, so the sweep is exhaustive.
+    Each order grows from the last by attaching a leaf to every vertex of
+    every class and deduplicating by canonical code; every tree arises from
+    a leaf deletion, so the sweep is exhaustive.
     """
-    if n < 2:
-        raise ValueError("tree enumeration starts at n = 2")
     reps: list[list[tuple[int, int]]] = [[(0, 1)]]
-    for order in range(3, n + 1):
-        seen: dict[str, list[tuple[int, int]]] = {}
-        for edges in reps:
-            for v in range(order - 1):
-                grown = edges + [(v, order - 1)]
-                code = tree_canonical_code(order, grown)
-                if code not in seen:
-                    seen[code] = grown
-        reps = [seen[c] for c in sorted(seen)]
-    return [make_graph(n, edges) for edges in reps]
+    for order in range(2, max_n + 1):
+        if order > 2:
+            seen: dict[str, list[tuple[int, int]]] = {}
+            for edges in reps:
+                for v in range(order - 1):
+                    grown = edges + [(v, order - 1)]
+                    code = tree_canonical_code(order, grown)
+                    if code not in seen:
+                        seen[code] = grown
+            reps = [seen[c] for c in sorted(seen)]
+        yield [make_graph(order, edges) for edges in reps]
 
 
 @dataclass(frozen=True)

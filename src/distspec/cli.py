@@ -32,6 +32,7 @@ Output is deterministic; floats are printed with 12 significant digits.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -39,8 +40,8 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, NoReturn, Optional, Sequence
 
-from .bounds import (ZF_ORDER_CAP, check_tree_bounds, enumerate_trees,
-                     forcing_bound, zero_forcing_number)
+from .bounds import (ZF_ORDER_CAP, check_tree_bounds, forcing_bound,
+                     trees_by_order, zero_forcing_number)
 from .closedforms import (LEMMA_RANGES, ClosedFormSpectrum, _comb0,
                           barbell_determinant, barbell_inertia,
                           cocktail_party_spectrum, complete_spectrum,
@@ -202,6 +203,9 @@ def _spectrum_report(name: str, params: Sequence[int], *,
         except ValueError as exc:
             if verify:
                 raise
+            if out["n"] > MAX_ORDER:  # the numeric route refuses too
+                raise ValueError(f"{exc}; order {out['n']} exceeds the "
+                                 f"supported cap {MAX_ORDER}") from None
             note = f"closed form unavailable here ({exc}); using numeric solver"
         else:
             closed = cf.spectrum
@@ -405,18 +409,16 @@ def cmd_srg(args: argparse.Namespace) -> int:
 
 def cmd_verify_trees(args: argparse.Namespace) -> int:
     any_strong = 0
-    for order in range(2, args.max_order + 1):
+    for order, trees in enumerate(trees_by_order(args.max_order), start=2):
         strong = weak = 0
-        count = 0
-        for t in enumerate_trees(order):
+        for t in trees:
             rep = check_tree_bounds(t)
-            count += 1
             if not rep.strong_holds:
                 strong += 1
             if not rep.half_floor_holds:
                 weak += 1
         any_strong += strong + weak
-        print(json.dumps({"order": order, "trees": count,
+        print(json.dumps({"order": order, "trees": len(trees),
                           "strong_violations": strong,
                           "weak_violations": weak}, sort_keys=True))
     return EXIT_OK if any_strong == 0 else EXIT_FAIL
@@ -466,7 +468,11 @@ def _add_family_arg(sp: argparse.ArgumentParser) -> None:
                     help="family parameters, e.g. `hamming 2 4`")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `distspec` parser, built on the first call and shared by every
+    later one in the process.  argparse keeps no parse state on a parser,
+    so reuse changes no output; callers must not mutate it."""
     ap = _Parser(
         prog="distspec",
         description="distance spectra of graphs: exact formulas, "
@@ -528,6 +534,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command and return its exit code.  Every call parses with
+    the one shared `build_parser()`, which callers must not mutate."""
     # GraphError, DisconnectedError and SrgParameterError are ValueErrors
     try:
         args = build_parser().parse_args(argv)

@@ -16,6 +16,7 @@ import numpy as np
 
 from distspec import (Graph, Spectrum, cluster_to_spectrum, distance_matrix,
                       sym_eigenvalues)
+from distspec.bounds import trees_by_order
 from distspec.spectra import Value
 
 
@@ -28,6 +29,13 @@ def adjacency_matrix(g: Graph) -> list[list[int]]:
     for u, v in g.edges:
         a[u][v] = a[v][u] = 1
     return a
+
+
+def enumerate_trees(n: int) -> list[Graph]:
+    """One representative per isomorphism class of trees on n >= 2
+    vertices, in the order `bounds.trees_by_order` yields them."""
+    *_, last = trees_by_order(n)
+    return last
 
 
 def largest(s: Spectrum) -> Value:

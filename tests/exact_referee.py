@@ -10,7 +10,7 @@ either:
     otherwise (congruence preserves inertia);
   - `krylov_distinct_count`: degree of the minimal polynomial, the first k
     for which I, M, ..., M^k become linearly dependent, tested on flattened
-    upper triangles over `Fraction`;
+    upper triangles by fraction-free elimination over Python ints;
   - `fraction_rank_det`: Gaussian elimination over `Fraction`;
   - `leverrier_charpoly`: the characteristic polynomial by the
     Faddeev-LeVerrier trace recurrence over `Fraction`.
@@ -18,6 +18,7 @@ either:
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from distspec.exact import Inertia
@@ -130,19 +131,23 @@ def krylov_distinct_count(mat) -> int:
         return out
 
     power = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    basis: list[tuple[int, list[Fraction]]] = []  # (pivot position, reduced row)
+    basis: list[tuple[int, list[int]]] = []  # (pivot position, reduced row)
     for k in range(n + 1):
-        vec = [Fraction(power[i][j]) for i, j in idx]
+        vec = [power[i][j] for i, j in idx]
         for pivot_pos, row in basis:
             f = vec[pivot_pos]
             if f:
-                for c in range(pivot_pos, len(vec)):
-                    vec[c] -= f * row[c]
+                # fraction-free: vec = a*vec - f*row clears the pivot, and
+                # dividing out the gcd keeps the entries small
+                a = row[pivot_pos]
+                vec = [a * x - f * r for x, r in zip(vec, row)]
+                g = math.gcd(*vec)
+                if g > 1:
+                    vec = [x // g for x in vec]
         lead = next((c for c, x in enumerate(vec) if x != 0), None)
         if lead is None:
             return k
-        inv = 1 / vec[lead]
-        basis.append((lead, [x * inv for x in vec]))
+        basis.append((lead, vec))
         power = matmul(power)
     raise AssertionError("minimal polynomial search failed to terminate")
 

@@ -2,6 +2,9 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -323,6 +326,59 @@ def test_every_refusal_is_one_line_from_main(capsys, argv, message):
         and err.endswith("\n")
 
 
+class TestSharedParser:
+    def test_no_parser_is_built_after_the_first_call(self, capsys,
+                                                     monkeypatch):
+        main(["srg", "5", "2", "0", "1"])
+        built = []
+        init = cli._Parser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counted)
+        requests = ["spectrum complete 5", "srg 16 6 2 2", "det path 4",
+                    "matrix path 3", "verify-trees --max-order 4",
+                    "zf-bound cycle 5", "spectrum klein-bottle",
+                    "verify cycle --d 3..4", "srg 5 7 0 1", "spectrum"]
+        for k in range(50):
+            main(requests[k % len(requests)].split())
+        capsys.readouterr()
+        assert built == []
+        cli._Parser(prog="probe")  # the counter does count
+        assert built == ["probe"]
+
+    def test_range_flags_do_not_carry_over(self, capsys):
+        code, data, _ = run_json(capsys, "verify", "cycle", "--n", "3..5",
+                                 "--format", "json")
+        assert (code, data["instances"]) == (EXIT_OK, 3)
+        code, data, _ = run_json(capsys, "verify", "cycle", "--format",
+                                 "json")
+        assert code == EXIT_OK
+        assert [r["params"] for r in data["results"]] == \
+            [[n] for n in range(3, 41)]
+
+    def test_verify_flag_does_not_carry_over(self, capsys):
+        code, data, _ = run_json(capsys, "spectrum", "petersen", "--verify")
+        assert code == EXIT_OK and "numeric" in data
+        code, data, _ = run_json(capsys, "spectrum", "petersen")
+        assert code == EXIT_OK and "numeric" not in data
+
+    def test_a_refusal_leaves_no_trace(self, capsys):
+        argv = ["spectrum", "petersen", "--numeric", "--format", "text"]
+        fresh = subprocess.run(
+            [sys.executable, "-m", "distspec.cli", *argv],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        assert (fresh.returncode, fresh.stderr) == (EXIT_OK, "")
+        for refusal in ("spectrum petersen --numeric --verify",
+                        "spectrum klein-bottle", "srg 5 7 0 1"):
+            code, _, err = run(capsys, *refusal.split())
+            assert code == EXIT_USAGE and err.startswith("error: ")
+            assert run(capsys, *argv) == (EXIT_OK, fresh.stdout, "")
+
+
 class TestSrg:
     def test_conference_13(self, capsys):
         code, data, _ = run_json(capsys, "srg", "13", "6", "2", "3")
@@ -489,12 +545,23 @@ class TestSizeBeforeBuilding:
     @pytest.mark.parametrize("flags", [(), ("--verify",)])
     def test_cycle_over_the_entry_cap_is_refused(self, capsys, no_graphs,
                                                  flags):
-        # 2,500,002 closed-form entries, and an order over the solver's cap
+        # 2,500,002 closed-form entries, and an order over the solver's cap;
+        # --verify checks the order first, so only that refusal is named
+        closed = "" if flags else ("cycle(10000000) has 2500002 spectrum "
+                                   "entries, over the cap 1000000; ")
         start = time.perf_counter()
         code, out, err = run(capsys, "spectrum", "cycle", "10000000", *flags)
         assert time.perf_counter() - start < 1
         assert (code, out, err) == (
-            EXIT_USAGE, "", "error: order 10000000 exceeds the supported cap 1500\n")
+            EXIT_USAGE, "",
+            f"error: {closed}order 10000000 exceeds the supported cap 1500\n")
+
+    def test_cycle_refusal_names_both_caps(self, capsys, no_graphs):
+        code, out, err = run(capsys, "spectrum", "cycle", "2000001")
+        assert (code, out, err) == (
+            EXIT_USAGE, "",
+            "error: cycle(2000001) has 1000001 spectrum entries, over the cap "
+            "1000000; order 2000001 exceeds the supported cap 1500\n")
 
     def test_verify_without_a_closed_form_builds_nothing(self, capsys,
                                                          no_graphs):

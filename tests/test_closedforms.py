@@ -411,7 +411,7 @@ class TestDeterminantFormulas:
         assert tree_determinant(4) == -3 * 4
 
     def test_tree_formula_is_shape_independent(self):
-        from distspec.bounds import enumerate_trees
+        from conftest import enumerate_trees
         for t in enumerate_trees(7):
             assert det_exact(distance_matrix(t)) == tree_determinant(7)
 

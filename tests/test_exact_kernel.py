@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import enumerate_trees
 from distspec import exact
-from distspec.bounds import enumerate_trees
 from distspec.distances import distance_matrix
 from distspec.exact import (Inertia, det_exact, distinct_eigenvalue_count,
                             inertia_exact)
