@@ -35,6 +35,9 @@ from .exact import distinct_eigenvalue_count
 from .graphs import Graph, make_graph
 
 ZF_ORDER_CAP = 24
+# largest `verify-trees --max-order`: each order costs about 2.7x the last,
+# and order 14 takes about 12 s on a 2-vCPU Xeon
+TREE_ORDER_CAP = 14
 
 
 def _adj_masks(g: Graph) -> list[int]:

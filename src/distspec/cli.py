@@ -15,13 +15,15 @@ its parameters, generator, order, domain, closed forms and default `verify`
 grid.  Each route checks the order of a request against its own cap before
 it builds a graph: `jacobi.MAX_ORDER` for numeric spectra, `verify` spectrum
 sweeps and `matrix`, `exact.EXACT_ORDER_CAP` for `det` and determinant
-sweeps, and `bounds.ZF_ORDER_CAP` for `zf-bound`.  A request over its cap is
-a usage error, and a grid point over it is left out of the sweep.  A
-closed-form `spectrum` builds no graph at all, nor does `--verify` where the
-family has no closed form.  The solver's error estimate comes from the
-eigenvalues (`spectra.error_bound`); numeric eigenvalues closer than twice
-it are grouped as one.  A closed form and the numeric spectrum match when
-both their deviation and that estimate are below `MATCH_TOL`, 1e-8.
+sweeps, and `bounds.ZF_ORDER_CAP` for `zf-bound`; `bounds.TREE_ORDER_CAP`
+and `closedforms.LEMMA_CAP` bound the `verify-trees` and `lemma-identities`
+sweeps.  A request over its cap is a usage error, and a grid point over it
+is left out of the sweep.  A closed-form `spectrum` builds no graph at all,
+nor does `--verify` where the family has no closed form.  The solver's error
+estimate comes from the eigenvalues (`spectra.error_bound`); numeric
+eigenvalues closer than twice it are grouped as one.  A closed form and the
+numeric spectrum match when both their deviation and that estimate are
+below `MATCH_TOL`, 1e-8.
 
 Exit codes: 0 success (and every check passed), 1 a verification failed,
 2 bad usage or invalid parameters.  `main` refuses every bad request, the
@@ -40,9 +42,9 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, NoReturn, Optional, Sequence
 
-from .bounds import (ZF_ORDER_CAP, check_tree_bounds, forcing_bound,
-                     trees_by_order, zero_forcing_number)
-from .closedforms import (LEMMA_RANGES, ClosedFormSpectrum, _comb0,
+from .bounds import (TREE_ORDER_CAP, ZF_ORDER_CAP, check_tree_bounds,
+                     forcing_bound, trees_by_order, zero_forcing_number)
+from .closedforms import (LEMMA_CAP, LEMMA_RANGES, ClosedFormSpectrum, _comb0,
                           barbell_determinant, barbell_inertia,
                           cocktail_party_spectrum, complete_spectrum,
                           cycle_spectrum, dodecahedron_spectrum,
@@ -61,8 +63,8 @@ from .graphs import (Graph, GraphError, cocktail_party, complement, complete,
                      hypercube_with_leaf, icosahedron, johnson, kneser,
                      lollipop, odd_graph, path, petersen, shrikhande)
 from .jacobi import MAX_ORDER, sym_eigenvalues
-from .spectra import (MATCH_TOL, Spectrum, _fmt, cluster_to_spectrum,
-                      error_bound, exact_string, max_deviation)
+from .spectra import (MATCH_TOL, _fmt, cluster_to_spectrum, error_bound,
+                      max_deviation)
 from .srg import (SrgParams, classify_one_positive, complement_params,
                   is_conference, is_optimistic, srg_eigen_data)
 
@@ -146,9 +148,8 @@ def _family(name: str, params: Sequence[int]) -> Family:
     return fam
 
 
-def _build(name: str, params: Sequence[int], cap: int, what: str) -> Graph:
+def _build(fam: Family, params: Sequence[int], cap: int, what: str) -> Graph:
     """The graph, after its order is checked against the route's cap."""
-    fam = _family(name, params)
     n = fam.order(*params)
     if n > cap:
         raise ValueError(f"order {n} exceeds the {what} cap {cap}")
@@ -172,75 +173,69 @@ def _parse_range(text: str) -> range:
 
 
 def _spectrum_report(name: str, params: Sequence[int], *,
-                     verify: bool = False,
-                     numeric: bool = False) -> tuple[dict, Spectrum]:
-    """The `spectrum` JSON document of one instance, and the spectrum it
-    reports: the closed form if one was used, else the numeric one.
+                     verify: bool = False, numeric: bool = False) -> dict:
+    """The `spectrum` JSON document of one instance.
 
-    Inside the family's domain the closed form comes first, and the graph
-    is built only for the numeric route; outside it the graph is built
-    first, so bad parameters meet the generator's message.  A closed form
-    that refuses the parameters hands over to the numeric route with a note,
-    or raises if verify is set: there is then nothing to verify against.
+    The graph comes first outside the family's domain, so bad parameters
+    meet the generator's message, and under verify or numeric or where the
+    family has no closed form; otherwise the closed form answers without
+    one.  A closed form that refuses the parameters hands over to the
+    numeric route with a note, or raises if verify is set: there is then
+    nothing to verify against.
     """
     fam = _family(name, params)
     if verify and fam.closed is None:
         raise ValueError(f"{name} has no closed-form spectrum to verify")
-    out: dict = {"family": name, "params": list(params),
-                 "n": fam.order(*params)}
-    use_closed = fam.closed is not None and not numeric
-    g = None
-    if verify or not (use_closed and fam.domain(*params)):
-        g = _build(name, params, MAX_ORDER, "supported")
-    closed: Optional[Spectrum] = None
-    note: Optional[str] = None
-    if use_closed:
+    n = fam.order(*params)
+    out: dict = {"family": name, "params": list(params), "n": n}
+    graph = functools.cache(lambda: _build(fam, params, MAX_ORDER, "supported"))
+    if verify or numeric or fam.closed is None or not fam.domain(*params):
+        graph()
+    closed = None
+    if fam.closed is None:
+        out["note"] = "no closed form for this family; using numeric solver"
+    elif not numeric:
         # D's largest eigenvalue is at least its least row sum, >= n - 1
-        if out["n"] - 1 > sys.float_info.max:
+        if n - 1 > sys.float_info.max:
             raise ValueError("value beyond the float range +-1.8e308")
         try:
             cf = fam.closed(*params)
         except ValueError as exc:
             if verify:
                 raise
-            if out["n"] > MAX_ORDER:  # the numeric route refuses too
-                raise ValueError(f"{exc}; order {out['n']} exceeds the "
-                                 f"supported cap {MAX_ORDER}") from None
-            note = f"closed form unavailable here ({exc}); using numeric solver"
+            if n > MAX_ORDER:  # the numeric route refuses too
+                raise ValueError(f"{exc}; order {n} exceeds the supported "
+                                 f"cap {MAX_ORDER}") from None
+            out["note"] = (f"closed form unavailable here ({exc}); "
+                           "using numeric solver")
         else:
             closed = cf.spectrum
             out["closed_form"] = {**closed.to_json_dict(),
                                   "formula": cf.formula}
-    elif fam.closed is None:
-        note = "no closed form for this family; using numeric solver"
+            if not verify:
+                return out
 
-    if verify or closed is None:
-        if g is None:
-            g = _build(name, params, MAX_ORDER, "supported")
-        vals = sym_eigenvalues(distance_matrix(g))
-        num = cluster_to_spectrum(vals)
-        out["numeric"] = num.to_json_dict()
-        if closed is not None:
-            # a solver that cannot promise MATCH_TOL proves nothing
-            bound = error_bound(vals)
-            dev = max_deviation(closed, num)
-            out["match"] = dev < MATCH_TOL and bound < MATCH_TOL
-            out["max_deviation"] = _fmt(dev)
-            out["error_bound"] = _fmt(bound)
-    if note:
-        out["note"] = note
-    return out, num if closed is None else closed
+    vals = sym_eigenvalues(distance_matrix(graph()))
+    num = cluster_to_spectrum(vals)
+    out["numeric"] = num.to_json_dict()
+    if closed is not None:
+        # a solver that cannot promise MATCH_TOL proves nothing
+        bound = error_bound(vals)
+        dev = max_deviation(closed, num)
+        out["match"] = dev < MATCH_TOL and bound < MATCH_TOL
+        out["max_deviation"] = _fmt(dev)
+        out["error_bound"] = _fmt(bound)
+    return out
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
-    out, spec = _spectrum_report(args.family, args.params, verify=args.verify,
-                                 numeric=args.numeric)
+    out = _spectrum_report(args.family, args.params, verify=args.verify,
+                           numeric=args.numeric)
     if args.format == "text":
         print(f"{args.family} {' '.join(map(str, args.params))}  n={out['n']}")
-        for value, mult in spec.entries:
-            exact = exact_string(value)
-            tail = f"  [{exact}]" if exact else ""
-            print(f"  {_fmt(value):.12g} ^ {mult}{tail}")
+        for e in (out.get("closed_form") or out["numeric"])["eigs"]:
+            tail = f"  [{e['exact']}]" if e["exact"] else ""
+            print(f"  {e['value']:.12g} ^ {e['mult']}{tail}")
         if "match" in out:
             print(f"  match={str(out['match']).lower()}"
                   f"  max_deviation={out['max_deviation']:.3g}"
@@ -256,10 +251,9 @@ def _det_report(name: str, params: Sequence[int]) -> dict:
     """The `det` JSON document of one instance: exact determinant and
     inertia, against the family's formulas where it has them."""
     fam = _family(name, params)
-    g = _build(name, params, EXACT_ORDER_CAP, "exact search")
-    dm = distance_matrix(g)
+    dm = distance_matrix(_build(fam, params, EXACT_ORDER_CAP, "exact search"))
     det, inertia = det_exact(dm), inertia_exact(dm)
-    out: dict = {"family": name, "params": list(params), "n": g.n,
+    out: dict = {"family": name, "params": list(params), "n": len(dm),
                  "det": det, "inertia": list(inertia.as_tuple())}
     if fam.det is not None:
         formula_inertia = fam.inertia(*params)
@@ -310,6 +304,10 @@ def _pick(doc: dict, *keys: str) -> dict:
 
 def _lemma_jobs(max_index: int, max_b: int) -> list[tuple[int, dict]]:
     """Every identity over its range: b up to max_b, the rest to max_index."""
+    for flag, top in (("--max", max_index), ("--max-b", max_b)):
+        if top > LEMMA_CAP:
+            raise ValueError(f"{flag} {top} exceeds the lemma-identities "
+                             f"cap {LEMMA_CAP}")
     return [(sel, dict(zip(lows, point)))
             for sel, lows in LEMMA_RANGES.items()
             for point in itertools.product(
@@ -337,8 +335,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     elif fam.closed is None:
         raise ValueError(f"{target} has no closed-form spectrum to verify")
     else:
-        results = [_pick(_spectrum_report(target, p, verify=True)[0],
-                         "match", "max_deviation", "error_bound")
+        results = [_pick(_spectrum_report(target, p, verify=True), "match",
+                         "max_deviation", "error_bound")
                    for p in _grid_instances(target, args, MAX_ORDER)]
 
     failures = sum(1 for r in results if not r["match"])
@@ -359,15 +357,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def _print_csv(results: list[dict]) -> None:
     import csv
-    keys: list[str] = []
-    for r in results:
-        for k in r:
-            if k not in keys:
-                keys.append(k)
-    w = csv.DictWriter(sys.stdout, fieldnames=keys)
+    keys = dict.fromkeys(k for r in results for k in r)
+    w = csv.DictWriter(sys.stdout, fieldnames=list(keys))
     w.writeheader()
-    for r in results:
-        w.writerow(r)
+    w.writerows(results)
 
 
 # ---------------------------------------------------------------------------
@@ -376,10 +369,8 @@ def _print_csv(results: list[dict]) -> None:
 
 def cmd_srg(args: argparse.Namespace) -> int:
     p = SrgParams(args.n, args.k, args.lam, args.mu)
-    out: dict = {"params": [p.n, p.k, p.lam, p.mu]}
-    feasible = p.is_feasible()
-    out["feasible"] = feasible
-    if feasible and p.mu > 0:
+    out: dict = {"params": [p.n, p.k, p.lam, p.mu], "feasible": p.is_feasible()}
+    if out["feasible"] and p.mu > 0:
         data = srg_eigen_data(p)
         out["conference"] = is_conference(p)
         out["optimistic"] = is_optimistic(p)
@@ -408,20 +399,19 @@ def cmd_srg(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_trees(args: argparse.Namespace) -> int:
-    any_strong = 0
+    if not 2 <= args.max_order <= TREE_ORDER_CAP:
+        raise ValueError(f"--max-order {args.max_order} is outside "
+                         f"2..{TREE_ORDER_CAP}")
+    failures = 0
     for order, trees in enumerate(trees_by_order(args.max_order), start=2):
-        strong = weak = 0
-        for t in trees:
-            rep = check_tree_bounds(t)
-            if not rep.strong_holds:
-                strong += 1
-            if not rep.half_floor_holds:
-                weak += 1
-        any_strong += strong + weak
+        reps = [check_tree_bounds(t) for t in trees]
+        strong = sum(not r.strong_holds for r in reps)
+        weak = sum(not r.half_floor_holds for r in reps)
+        failures += strong + weak
         print(json.dumps({"order": order, "trees": len(trees),
                           "strong_violations": strong,
                           "weak_violations": weak}, sort_keys=True))
-    return EXIT_OK if any_strong == 0 else EXIT_FAIL
+    return EXIT_OK if failures == 0 else EXIT_FAIL
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +419,8 @@ def cmd_verify_trees(args: argparse.Namespace) -> int:
 
 
 def cmd_zf_bound(args: argparse.Namespace) -> int:
-    g = _build(args.family, args.params, ZF_ORDER_CAP, "zero forcing search")
+    g = _build(_family(args.family, args.params), args.params, ZF_ORDER_CAP,
+               "zero forcing search")
     z = zero_forcing_number(complement(g))
     bound = forcing_bound(g.n, z)
     qd = distinct_eigenvalue_count(distance_matrix(g))
@@ -447,7 +438,8 @@ def cmd_zf_bound(args: argparse.Namespace) -> int:
 
 
 def cmd_matrix(args: argparse.Namespace) -> int:
-    g = _build(args.family, args.params, MAX_ORDER, "supported")
+    g = _build(_family(args.family, args.params), args.params, MAX_ORDER,
+               "supported")
     sys.stdout.write(format_matrix(distance_matrix(g)))
     return EXIT_OK
 
@@ -506,10 +498,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_verify)
 
     sp = sub.add_parser("srg", help="strongly regular parameter analysis")
-    sp.add_argument("n", type=int)
-    sp.add_argument("k", type=int)
-    sp.add_argument("lam", type=int)
-    sp.add_argument("mu", type=int)
+    for name in ("n", "k", "lam", "mu"):
+        sp.add_argument(name, type=int)
     sp.set_defaults(fn=cmd_srg)
 
     sp = sub.add_parser("verify-trees",

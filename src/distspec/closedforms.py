@@ -276,6 +276,9 @@ def tree_inertia(n: int) -> Inertia:
 # Each identity's parameters and the least value each may take.
 LEMMA_RANGES = {1: {"s": 1}, 2: {"s": 2}, 3: {"d": 2}, 4: {"d": 2},
                 5: {"d": 3}, 6: {"a": 2, "b": 0}}
+# largest upper bound of a `verify lemma-identities` sweep: its work grows
+# about tenfold per doubling, to about 2.5 s at 200 for both bounds
+LEMMA_CAP = 200
 
 
 def lemma_identity(selector: int, *, s: int | None = None, d: int | None = None,

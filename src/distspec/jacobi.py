@@ -36,7 +36,8 @@ import numpy as np
 
 # Sizes beyond this are outside the intended desk scale: the reduction is
 # O(n^3) in numpy and one count O(n * longest block), so order 1500 takes
-# about 5 s when T does not split (a dense random matrix, 2-vCPU Xeon).
+# about 6 s when T does not split (5.6-6.1 s for a dense random symmetric
+# matrix, numpy 2.4 on a 2-vCPU Xeon).
 MAX_ORDER = 1500
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from distspec import bounds, cli, jacobi
+from distspec import bounds, cli, closedforms, jacobi
 from distspec.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
 
 
@@ -317,6 +317,12 @@ class TestVerify:
     ("verify cycle --max-b 3", "cycle takes no option --max-b"),
     ("verify lollipop --max 3", "lollipop takes no option --max"),
     ("spectrum johnson 4 7", "johnson needs 1 <= r <= n-1"),
+    ("verify-trees --max-order 15", "--max-order 15 is outside 2..14"),
+    ("verify-trees --max-order 1", "--max-order 1 is outside 2..14"),
+    ("verify lemma-identities --max 201",
+     "--max 201 exceeds the lemma-identities cap 200"),
+    ("verify lemma-identities --max-b 100000",
+     "--max-b 100000 exceeds the lemma-identities cap 200"),
 ])
 def test_every_refusal_is_one_line_from_main(capsys, argv, message):
     # main returns the code itself: no refusal raises SystemExit
@@ -380,6 +386,14 @@ class TestSharedParser:
 
 
 class TestSrg:
+    def test_distance_values_beyond_the_float_range_are_refused(self, capsys):
+        # the triangular graph T(m): its rho_D is about 1e400
+        m = 10**200
+        code, out, err = run(capsys, "srg", str(m * (m - 1) // 2),
+                             str(2 * (m - 2)), str(m - 2), "4")
+        assert (code, out, err) == (
+            EXIT_USAGE, "", "error: value beyond the float range +-1.8e308\n")
+
     def test_conference_13(self, capsys):
         code, data, _ = run_json(capsys, "srg", "13", "6", "2", "3")
         assert code == EXIT_OK
@@ -433,6 +447,46 @@ class TestSrg:
         assert data["conference"] is True
         assert data["distance"]["spectrum"]["eigs"][1]["exact"] == \
             f"-3/2+1/2*sqrt({n})"
+
+
+class TestSweepCaps:
+    """`verify-trees` and `verify lemma-identities` check their bounds
+    against `bounds.TREE_ORDER_CAP` and `closedforms.LEMMA_CAP` before any
+    tree or identity is evaluated."""
+
+    @pytest.fixture
+    def no_sweeps(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a sweep ran")
+
+        monkeypatch.setattr(cli, "trees_by_order", refuse)
+        monkeypatch.setattr(cli, "lemma_identity", refuse)
+
+    @pytest.mark.parametrize("argv, message", [
+        ("verify-trees --max-order 40", "--max-order 40 is outside 2..14"),
+        ("verify-trees --max-order 0", "--max-order 0 is outside 2..14"),
+        ("verify lemma-identities --max 100000",
+         "--max 100000 exceeds the lemma-identities cap 200"),
+        ("verify lemma-identities --max 20 --max-b 201",
+         "--max-b 201 exceeds the lemma-identities cap 200"),
+    ])
+    def test_over_cap_refused_before_any_work(self, capsys, no_sweeps, argv,
+                                              message):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv.split())
+        assert time.perf_counter() - start < 1
+        assert (code, out, err) == (EXIT_USAGE, "", f"error: {message}\n")
+
+    def test_caps_are_inclusive(self, capsys, monkeypatch):
+        assert (bounds.TREE_ORDER_CAP, closedforms.LEMMA_CAP) == (14, 200)
+        monkeypatch.setattr(cli, "trees_by_order", lambda n: iter(()))
+        assert run(capsys, "verify-trees", "--max-order", "14") == \
+            (EXIT_OK, "", "")
+        monkeypatch.setattr(cli, "lemma_identity", lambda sel, **kw: (0, 0))
+        code, out, _ = run(capsys, "verify", "lemma-identities", "--max",
+                           "200", "--max-b", "200")
+        assert code == EXIT_OK
+        assert out.endswith(" instance(s), 0 failure(s)\n")
 
 
 class TestVerifyTrees:

@@ -123,6 +123,14 @@ class TestQuadraticNumber:
         x, y = qn(a1, b1, 7), qn(a2, b2, 7)
         assert abs(float(x * y) - float(x) * float(y)) < 1e-7
 
+    def test_equal_values_hash_equal(self):
+        rational = [QuadraticNumber(3), 3, Fraction(3)]
+        irrational = [QuadraticNumber(0, 2, 8), QuadraticNumber(0, 4, 2)]
+        for same in (rational, irrational):
+            assert all(x == same[0] for x in same)
+            assert len({hash(x) for x in same}) == 1
+        assert len(set(rational + irrational)) == 2
+
 
 class TestExactString:
     def test_int_fraction_quadratic_float(self):
