@@ -18,12 +18,12 @@ sweeps and `matrix`, `exact.EXACT_ORDER_CAP` for `det` and determinant
 sweeps, and `bounds.ZF_ORDER_CAP` for `zf-bound`; `bounds.TREE_ORDER_CAP`
 and `closedforms.LEMMA_CAP` bound the `verify-trees` and `lemma-identities`
 sweeps.  A request over its cap is a usage error, and a grid point over it
-is left out of the sweep.  A closed-form `spectrum` builds no graph at all,
-nor does `--verify` where the family has no closed form.  The solver's error
-estimate comes from the eigenvalues (`spectra.error_bound`); numeric
-eigenvalues closer than twice it are grouped as one.  A closed form and the
-numeric spectrum match when both their deviation and that estimate are
-below `MATCH_TOL`, 1e-8.
+is left out of the sweep; a sweep left with no point is a usage error too.
+A closed-form `spectrum` builds no graph at all, nor does `--verify` where
+the family has no closed form.  The solver's error estimate comes from the
+eigenvalues (`spectra.error_bound`); numeric eigenvalues closer than twice
+it are grouped as one.  A closed form and the numeric spectrum match when
+both their deviation and that estimate are below `MATCH_TOL`, 1e-8.
 
 Exit codes: 0 success (and every check passed), 1 a verification failed,
 2 bad usage or invalid parameters.  `main` refuses every bad request, the
@@ -315,29 +315,37 @@ def _lemma_jobs(max_index: int, max_b: int) -> list[tuple[int, dict]]:
                   for p, lo in lows.items()))]
 
 
+def _lemma_row(job: tuple[int, dict]) -> dict:
+    sel, kw = job
+    lhs, rhs = lemma_identity(sel, **kw)
+    return {"identity": sel, **kw, "lhs": lhs, "rhs": rhs, "match": lhs == rhs}
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     target = args.target
-    results: list[dict] = []
     fam = FAMILIES.get(target)
 
     if target == "lemma-identities":
         _refuse_other_range_flags(target, (), args)
-        for sel, kw in _lemma_jobs(20 if args.max is None else args.max,
-                                   10 if args.max_b is None else args.max_b):
-            lhs, rhs = lemma_identity(sel, **kw)
-            results.append({"identity": sel, **kw, "lhs": lhs, "rhs": rhs,
-                            "match": lhs == rhs})
+        jobs = _lemma_jobs(20 if args.max is None else args.max,
+                           10 if args.max_b is None else args.max_b)
+        check = _lemma_row
     elif fam is None:
         raise ValueError(f"unknown verify target {target!r}")
     elif fam.det is not None:
-        results = [_pick(_det_report(target, p), "det", "inertia", "match")
-                   for p in _grid_instances(target, args, EXACT_ORDER_CAP)]
+        jobs = _grid_instances(target, args, EXACT_ORDER_CAP)
+        check = lambda p: _pick(_det_report(target, p), "det", "inertia",
+                                "match")
     elif fam.closed is None:
         raise ValueError(f"{target} has no closed-form spectrum to verify")
     else:
-        results = [_pick(_spectrum_report(target, p, verify=True), "match",
-                         "max_deviation", "error_bound")
-                   for p in _grid_instances(target, args, MAX_ORDER)]
+        jobs = _grid_instances(target, args, MAX_ORDER)
+        check = lambda p: _pick(_spectrum_report(target, p, verify=True),
+                                "match", "max_deviation", "error_bound")
+    if not jobs:  # a sweep that checks nothing must not pass
+        raise ValueError(f"the {target} sweep has no instance inside its "
+                         f"domain and cap")
+    results = [check(job) for job in jobs]
 
     failures = sum(1 for r in results if not r["match"])
     if args.format == "csv":

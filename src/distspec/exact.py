@@ -7,9 +7,11 @@ distinct-eigenvalue count:
 1. fraction-free Bareiss elimination over Python ints: rank and determinant;
 2. the characteristic polynomial chi(x) = det(xI - M), by Hessenberg
    reduction and the standard recurrence (Cohen, *A Course in Computational
-   Algebraic Number Theory*, ch. 2) modulo primes below 2**31 in int64
+   Algebraic Number Theory*, ch. 2) modulo primes below 2**27 in int64
    arrays, lifted by the Chinese remainder theorem under a Hadamard bound;
-   (-1)^n chi(0) must equal the Bareiss determinant;
+   (-1)^n chi(0) must equal the Bareiss determinant.  27 bits is (63 - bit
+   length of EXACT_ORDER_CAP) // 2, so EXACT_ORDER_CAP products of two
+   residues plus one more sum below 2**63: a modular product is one matmul;
 3. a symmetric matrix has only real eigenvalues, so Descartes' rule of signs
    on chi(x) and chi(-x) counts the positive and negative ones exactly, and
    n - deg gcd(chi, chi') counts the distinct ones.
@@ -37,9 +39,10 @@ from .spectra import Inertia
 EXACT_ORDER_CAP = 256
 
 
-_PRIMES: list[int] = []  # largest primes below 2**31, descending; grown lazily
-# every odd trial divisor an odd number below 2**31 needs
-_ODD_DIVISORS = np.arange(3, math.isqrt(2**31) + 1, 2)
+_PRIME_BITS = (63 - EXACT_ORDER_CAP.bit_length()) // 2  # 27: see above
+_PRIMES: list[int] = []  # largest primes below 2**_PRIME_BITS, descending
+# every odd trial divisor an odd number below 2**_PRIME_BITS needs
+_ODD_DIVISORS = np.arange(3, math.isqrt(2**_PRIME_BITS) + 1, 2)
 
 
 def _primes_over(bound: int) -> list[int]:
@@ -47,7 +50,7 @@ def _primes_over(bound: int) -> list[int]:
     prod, k = 1, 0
     while prod <= bound:
         if k == len(_PRIMES):
-            c = _PRIMES[-1] - 2 if _PRIMES else 2**31 - 1
+            c = _PRIMES[-1] - 2 if _PRIMES else 2**_PRIME_BITS - 1
             while not (c % _ODD_DIVISORS).all():
                 c -= 2
             _PRIMES.append(c)
@@ -103,26 +106,17 @@ def _bareiss(rows: list[list[int]]) -> tuple[int, int]:
     return rank, det
 
 
-def _matmul_mod(a: np.ndarray, b: np.ndarray, mod: np.ndarray) -> np.ndarray:
-    """a @ b modulo each prime, for stacks of residues below 2**31.
-
-    b is split into 16-bit halves, so each int64 product stays below 2**47
-    and a sum of fewer than 2**15 of them below 2**63.
-    """
-    hi = np.matmul(a, b >> 16) % mod
-    return ((hi << 16) + np.matmul(a, b & 0xFFFF)) % mod
-
-
 def _charpoly_residues(rows: list[list[int]], primes: list[int]) -> np.ndarray:
     """Coefficients of det(xI - M) modulo each prime, lowest degree first.
 
     Per prime, a similarity brings M to upper Hessenberg form H with every
-    subdiagonal entry 0 or 1; the recurrence
+    subdiagonal entry 0 or 1.  A 0 starts a diagonal block, and zeroing the
+    entries above it leaves chi, the product of the blocks' polynomials, as
+    it is.  With lo the last block start shared by all primes, the recurrence
 
-        p_{m+1} = x p_m - sum_{s <= i <= m} H[i, m] p_i,
+        p_{m+1} = x p_m - sum_{lo <= i <= m} H[i, m] p_i
 
-    with s the start of the current unreduced block, then gives chi = p_n.
-    Elementwise products of residues are reduced before they are summed.
+    then gives chi = p_n.
     """
     n, kp = len(rows), len(primes)
     mod = np.array(primes, dtype=np.int64)
@@ -132,38 +126,43 @@ def _charpoly_residues(rows: list[list[int]], primes: list[int]) -> np.ndarray:
     except OverflowError:  # entries beyond int64: reduce them as Python ints
         big = np.array(rows, dtype=object)
         h = np.stack([(big % p).astype(np.int64) for p in primes])
-    block = np.zeros((kp, n), dtype=np.int64)  # block start for each column
+    los = [0]  # for each column, the last block start shared by all primes
     for m in range(1, n):
-        nz = h[:, m:, m - 1] != 0
-        has = nz.any(axis=1)
-        block[:, m] = np.where(has, block[:, m - 1], m)
-        if not has.any():
-            continue
-        first = nz.argmax(axis=1) + m
-        for k in np.flatnonzero(has & (first != m)):
-            i = first[k]
-            h[k, [m, i], :] = h[k, [i, m], :]
-            h[k, :, [m, i]] = h[k, :, [i, m]]
-        t = np.where(has, h[:, m, m - 1], 1)
-        inv = np.array([pow(int(x), -1, int(p)) for x, p in zip(t, mod)],
-                       dtype=np.int64)
-        h[:, m, :] = h[:, m, :] * inv[:, None] % mc
-        h[:, :, m] = h[:, :, m] * t[:, None] % mc
-        u = h[:, m + 1:, m - 1:m].copy()
-        if u.any():  # rows m+1.. -= u * row m; column m += columns m+1.. @ u
-            h[:, m + 1:, m - 1:] = (h[:, m + 1:, m - 1:]
-                                   - u * h[:, m:m + 1, m - 1:]) % mm
-            h[:, :, m:m + 1] += _matmul_mod(h[:, :, m + 1:], u, mm)
-            h[:, :, m] %= mc
+        lo, piv = los[-1], h[:, m, m - 1]
+        if not piv.all():
+            nz = h[:, m + 1:, m - 1] != 0
+            for k in np.flatnonzero(nz.any(axis=1) & (piv == 0)):
+                i = m + 1 + nz[k].argmax()
+                h[k, [m, i], :] = h[k, [i, m], :]
+                h[k, :, [m, i]] = h[k, :, [i, m]]
+            ends = piv == 0  # no row to swap in: a block starts at m
+            h[ends, lo:m, m:] = 0  # rows above lo are 0 there already
+            if ends.all():  # nothing to eliminate
+                los.append(m)
+                continue
+        los.append(lo)
+        t = [x or 1 for x in piv.tolist()]  # make H[m, m-1] 1 where nonzero
+        row, col = h[:, m, :], h[:, lo:, m]
+        row *= np.array([pow(x, -1, p) for x, p in zip(t, primes)],
+                        dtype=np.int64)[:, None]
+        row %= mc
+        col *= np.array(t, dtype=np.int64)[:, None]
+        col %= mc
+        u = h[:, m + 1:, m - 1:m]
+        if u.any():  # column m += columns m+1.. @ u; rows m+1.. -= u * row m
+            col += np.matmul(h[:, lo:, m + 1:], u)[:, :, 0]
+            col %= mc
+            rest = h[:, m + 1:, m - 1:]
+            rest -= u * row[:, None, m - 1:]
+            rest %= mm
     polys = np.zeros((kp, n + 1, n + 1), dtype=np.int64)
     polys[:, 0, 0] = 1
-    for m in range(n):
-        lo = int(block[:, m].min())
-        w = h[:, lo:m + 1, m] * (np.arange(lo, m + 1) >= block[:, m:m + 1])
-        terms = _matmul_mod(polys[:, lo:m + 1, :m + 1].transpose(0, 2, 1),
-                            w[:, :, None], mm)[:, :, 0]
-        polys[:, m + 1, 1:m + 2] = polys[:, m, :m + 1]
-        polys[:, m + 1, :m + 1] = (polys[:, m + 1, :m + 1] - terms) % mc
+    for m, lo in zip(range(n), los):
+        new = polys[:, m + 1, :m + 2]
+        new[:, 1:] = polys[:, m, :m + 1]
+        new[:, :m + 1] -= np.matmul(h[:, None, lo:m + 1, m],
+                                    polys[:, lo:m + 1, :m + 1])[:, 0]
+        new %= mc
     return polys[:, n, :]
 
 

