@@ -18,7 +18,8 @@ sweeps and `matrix`, `exact.EXACT_ORDER_CAP` for `det` and determinant
 sweeps, and `bounds.ZF_ORDER_CAP` for `zf-bound`; `bounds.TREE_ORDER_CAP`
 and `closedforms.LEMMA_CAP` bound the `verify-trees` and `lemma-identities`
 sweeps.  A request over its cap is a usage error, and a grid point over it
-is left out of the sweep; a sweep left with no point is a usage error too.
+is left out of the sweep, and the sweep's output says how many points it
+left out; a sweep left with no point is a usage error too.
 A closed-form `spectrum` builds no graph at all, nor does `--verify` where
 the family has no closed form.  The solver's error estimate comes from the
 eigenvalues (`spectra.error_bound`); numeric eigenvalues closer than twice
@@ -283,17 +284,23 @@ def _refuse_other_range_flags(target: str, takes: Sequence[str],
             raise ValueError(f"{target} takes no option --{flag.replace('_', '-')}")
 
 
-def _grid_instances(name: str, args: argparse.Namespace,
-                    cap: int) -> list[tuple[int, ...]]:
+def _grid_axes(name: str, args: argparse.Namespace) -> list[range]:
     """The family's default grid, each axis replaced by its range flag if
-    one is given, less the points outside the domain or above cap."""
+    one is given."""
     fam = FAMILIES[name]
     _refuse_other_range_flags(name, fam.params, args)
     axes = []
     for pname, default in zip(fam.params, fam.grid):
         flag = getattr(args, f"range_{pname}")
         axes.append(default if flag is None else _parse_range(flag))
-    return [p for p in itertools.product(*axes)
+    return axes
+
+
+def _grid_instances(name: str, args: argparse.Namespace,
+                    cap: int) -> list[tuple[int, ...]]:
+    """The points of `_grid_axes` inside the domain and no larger than cap."""
+    fam = FAMILIES[name]
+    return [p for p in itertools.product(*_grid_axes(name, args))
             if fam.domain(*p) and fam.order(*p) <= cap]
 
 
@@ -345,21 +352,29 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if not jobs:  # a sweep that checks nothing must not pass
         raise ValueError(f"the {target} sweep has no instance inside its "
                          f"domain and cap")
+    dropped = 0 if fam is None else \
+        math.prod(map(len, _grid_axes(target, args))) - len(jobs)
     results = [check(job) for job in jobs]
 
     failures = sum(1 for r in results if not r["match"])
+    note = f"{dropped} point(s) dropped"
     if args.format == "csv":
         _print_csv(results)
+        if dropped:
+            print(f"note: {note}", file=sys.stderr)
     elif args.format == "json":
-        print(json.dumps({"target": target, "instances": len(results),
-                          "failures": failures, "results": results},
-                         indent=2, sort_keys=True))
+        doc = {"target": target, "instances": len(results),
+               "failures": failures, "results": results}
+        if dropped:
+            doc["dropped"] = dropped
+        print(json.dumps(doc, indent=2, sort_keys=True))
     else:
         for r in results:
             bits = [f"{k}={v}" for k, v in r.items() if k != "match"]
             status = "ok" if r["match"] else "MISMATCH"
             print(f"{status:8s} {'  '.join(bits)}")
-        print(f"{len(results)} instance(s), {failures} failure(s)")
+        print(f"{len(results)} instance(s), {failures} failure(s)"
+              + (f", {note}" if dropped else ""))
     return EXIT_OK if failures == 0 else EXIT_FAIL
 
 

@@ -18,10 +18,13 @@ block (Barth, Martin & Wilkinson, Numer. Math. 9, 1967), all of them at
 once as numpy arrays: the live blocks are laid side by side, longest first,
 so that one count costs as many Python steps as the longest block has rows
 and row i touches only the blocks longer than i.  Each round counts at 15
-points per interval instead of one, which gains 4 bits per round instead of 1
-for nearly the same Python cost.  The search stops at eps*||T||.  The count
-runs in slabs of rows without the guard against tiny pivots and checks each
-slab once, running it again with the guard only where a pivot came out tiny
+points per eigenvalue instead of one, for nearly the same Python cost: one
+block-wide round, 16-sections while two eigenvalues of a block share an
+interval, then a regula falsi zoom on det(T_block - x), which takes a
+random graph from 14 rounds to 6 or 7 (`_sturm_search`).  The counts alone
+decide every interval; the search stops at eps*||T||.  The count runs in
+slabs of rows without the guard against tiny pivots and checks each slab
+once, running it again with the guard only where a pivot came out tiny
 (Demmel & Li, IEEE Trans. Comput. 43(8), 1994; Marques, Riedy & Voemel,
 SIAM J. Sci. Comput. 28(5), 2006, as in LAPACK's dlaneg), so its results
 are those of the guarded count, bit for bit.  `spectra.error_bound` states
@@ -36,13 +39,14 @@ import numpy as np
 
 # Sizes beyond this are outside the intended desk scale: the reduction is
 # O(n^3) in numpy and one count O(n * longest block), so order 1500 takes
-# about 6 s when T does not split (5.6-6.1 s for a dense random symmetric
-# matrix, numpy 2.4 on a 2-vCPU Xeon).
+# about 4 s when T does not split (4.0 s for a dense random symmetric
+# matrix, against 4.6-5.0 s with 14 rounds of 16-section; numpy 2.4 with
+# one BLAS thread on a 2-vCPU Xeon).
 MAX_ORDER = 1500
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
-# Each round of the search counts at 15 points inside every interval and
-# keeps the sixteenth that holds the target.
+# Each round of the search counts at 15 points per target; a 16-section
+# keeps the sixteenth of the interval that holds it.
 _BITS = 4
 _POINTS = 2 ** _BITS - 1
 # Rows of the count run between two checks of their pivots.  From order 120
@@ -162,6 +166,16 @@ def _sturm_search(d: np.ndarray, e: np.ndarray) -> np.ndarray:
     the number of such targets, longest block first, so that row i is the
     prefix of the columns whose block is longer than i.  Below its block a
     column is padded with a diagonal entry above every interval.
+
+    Every round counts at 15 points per target, and each target keeps the
+    gap between two of them, or an end of its interval, that the counts show
+    holds it.  The first round lays 15 * size points evenly across each block's
+    interval, points 15r+1 to 15r+15 in the column of rank r, and finds
+    each target's gap among all of them, so that a block of L rows gains
+    log2(15L + 1) bits.  Rounds of 16-section follow, as many as take the
+    widest gap below eps*||T||.  Once no two targets of a block share a gap
+    `_zoom` takes over, unless the longest block is no longer than a slab,
+    where zooming costs more numpy calls than the rounds it saves.
     """
     n = len(d)
     starts = np.flatnonzero(np.concatenate(([True], e == 0.0)))
@@ -205,16 +219,43 @@ def _sturm_search(d: np.ndarray, e: np.ndarray) -> np.ndarray:
     reach = inside.sum(axis=1)
     del at, inside  # (L x m) arrays, not needed while searching
 
-    # row p of x is the p-th point of every column's interval
-    x = np.empty((_POINTS, len(cols)))
+    # z[0] holds a round's points in rows 1 to 15 and, while the search
+    # zooms, each gap's low end in row 0 and its high end in row 16; z[1]
+    # and z[2] hold det(T_block - x) at each as a mantissa and an exponent,
+    # NaN until the zoom works them out
+    m = len(cols)
+    z = np.full((3, _POINTS + 2, m), np.nan)
+    ends, x = z[0], z[0, 1:-1]
     count = np.empty(x.shape, dtype=np.int64)
     slabs = _slabs(dpad, e2pad, reach, x, count)
 
-    # rounds enough to take the widest interval below eps * ||T||
-    widest = float(np.max(hi - lo)) / max(_EPS * tnorm, pivmin)
+    tol = max(_EPS * tnorm, pivmin)
     points = np.arange(1.0, _POINTS + 1)[:, None]
+    column = np.arange(m)
+    start = column - rank  # the first column of each target's block
     with np.errstate(all="ignore"):  # the unchecked pivots of a slab
-        for _ in range(-(-math.frexp(widest)[1] // _BITS)):
+        step = (hi - lo) / (_POINTS * size + 1)
+        np.multiply(rank * _POINTS + points, step, out=x)
+        np.add(lo, x, out=x)
+        _count_below(slabs, pivmin, count)
+        # the points of its block below each rank, from one search of the
+        # keys start * (n + 1) + count, ascending in column-major order
+        key = start * (n + 1)
+        below = np.searchsorted((key + count).T.ravel(), key + rank,
+                                side="right") - start * _POINTS
+        lo = lo + below * step
+        hi = lo + step
+
+        # zoom only pays where the longest block is longer than a slab;
+        # column j and j + 1 are in one block unless rank[j + 1] is 0
+        shared = rank[1:] > 0 if size[0] > _SLAB else None
+        rounds = -(-math.frexp(float(np.max(hi - lo)) / tol)[1] // _BITS)
+        for left in range(rounds, 0, -1):
+            if shared is not None and not np.any(shared & (lo[1:] == lo[:-1])):
+                ends[0], ends[-1] = lo, hi
+                _zoom(z, slabs, pivmin, count, rank, tol, 2 * left)
+                lo, hi = ends[0], ends[-1]
+                break
             step = (hi - lo) / (_POINTS + 1)
             np.multiply(points, step, out=x)
             np.add(lo, x, out=x)
@@ -223,6 +264,69 @@ def _sturm_search(d: np.ndarray, e: np.ndarray) -> np.ndarray:
             hi = lo + step
     vals[cols] = 0.5 * (lo + hi)
     return vals
+
+
+def _zoom(z: np.ndarray, slabs: list[tuple], pivmin: float,
+          count: np.ndarray, rank: np.ndarray, tol: float,
+          rounds: int) -> None:
+    """Narrows the gaps from z[0, 0] to z[0, -1], each holding one
+    eigenvalue, to tol, working det(T_block - x) out at every point.  The
+    first round takes 15 points from end to end, as no end has a
+    determinant yet, and the top of a Gershgorin interval, where a regular
+    graph's top eigenvalue lies, was never counted; later rounds take
+    `_zoom_points`.  Raises ArithmeticError after `rounds` rounds rather
+    than return a wider gap."""
+    ends, x = z[0], z[0, 1:-1]
+    det = (z[1, 1:-1], z[2, 1:-1])
+    column = np.arange(x.shape[1])
+    for r in range(rounds + 1):
+        lo, hi = ends[0], ends[-1]
+        width = hi - lo
+        if float(np.max(width)) <= tol:
+            return
+        if r == rounds:
+            raise ArithmeticError("the Sturm search did not converge")
+        if r == 0:
+            np.multiply(np.arange(_POINTS)[:, None], width / (_POINTS - 1),
+                        out=x)
+            np.add(lo, x, out=x)
+            x[-1] = hi
+        else:
+            _zoom_points(z, width)
+        _count_below(slabs, pivmin, count, det)
+        below = (count <= rank).sum(axis=0)
+        z[:, 0], z[:, -1] = z[:, below, column], z[:, below + 1, column]
+
+
+# where a zoom round puts its points, as fractions of the gap's width: the
+# even sixteenths, the odd ones, and the offsets around the estimate
+_EVEN = np.arange(2.0, _POINTS + 1, 2)[:, None] / (_POINTS + 1)
+_ODD = np.arange(1.0, _POINTS + 1, 2)[:, None] / (_POINTS + 1)
+_AROUND = np.array([s * 16.0 ** -i for i in range(1, 5)
+                    for s in (-1.0, 1.0)])[:, None]
+
+
+def _zoom_points(z: np.ndarray, width: np.ndarray) -> None:
+    """A zoom round's points into z[0, 1:16], ascending: the gap's
+    eighths, which shrink it 8-fold at least, and g +- w * 16^-1 ... 16^-4
+    clipped to it, around the regula falsi estimate
+    g = lo + w * |f_lo| / (|f_lo| + |f_hi|) from the determinants at its
+    ends (Brent, Algorithms for Minimization without Derivatives, 1973,
+    ch. 4).  Where their signs agree or g is not strictly inside, as where
+    a determinant underflowed or overflowed, the odd sixteenths replace
+    those 8, which makes the round a 16-section."""
+    lo, hi = z[0, 0], z[0, -1]
+    low, high = z[1:, 0], z[1:, -1]
+    scale = np.abs(low[0])
+    g = lo + width * scale / (scale + np.abs(high[0])
+                              * np.exp2(high[1] - low[1]))
+    useful = (low[0] * high[0] < 0.0) & (lo < g) & (g < hi)
+    x = z[0, 1:-1]
+    half = len(_EVEN)
+    np.add(lo, _EVEN * width, out=x[:half])
+    np.copyto(x[half:], np.where(useful, np.clip(g + _AROUND * width, lo, hi),
+                                 lo + _ODD * width))
+    x.sort(axis=0)
 
 
 def _slabs(dpad: np.ndarray, e2pad: np.ndarray, reach: np.ndarray,
@@ -258,7 +362,8 @@ def _slabs(dpad: np.ndarray, e2pad: np.ndarray, reach: np.ndarray,
     return slabs
 
 
-def _count_below(slabs: list[tuple], pivmin: float, count: np.ndarray) -> None:
+def _count_below(slabs: list[tuple], pivmin: float, count: np.ndarray,
+                 det: tuple[np.ndarray, np.ndarray] | None = None) -> None:
     """Per point p and column j, count[p, j] = the number of eigenvalues of
     its block below x[p, j]: the negative pivots of
     q_i = d_i - x - e_{i-1}^2 / q_{i-1}, with a pivot smaller than pivmin in
@@ -269,8 +374,18 @@ def _count_below(slabs: list[tuple], pivmin: float, count: np.ndarray) -> None:
     have fired and the pivots are the guarded ones.  A tiny pivot fails the
     check, and so does a NaN, which can only follow one; the slab is then
     run again with the guard, from the same starting row.
+
+    Given det = (mantissa, exponent), it also writes there the product of
+    the pivots, det(T_block - x) times the positive pivots of the padding
+    rows in the block's last slab: the product of each slab's pivots is
+    split by frexp, so that only a slab's own product can underflow or
+    overflow, which leaves a mantissa of 0, inf or NaN.
     """
     count.fill(0)
+    if det is not None:
+        mantissa, exponent = det
+        mantissa.fill(1.0)
+        exponent.fill(0.0)
     for d, x, q, mask, cnt, steps, end in slabs:
         _pivots(d, x, q, steps, 0.0)
         np.greater_equal(q, pivmin, out=mask)
@@ -281,6 +396,11 @@ def _count_below(slabs: list[tuple], pivmin: float, count: np.ndarray) -> None:
             np.less(q, 0.0, out=mask)
         np.copyto(end, q[-1])
         cnt += mask.sum(axis=0)
+        if det is not None:
+            frac, power = np.frexp(q.prod(axis=0))
+            k = q.shape[-1]
+            mantissa[:, :k] *= frac
+            exponent[:, :k] += power
 
 
 def _pivots(d: np.ndarray, x: np.ndarray, q: np.ndarray, steps: list[tuple],

@@ -203,6 +203,30 @@ class TestVerify:
         # r is clipped to 1..n-1 per instance
         assert data["instances"] == 3 + 4 + 5
 
+    def test_dropped_points_are_counted_in_every_format(self, capsys):
+        # johnson needs r <= n - 1, so (3, 3) leaves the sweep
+        argv = ("verify", "johnson", "--n", "3..4", "--r", "1..3")
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (EXIT_OK, "")
+        assert out.endswith(
+            "\n5 instance(s), 0 failure(s), 1 point(s) dropped\n")
+        code, data, err = run_json(capsys, *argv, "--format", "json")
+        assert (code, data["instances"], data["dropped"], err) == \
+            (EXIT_OK, 5, 1, "")
+        code, out, err = run(capsys, *argv, "--format", "csv")
+        assert (code, err) == (EXIT_OK, "note: 1 point(s) dropped\n")
+        assert len(out.splitlines()) == 1 + 5
+
+    def test_nothing_dropped_adds_nothing(self, capsys):
+        argv = ("verify", "johnson", "--n", "4", "--r", "1..3")
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (EXIT_OK, "")
+        assert out.endswith("\n3 instance(s), 0 failure(s)\n")
+        code, data, err = run_json(capsys, *argv, "--format", "json")
+        assert (code, err) == (EXIT_OK, "")
+        assert sorted(data) == ["failures", "instances", "results", "target"]
+        assert run(capsys, *argv, "--format", "csv")[2] == ""
+
     def test_lemma_identities(self, capsys):
         code, out, _ = run(capsys, "verify", "lemma-identities",
                            "--max", "6")

@@ -1,8 +1,10 @@
 """The numeric eigensolver against numpy and structural checks."""
 
+import contextlib
 import itertools
 import math
 import random
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -162,22 +164,24 @@ def random_connected(n, density, seed):
 
 
 class TestDifferential:
-    """Against LAPACK within the error bound, and against the referee
-    search bit for bit."""
+    """Against LAPACK within the error bound, with every count of the
+    search refereed by `counts_refereed`."""
 
     def test_every_default_grid_instance(self):
         instances = list(grid_instances(256))
         assert len(instances) == 159
         for name, p in instances:
             dm = distance_matrix(FAMILIES[name].gen(*p))
-            assert_same_bits(dm, assert_matches_eigvalsh(dm))
+            with counts_refereed():
+                assert_matches_eigvalsh(dm)
 
     @pytest.mark.parametrize("n,density,seed", [
         (40, 0.02, 1), (40, 0.6, 2), (55, 0.1, 3), (70, 0.3, 4),
         (90, 0.02, 5), (110, 0.6, 6), (130, 0.1, 7), (150, 0.3, 8)])
     def test_random_connected_graphs(self, n, density, seed):
         dm = distance_matrix(random_connected(n, density, seed))
-        assert_same_bits(dm, assert_matches_eigvalsh(dm))
+        with counts_refereed():
+            assert_matches_eigvalsh(dm)
 
 
 class TestGrouping:
@@ -266,63 +270,181 @@ class TestNonFinite:
             sym_eigenvalues(mat)
 
 
-def referee_search(d, e):
-    """The Sturm search one guarded row at a time over every column, one-row
-    blocks included: the plain form of `jacobi._sturm_search`, with the
-    same floating-point operations in each column."""
-    n = len(d)
+def split(n, e):
+    """The first rows of the blocks that the zeros of e cut an order n
+    tridiagonal into, and the blocks' lengths."""
     starts = np.flatnonzero(np.concatenate(([True], e == 0.0)))
-    lengths = np.diff(np.append(starts, n))
-    block = np.repeat(np.arange(len(starts)), lengths)
-    rank = np.arange(n) - starts[block]
+    return starts, np.diff(np.append(starts, n))
 
-    ae = np.abs(e)
+
+def search_scales(d, e):
+    """The widest starting interval of the search of the tridiagonal
+    (d, e), its stopping width max(eps*||T||, pivmin) and pivmin, as the
+    solver defines them: Gershgorin intervals of the blocks of two rows or
+    more, widened by 2.1*n*eps*||T|| + 4.2*pivmin; None if there is none."""
+    n = len(d)
+    starts, lengths = split(n, e)
     radius = np.zeros(n)
-    radius[:-1] += ae
-    radius[1:] += ae
+    radius[:-1] += np.abs(e)
+    radius[1:] += np.abs(e)
     lo = np.minimum.reduceat(d - radius, starts)
     hi = np.maximum.reduceat(d + radius, starts)
-    e2 = e * e
     tnorm = max(float(np.max(np.abs(lo))), float(np.max(np.abs(hi))))
-    pivmin = jacobi._TINY * max(1.0, float(np.max(e2)))
-    margin = (2.1 * n * jacobi._EPS * tnorm + 4.2 * pivmin) * (lengths > 1)
-    lo = (lo - margin)[block]
-    hi = (hi + margin)[block]
-
-    rows = np.arange(int(lengths.max()))[:, None]
-    at = np.where(rows < lengths[block], starts[block] + rows, n)
-    dpad = np.append(d, np.max(hi) + max(1.0, tnorm))[at]
-    e2pad = np.concatenate(([0.0], e2, [0.0]))[at]
-
-    widest = float(np.max(hi - lo)) / max(jacobi._EPS * tnorm, pivmin)
-    points = np.arange(1.0, jacobi._POINTS + 1)[:, None]
-    for _ in range(-(-math.frexp(widest)[1] // jacobi._BITS)):
-        step = (hi - lo) / (jacobi._POINTS + 1)
-        x = lo + points * step
-        count = np.zeros(x.shape, dtype=np.int64)
-        q = np.ones(x.shape)
-        for drow, e2row in zip(dpad, e2pad):
-            q = drow - x - e2row / q
-            q[np.abs(q) < pivmin] = -pivmin
-            count += q < 0.0
-        lo = lo + (count <= rank).sum(axis=0) * step
-        hi = lo + step
-    return 0.5 * (lo + hi)
+    pivmin = jacobi._TINY * max(1.0, float(np.max(e * e, initial=0.0)))
+    if lengths.max() < 2:
+        return None
+    margin = 2.1 * n * jacobi._EPS * tnorm + 4.2 * pivmin
+    widest = float(np.max((hi - lo)[lengths > 1])) + 2 * margin
+    return widest, max(jacobi._EPS * tnorm, pivmin), pivmin
 
 
-def referee_eigenvalues(mat):
-    """`sym_eigenvalues` with the referee search in place of the solver's."""
-    with mock.patch.object(jacobi, "_sturm_search", referee_search):
+def uniform_rounds(d, e):
+    """The rounds 16-section takes to narrow the widest starting interval
+    to the stopping width: ceil(log2(widest / tol) / 4)."""
+    scales = search_scales(d, e)
+    if scales is None:
+        return 0
+    return math.ceil(math.log2(scales[0] / scales[1]) / 4)
+
+
+@pytest.fixture(autouse=True)
+def search_rounds(monkeypatch):
+    """Every search made by a test here takes no more rounds (calls of
+    `_count_below`) than 16-section from the starting intervals would.
+    Yields the rounds of each search, in order."""
+    search, count_below = jacobi._sturm_search, jacobi._count_below
+    rounds = []
+
+    def counted(*args, **kwargs):
+        if rounds:
+            rounds[-1] += 1
+        return count_below(*args, **kwargs)
+
+    def bounded(d, e):
+        rounds.append(0)
+        vals = search(d, e)
+        assert rounds[-1] <= uniform_rounds(d, e)
+        return vals
+
+    monkeypatch.setattr(jacobi, "_count_below", counted)
+    monkeypatch.setattr(jacobi, "_sturm_search", bounded)
+    yield rounds
+
+
+def search_layout(d, e):
+    """The columns of the search of (d, e): one per eigenvalue of a block
+    of two rows or more, longest block first and by rank within a block.
+    Returns each column's block diagonal and squared couplings (that into
+    its first row 0), NaN below the block, its rank and T's index."""
+    starts, lengths = split(len(d), e)
+    blocks = sorted((b for b in range(len(starts)) if lengths[b] > 1),
+                    key=lambda b: -lengths[b])
+    cols = [(starts[b], lengths[b], r) for b in blocks
+            for r in range(lengths[b])]
+    dcol = np.full((lengths.max(), len(cols)), np.nan)
+    e2col = dcol.copy()
+    for c, (s, size, _) in enumerate(cols):
+        dcol[:size, c] = d[s:s + size]
+        e2col[:size, c] = np.concatenate(([0.0], e[s:s + size - 1] ** 2))
+    rank = np.array([r for _, _, r in cols])
+    index = np.array([s + r for s, _, r in cols], dtype=np.int64)
+    return dcol, e2col, rank, index
+
+
+def plain_count(dcol, e2col, pad, x, pivmin, products=False):
+    """The guarded Sturm count below every point x[p, c] over column c,
+    one row at a time, each pivot smaller than pivmin in magnitude taken
+    as -pivmin.  With products, also the product of the pivots of every
+    row of the slabs that reach the column (its block, padded with pad up
+    to the end of the block's last slab), as a mantissa and an exponent,
+    and where each slab's running product of them stays a normal float."""
+    size = (~np.isnan(dcol)).sum(axis=0)
+    height = min(jacobi._SLAB, len(dcol))
+    rows = np.minimum(-(-size // height) * height, len(dcol))
+    d, e2 = np.where(np.isnan(dcol), pad, dcol), np.nan_to_num(e2col)
+    count = np.zeros(x.shape, dtype=np.int64)
+    q, mantissa, exponent = np.ones(x.shape), np.ones(x.shape), 0
+    normal = np.ones(x.shape, dtype=bool)
+    for i in range(len(d)):
+        q = d[i] - x - e2[i] / q
+        q[np.abs(q) < pivmin] = -pivmin
+        count += q < 0.0
+        if not products:
+            continue
+        if i % height == 0:
+            part, scale = np.ones(x.shape), 0
+        part, power = np.frexp(part * q)
+        scale = scale + power
+        reached = i < rows
+        normal &= ~reached | ((scale >= -1021) & (scale <= 1024))
+        mantissa, power = np.frexp(np.where(reached, mantissa * q, mantissa))
+        exponent = exponent + power
+    return (count, mantissa, exponent, normal) if products else count
+
+
+@contextlib.contextmanager
+def counts_refereed():
+    """Checks every search made inside against `plain_count`: in each round
+    every count bit for bit and, where the solver works determinants out,
+    their sign (-1)^count and, where every slab's running product is a
+    normal float, their magnitude within n*eps; and at its end that every
+    eigenvalue v of a block of two rows or more has its rank's count
+    change between v - tol and v + tol, the stopping width."""
+    search, layout, count_below = (jacobi._sturm_search, jacobi._slabs,
+                                   jacobi._count_below)
+    seen = {}
+
+    def spy_search(d, e):
+        dcol, e2col, rank, index = search_layout(d, e)
+        seen.update(dcol=dcol, e2col=e2col, n=len(d))
+        vals = search(d, e)
+        if len(rank):
+            _, tol, pivmin = search_scales(d, e)
+            at = vals[index]
+            count = plain_count(dcol, e2col, seen["pad"],
+                                np.array([at - tol, at + tol]), pivmin)
+            assert np.all(count[0] <= rank) and np.all(rank < count[1])
+        return vals
+
+    def spy_slabs(dpad, e2pad, reach, x, count):
+        blocks = ~np.isnan(seen["dcol"])
+        assert np.array_equal(dpad[:, 0][blocks], seen["dcol"][blocks])
+        assert np.array_equal(e2pad[:, 0], np.nan_to_num(seen["e2col"]))
+        pad = np.unique(dpad[:, 0][~blocks])
+        assert len(pad) <= 1
+        seen.update(x=x, pad=pad[0] if len(pad) else np.inf)
+        return layout(dpad, e2pad, reach, x, count)
+
+    def spy_count(slabs, pivmin, count, det=None):
+        count_below(slabs, pivmin, count, det)
+        x = seen["x"]
+        assert np.all(x < seen["pad"])
+        ref = plain_count(seen["dcol"], seen["e2col"], seen["pad"], x, pivmin,
+                          products=det is not None)
+        if det is None:
+            assert np.array_equal(count, ref)
+            return
+        ref, mantissa, exponent, normal = ref
+        assert np.array_equal(count, ref)
+        ours, power = det
+        signed = ~np.isnan(ours)
+        assert np.array_equal(np.signbit(ours)[signed],
+                              (count % 2 == 1)[signed])
+        fine = normal & np.isfinite(ours) & (ours != 0.0)
+        ratio = np.ldexp(ours[fine] / mantissa[fine],
+                         (power[fine] - exponent[fine]).astype(int))
+        assert np.all(np.abs(ratio - 1.0) <= seen["n"] * jacobi._EPS)
+
+    with mock.patch.object(jacobi, "_sturm_search", spy_search), \
+            mock.patch.object(jacobi, "_slabs", spy_slabs), \
+            mock.patch.object(jacobi, "_count_below", spy_count):
+        yield
+
+
+def refereed_eigenvalues(mat):
+    """`sym_eigenvalues(mat)` under `counts_refereed`."""
+    with counts_refereed():
         return sym_eigenvalues(mat)
-
-
-def assert_same_bits(mat, ours=None):
-    """The solver's eigenvalues, ours if given, are the referee's, bit for
-    bit: equal as floats and with the same sign of every zero."""
-    ours = sym_eigenvalues(mat) if ours is None else ours
-    ref = referee_eigenvalues(mat)
-    assert ours == ref
-    assert [v.hex() for v in ours] == [v.hex() for v in ref]
 
 
 def fuzz_matrix(kind, seed):
@@ -362,49 +484,136 @@ FUZZ_KINDS = ["diagonal", "zero", "block-diagonal", "tiny", "graded",
 
 
 class TestSlabsAgainstReferee:
-    """The slab search returns the referee's eigenvalues exactly; the
-    default grid and random graphs are checked in TestDifferential."""
+    """The slab counts are the referee's exactly; the default grid and
+    random graphs are checked in TestDifferential."""
 
     @pytest.mark.parametrize("kind", FUZZ_KINDS)
     def test_fuzzed_matrices(self, kind):
         for seed in range(24):
-            assert_same_bits(fuzz_matrix(kind, seed))
+            refereed_eigenvalues(fuzz_matrix(kind, seed))
 
     def test_last_slab_of_every_height(self):
         # one block of 40 to 40 + _SLAB - 1 rows: its last slab takes every
         # height from 1 to _SLAB
         for seed in range(jacobi._SLAB):
-            assert_same_bits(random_symmetric(40 + seed, seed))
+            refereed_eigenvalues(random_symmetric(40 + seed, seed))
 
 
 class TestRedo:
     """A slab whose unchecked pass meets a pivot below pivmin is run again
-    with the guard.  The path on three vertices meets one at once: its
-    eigenvalues are -sqrt(2), 0 and sqrt(2), and in the first round the
-    middle one of the 15 points of every interval is 0 exactly, where the
-    first pivot is d_0 - 0 = 0."""
+    with the guard.  The path on three vertices, its own tridiagonal
+    (d = 0, e = 1), meets one at x = 0, where its first pivot is
+    d_0 - 0 = 0."""
 
     MAT = [[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]
+    DCOL, E2COL = np.zeros((3, 1)), np.array([[0.0], [1.0], [1.0]])
+
+    def count_at_zero(self):
+        """The count below x = 0 over the path, in one column."""
+        x = np.zeros((jacobi._POINTS, 1))
+        count = np.empty(x.shape, dtype=np.int64)
+        slabs = jacobi._slabs(self.DCOL[:, None], self.E2COL[:, None],
+                              np.array([1, 1, 1]), x, count)
+        with np.errstate(all="ignore"):  # the unchecked pass divides by 0
+            jacobi._count_below(slabs, jacobi._TINY, count)
+        return count
 
     def test_zero_pivot_reaches_the_redo(self):
         pivots = jacobi._pivots
         with mock.patch.object(jacobi, "_pivots", wraps=pivots) as spy:
-            assert_same_bits(self.MAT)
+            count = self.count_at_zero()
         assert any(c.args[-1] > 0.0 for c in spy.call_args_list)
+        ref = plain_count(self.DCOL, self.E2COL, np.inf, np.zeros(count.shape),
+                          jacobi._TINY)
+        assert np.array_equal(count, ref)
         # with the redo unguarded, the signs of the unchecked pass stand and
         # the count moves
         with mock.patch.object(jacobi, "_pivots",
                                lambda *args: pivots(*args[:-1], 0.0)):
-            unguarded = sym_eigenvalues(self.MAT)
-        assert unguarded != referee_eigenvalues(self.MAT)
+            assert not np.array_equal(self.count_at_zero(), ref)
+        refereed_eigenvalues(self.MAT)
 
     def test_paths_match(self):
         # adjacency matrices of paths: symmetric spectra, so the middle of
         # an interval is often an eigenvalue
         for n in range(2, 40):
             a = np.diag(np.ones(n - 1), 1)
-            assert_same_bits(a + a.T)
-        assert_same_bits(distance_matrix(path(9)))
+            refereed_eigenvalues(a + a.T)
+        refereed_eigenvalues(distance_matrix(path(9)))
+
+
+def tridiagonal(d, e):
+    """The symmetric tridiagonal matrix with diagonal d and couplings e,
+    which the reduction leaves as it is."""
+    return np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+
+
+class TestSearch:
+    """How many rounds the search takes, and its answers where its zoom
+    is put to the test."""
+
+    def test_random_graph_in_eight_rounds(self, search_rounds):
+        sym_eigenvalues(distance_matrix(random_connected(130, 0.1, 7)))
+        assert len(search_rounds) == 1 and search_rounds[0] <= 8
+
+    @pytest.mark.parametrize("n", [300, 900])
+    def test_dense_random(self, n):
+        assert_matches_eigvalsh(random_symmetric(n, n))
+
+    @staticmethod
+    def zoomed(mat):
+        """The eigenvalues of mat, refereed, and whether the search zoomed."""
+        with mock.patch.object(jacobi, "_zoom", wraps=jacobi._zoom) as zoom:
+            with counts_refereed():
+                vals = assert_matches_eigvalsh(mat)
+        return vals, zoom.called
+
+    def test_close_pair_in_a_long_block(self):
+        q, _ = np.linalg.qr(np.random.RandomState(3).randn(40, 40))
+        lam = np.linspace(-5.0, 5.0, 40)
+        lam[20] = lam[21] - 1e-9
+        a = (q * lam) @ q.T
+        vals, zoomed = self.zoomed((a + a.T) / 2)
+        assert zoomed
+        assert vals[18] - vals[19] == \
+            pytest.approx(1e-9, abs=2 * error_bound(vals))
+
+    def test_top_eigenvalue_on_the_gershgorin_bound(self, search_rounds):
+        # every row sums to 2, so the ones vector has the eigenvalue 2,
+        # the top of the block's Gershgorin interval: unless the zoom's
+        # first round counts that end, it has no determinant for 5 rounds
+        # more
+        t = tridiagonal(np.r_[1.0, np.zeros(38), 1.0], np.ones(39))
+        vals, zoomed = self.zoomed(t)
+        assert zoomed and search_rounds == [7]
+        assert abs(vals[0] - 2.0) <= error_bound(vals)
+
+    def test_graded_slab_products_fall_back(self):
+        # a block of 17 rows: 15 * 17 + 1 = 256 cells over its Gershgorin
+        # interval [-4, 4] put the first round's point 128 at 0 exactly.
+        # There the pivots of rows 0 to 7 are -1, ..., -1, -2^-60, 0, so the
+        # guard makes the first slab's product 2^-60 * pivmin, below the
+        # smallest float, and an eigenvalue within 2^-58 of 0 keeps 0 the
+        # low end of its gap until the zoom works determinants out there.
+        # A path of 24 rows makes the order 41.
+        t = 2.0 ** -30
+        a = -tridiagonal(np.r_[1, 2, 2, 2, 2, 2, 2 * t * t, 1,
+                               2, -2, 2, -2, 2, -2, -2, -2, -2, np.zeros(24)],
+                         np.r_[1, 1, 1, 1, 1, t, t, 1, np.ones(8), 0.0,
+                               np.ones(23)])
+        ends = []
+
+        def points(z, width):
+            ends.append(z[1, [0, -1]].copy())
+            return zoom_points(z, width)
+
+        zoom_points = jacobi._zoom_points
+        with warnings.catch_warnings(), \
+                mock.patch.object(jacobi, "_zoom_points", points):
+            warnings.simplefilter("error")
+            self.zoomed(a)
+        # the regula falsi estimate had an end without a determinant
+        assert any(np.any(~np.isfinite(m) | (m == 0.0)) for m in ends)
 
 
 def unstopped_reduction(a):
