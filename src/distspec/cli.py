@@ -17,7 +17,8 @@ it builds a graph: `jacobi.MAX_ORDER` for numeric spectra, `verify` spectrum
 sweeps and `matrix`, `exact.EXACT_ORDER_CAP` for `det` and determinant
 sweeps, and `bounds.ZF_ORDER_CAP` for `zf-bound`; `bounds.TREE_ORDER_CAP`
 and `closedforms.LEMMA_CAP` bound the `verify-trees` and `lemma-identities`
-sweeps.  A request over its cap is a usage error, and a grid point over it
+sweeps, and `SWEEP_POINT_CAP` the grid points a family sweep walks.
+A request over its cap is a usage error, and a grid point over it
 is left out of the sweep, and the sweep's output says how many points it
 left out; a sweep left with no point is a usage error too.
 A closed-form `spectrum` builds no graph at all, nor does `--verify` where
@@ -55,7 +56,7 @@ from .closedforms import (LEMMA_CAP, LEMMA_RANGES, ClosedFormSpectrum, _comb0,
                           kneser_spectrum, lemma_identity,
                           lollipop_determinant, lollipop_inertia,
                           shrikhande_power_spectrum)
-from .distances import distance_matrix, format_matrix
+from .distances import distance_array, distance_matrix, format_matrix
 from .exact import (EXACT_ORDER_CAP, Inertia, det_exact,
                     distinct_eigenvalue_count, inertia_exact)
 from .graphs import (Graph, GraphError, cocktail_party, complement, complete,
@@ -72,6 +73,8 @@ from .srg import (SrgParams, classify_one_positive, complement_params,
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
+# `verify` grid points walked at most, checked before the walk
+SWEEP_POINT_CAP = 10**5
 
 
 @dataclass(frozen=True)
@@ -216,7 +219,7 @@ def _spectrum_report(name: str, params: Sequence[int], *,
             if not verify:
                 return out
 
-    vals = sym_eigenvalues(distance_matrix(graph()))
+    vals = sym_eigenvalues(distance_array(graph()))
     num = cluster_to_spectrum(vals)
     out["numeric"] = num.to_json_dict()
     if closed is not None:
@@ -298,9 +301,15 @@ def _grid_axes(name: str, args: argparse.Namespace) -> list[range]:
 
 def _grid_instances(name: str, args: argparse.Namespace,
                     cap: int) -> list[tuple[int, ...]]:
-    """The points of `_grid_axes` inside the domain and no larger than cap."""
+    """The points of `_grid_axes` inside the domain and no larger than cap,
+    once their number is checked against SWEEP_POINT_CAP."""
     fam = FAMILIES[name]
-    return [p for p in itertools.product(*_grid_axes(name, args))
+    axes = _grid_axes(name, args)
+    points = math.prod(r.stop - r.start for r in axes)
+    if points > SWEEP_POINT_CAP:
+        raise ValueError(f"the {name} sweep has {points} grid points, over "
+                         f"the cap {SWEEP_POINT_CAP}")
+    return [p for p in itertools.product(*axes)
             if fam.domain(*p) and fam.order(*p) <= cap]
 
 
@@ -463,7 +472,7 @@ def cmd_zf_bound(args: argparse.Namespace) -> int:
 def cmd_matrix(args: argparse.Namespace) -> int:
     g = _build(_family(args.family, args.params), args.params, MAX_ORDER,
                "supported")
-    sys.stdout.write(format_matrix(distance_matrix(g)))
+    sys.stdout.write(format_matrix(distance_array(g)))
     return EXIT_OK
 
 

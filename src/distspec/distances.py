@@ -4,7 +4,7 @@ The distance matrix of a connected graph is integral, symmetric, zero on the
 diagonal, and satisfies the triangle inequality; entries equal 1 exactly on
 edges.  Disconnected input is rejected with a witness pair of vertices.
 
-`distance_matrix` grows every BFS ball together: `ball[v]` is a Python-int
+`distance_array` grows every BFS ball together: `ball[v]` is a Python-int
 bitset of the sources within distance l of v, and one sweep ORs each ball
 with its neighbours' balls.  After each sweep the balls are unpacked into one
 n x n counter of how many levels have held source s inside ball[v], so
@@ -12,7 +12,10 @@ d(s, v) = levels - inside[v][s]; the matrix is symmetric, so the counter's
 rows are the sources' rows.  Each level costs O(m) big-int ORs of n bits
 plus O(n^2) bytes of numpy work, so long thin graphs pay most: `cycle(1500)`
 (diameter 750) takes about 0.9 s on a 2-vCPU Xeon, against 0.4 s for n
-single-source searches.
+single-source searches.  `distance_array` returns that counter (uint16
+below order 65,536), which the CLI's `matrix` and numeric `spectrum` hand
+straight to `format_matrix` and the solver; `distance_matrix` is its Python
+lists, for the public API and the exact kernel, which works in Python ints.
 """
 
 from __future__ import annotations
@@ -30,8 +33,8 @@ class DisconnectedError(ValueError):
         super().__init__(f"graph is disconnected: no path between vertices {u} and {v}")
 
 
-def distance_matrix(g: Graph) -> IntMatrix:
-    """All-pairs shortest path distances; raises DisconnectedError if needed."""
+def distance_array(g: Graph) -> np.ndarray:
+    """`distance_matrix` as an unsigned integer array."""
     n = g.n
     nbrs = [g.neighbors(v) for v in range(n)]
     ball = [1 << v for v in range(n)]
@@ -56,53 +59,63 @@ def distance_matrix(g: Graph) -> IntMatrix:
         if not b & 1:
             raise DisconnectedError(0, v)
     np.subtract(levels, inside, out=inside)
-    return inside.tolist()
+    return inside
 
 
-def format_matrix(mat: IntMatrix) -> str:
+def distance_matrix(g: Graph) -> IntMatrix:
+    """All-pairs shortest path distances; raises DisconnectedError if needed."""
+    return distance_array(g).tolist()
+
+
+def format_matrix(mat: IntMatrix | np.ndarray) -> str:
     """Text dump: first line "n", then n rows of n space-separated integers.
 
-    Entries must fit int64.  Rows are formatted 64 at a time with no Python
-    work per entry: each entry fills a fixed-width cell of NUL bytes from
-    the right with its digits, its minus sign and a separator (a newline in
-    the first column, a space elsewhere), and dropping the NULs leaves the
-    text.
+    `mat` is a list of rows of ints that fit int64, or a 2-d array of a
+    type that casts to int64 without loss (other types are refused).
+    Rows are formatted 64 at a time with no Python work per entry (an int64
+    array's slabs are views, not copies): each entry fills one fixed-width
+    cell of bytes, its separator in column 0 (a newline before a row's
+    first entry, a space elsewhere), its sign in column 1 where the slab
+    holds a negative entry, then its digits right-aligned in NUL padding.
+    One pass over the slab's bytes then drops the NULs, leaving the text.
     """
-    n = len(mat)
-    if any(len(row) != n for row in mat):
+    if isinstance(mat, np.ndarray):
+        if not np.can_cast(mat.dtype, np.int64):  # no silent wrap or rounding
+            raise ValueError(f"matrix entries of type {mat.dtype} may not "
+                             "fit int64")
+        square = mat.ndim == 2 and mat.shape[0] == mat.shape[1]
+    else:
+        square = all(len(row) == len(mat) for row in mat)
+    if not square:
         raise ValueError("matrix must be square")
-    slabs = (_format_rows(np.array(mat[lo:lo + 64], np.int64))
-             for lo in range(0, n, 64))
-    return str(n) + "".join(slabs) + "\n"
+    n = len(mat)
+    slabs = [_format_rows(np.asarray(mat[lo:lo + 64], np.int64))
+             for lo in range(0, n, 64)]
+    return "".join([str(n), *slabs, "\n"])  # one copy of the text, not two
 
 
 def _format_rows(rows: np.ndarray) -> str:
     """Each row of a 2-d int64 array as a newline and its entries."""
-    neg = rows.ravel() < 0
-    mag = np.abs(rows.ravel()).view(np.uint64)   # |-2**63| is 2**63 unsigned
+    neg = rows < 0
+    signed = bool(neg.any())
+    mag = np.abs(rows).view(np.uint64)           # |-2**63| is 2**63 unsigned
     top = int(mag.max())
     if top < 1 << 32:
         mag = mag.astype(np.uint32)              # divides about 4x faster
     digits = len(str(top))
-    width = digits + 1 + bool(neg.any())         # separator, sign, digits
-    cells = np.zeros((mag.size, width), np.uint8)
-    first = np.full(mag.size, width - 1)         # each entry's leading character
+    cells = np.zeros((*rows.shape, 1 + signed + digits), np.uint8)
+    cells[:, :, 0] = ord(" ")
+    cells[:, 0, 0] = ord("\n")
+    if signed:
+        cells[:, :, 1] = neg * ord("-")
     for k in range(1, digits + 1):
         live = mag > 0
         mag, digit = np.divmod(mag, 10)
         digit += ord("0")
         if k > 1:                                # no leading zeros; 0 prints "0"
             digit *= live
-            first -= live
-        cells[:, -k] = digit
-    flat = cells.ravel()
-    at = np.arange(0, flat.size, width)
-    first -= neg
-    flat[(at + first)[neg]] = ord("-")
-    sep = np.full(mag.size, ord(" "), np.uint8)
-    sep[::rows.shape[1]] = ord("\n")
-    flat[at + first - 1] = sep
-    return flat[flat != 0].tobytes().decode("ascii")
+        cells[:, :, -k] = digit
+    return cells.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def parse_matrix(text: str) -> IntMatrix:

@@ -12,6 +12,8 @@ import pytest
 
 from distspec import bounds, cli, closedforms, jacobi, spectra, srg
 from distspec.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
+from distspec.distances import distance_matrix
+from test_distances import joined_matrix
 
 
 def run(capsys, *argv):
@@ -537,6 +539,37 @@ class TestSweepCaps:
             EXIT_USAGE, "", f"error: the {target} sweep has no instance "
                             f"inside its domain and cap\n")
 
+    @pytest.mark.parametrize("argv, points", [
+        ("verify cycle --n 1501..10000000000", 9999998500),
+        (f"verify cycle --n 1..{10**30}", 10**30),
+        ("verify hamming --d 1..400 --n 2..252", 100400),
+        ("verify lollipop --k 2..100002 --l 0", 100001),
+    ])
+    def test_oversized_grid_refused_before_the_walk(self, capsys, monkeypatch,
+                                                    argv, points):
+        def refuse(*params):
+            raise AssertionError("a grid point was walked")
+
+        target = argv.split()[1]
+        monkeypatch.setitem(cli.FAMILIES, target, dataclasses.replace(
+            cli.FAMILIES[target], domain=refuse, order=refuse))
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv.split())
+        assert time.perf_counter() - start < 1
+        assert cli.SWEEP_POINT_CAP == 10**5
+        assert (code, out, err) == (
+            EXIT_USAGE, "", f"error: the {target} sweep has {points} grid "
+                            f"points, over the cap 100000\n")
+
+    def test_grid_point_cap_is_inclusive(self, capsys):
+        # 100 x 1000 points, all outside the domain (r > n - 1): walked,
+        # then refused as empty
+        code, out, err = run(capsys, "verify", "johnson", "--n", "1..100",
+                             "--r", "1001..2000")
+        assert (code, out, err) == (
+            EXIT_USAGE, "", "error: the johnson sweep has no instance "
+                            "inside its domain and cap\n")
+
     def test_caps_are_inclusive(self, capsys, monkeypatch):
         assert (bounds.TREE_ORDER_CAP, closedforms.LEMMA_CAP) == (14, 200)
         monkeypatch.setattr(cli, "trees_by_order", lambda n: iter(()))
@@ -595,6 +628,13 @@ class TestMatrixAndDet:
         code, out, _ = run(capsys, "matrix", "path", "4")
         assert code == EXIT_OK
         assert out == "4\n0 1 2 3\n1 0 1 2\n2 1 0 1\n3 2 1 0\n"
+
+    @pytest.mark.parametrize("family, n", [("hypercube", 10), ("cycle", 1001)])
+    def test_matrix_text_is_the_joined_bfs_lists(self, capsys, family, n):
+        code, out, err = run(capsys, "matrix", family, str(n))
+        assert (code, err) == (EXIT_OK, "")
+        graph = cli.FAMILIES[family].gen(n)
+        assert out == joined_matrix(distance_matrix(graph))
 
     def test_det_plain_family(self, capsys):
         code, data, _ = run_json(capsys, "det", "path", "4")

@@ -4,13 +4,14 @@ import random
 from collections import deque
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import adjacency_matrix
-from distspec.distances import (DisconnectedError, distance_matrix,
-                                format_matrix, parse_matrix)
+from distspec.distances import (DisconnectedError, distance_array,
+                                distance_matrix, format_matrix, parse_matrix)
 from distspec.graphs import (Graph, cocktail_party, complete, cycle,
                              generalized_barbell, hamming, hypercube,
                              hypercube_with_leaf, kneser, lollipop, make_graph,
@@ -99,10 +100,11 @@ class TestDistanceMatrix:
 
 class TestConnectivity:
     def test_disconnected_raises_with_pair(self):
-        with pytest.raises(DisconnectedError) as exc:
-            distance_matrix(kneser(4, 2))
-        u, v = exc.value.pair
-        assert 0 <= u < 3 and 0 <= v < 3 and u != v
+        for bfs in (distance_matrix, distance_array):
+            with pytest.raises(DisconnectedError) as exc:
+                bfs(kneser(4, 2))
+            u, v = exc.value.pair
+            assert 0 <= u < 3 and 0 <= v < 3 and u != v
 
     def test_tensor_product_of_bipartite_splits(self):
         g = tensor_product(cycle(4), path(2))
@@ -170,17 +172,42 @@ class TestMatrixIO:
         rng = random.Random(7)
         extremes = [-2**63, 2**63 - 1, 0, -1, 9, 10, -10, 99, -100]
         mats = [[], [[0]], [[-7]], [[2**63 - 1]],
-                distance_matrix(path(120)), distance_matrix(cycle(1001)),
                 [[rng.choice(extremes) for _ in range(70)] for _ in range(70)],
                 [[rng.randint(-10**12, 10**12) for _ in range(130)]
                  for _ in range(130)]]
         for mat in mats:
-            assert format_matrix(mat) == joined_matrix(mat)
+            text = joined_matrix(mat)
+            assert format_matrix(mat) == text
+            arr = np.array(mat, np.int64).reshape(len(mat), len(mat))
+            assert format_matrix(arr) == text
 
-    @pytest.mark.parametrize("mat", [[[0, 1]], [[0], [1]], [[0, 1], [1]]])
+    @pytest.mark.parametrize("gen, arg", [(hypercube, 10), (cycle, 1001),
+                                          (path, 120)])
+    def test_format_of_the_bfs_array_matches_joined_entries(self, gen, arg):
+        # 2-digit (hypercube) and 3-digit entries in uint16, as the CLI sends
+        g = gen(arg)
+        arr = distance_array(g)
+        assert arr.dtype == np.uint16
+        mat = arr.tolist()
+        assert mat == distance_matrix(g)
+        text = joined_matrix(mat)
+        assert format_matrix(arr) == text
+        assert format_matrix(mat) == text
+
+    @pytest.mark.parametrize("mat", [
+        [[0, 1]], [[0], [1]], [[0, 1], [1]], np.zeros(3, np.int64),
+        np.zeros((2, 3), np.int64), np.zeros((2, 2, 2), np.uint16),
+        np.array(0, np.int64), np.zeros((0, 3), np.int64)])
     def test_format_refuses_non_square(self, mat):
         with pytest.raises(ValueError, match="matrix must be square"):
             format_matrix(mat)
+
+    @pytest.mark.parametrize("dtype", [np.uint64, np.float64])
+    def test_format_refuses_arrays_that_may_not_fit_int64(self, dtype):
+        # 2**64 - 1 would wrap to -1, and 0.5 would round
+        message = f"entries of type {np.dtype(dtype)}"
+        with pytest.raises(ValueError, match=message):
+            format_matrix(np.zeros((2, 2), dtype))
 
     def test_bad_row_length(self):
         with pytest.raises(ValueError, match="line 3: expected 2 entries"):
@@ -248,11 +275,13 @@ class TestAllSourcesDifferential:
         h.add_nodes_from(range(g.n))
         unreachable = sorted(set(range(g.n)) - nx.node_connected_component(h, 0))
         if unreachable:
-            with pytest.raises(DisconnectedError) as exc:
-                distance_matrix(g)
-            assert exc.value.pair == (0, unreachable[0])
+            for bfs in (distance_matrix, distance_array):
+                with pytest.raises(DisconnectedError) as exc:
+                    bfs(g)
+                assert exc.value.pair == (0, unreachable[0])
             return
         d = distance_matrix(g)
+        assert distance_array(g).tolist() == d
         assert d == [bfs_distances(g, s) for s in range(g.n)]
         ref = dict(nx.all_pairs_shortest_path_length(h))
         assert d == [[ref[u][v] for v in range(g.n)] for u in range(g.n)]

@@ -12,7 +12,7 @@ import pytest
 
 from distspec import jacobi
 from distspec.cli import FAMILIES
-from distspec.distances import distance_matrix
+from distspec.distances import distance_array, distance_matrix
 from distspec.exact import distinct_eigenvalue_count
 from distspec.graphs import (complete, cycle, halved_cube, hamming,
                              hypercube, hypercube_with_leaf, johnson, kneser,
@@ -182,6 +182,17 @@ class TestDifferential:
         dm = distance_matrix(random_connected(n, density, seed))
         with counts_refereed():
             assert_matches_eigvalsh(dm)
+
+
+@pytest.mark.parametrize("graph", [
+    lambda: hypercube(8), lambda: kneser(9, 4), lambda: cycle(400),
+    lambda: random_connected(120, 0.1, 9)],
+    ids=["hypercube-8", "kneser-9-4", "cycle-400", "random-120"])
+def test_bfs_array_gives_the_eigenvalues_of_its_lists(graph):
+    # uint16 to float64 is exact, so the CLI's array input changes no bit
+    g = graph()
+    assert sym_eigenvalues(distance_array(g)) == \
+        sym_eigenvalues(distance_matrix(g))
 
 
 class TestGrouping:
