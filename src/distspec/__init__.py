@@ -2,11 +2,12 @@
 
 Generators for the classical distance-regular and clique-path families,
 closed-form distance spectra with exact values, one exact integer kernel
-(Bareiss determinant, a multi-modular characteristic polynomial for
-inertia and distinct eigenvalues), a self-contained eigensolver (Householder
-tridiagonalization and Sturm counts, with a normwise error bound) used as the
-numeric oracle, strongly-regular parameter analysis, and zero-forcing based
-bounds on the number of distinct distance eigenvalues.
+(a multi-modular characteristic polynomial, its modulus sized by a modular
+rank, for determinant, inertia and distinct eigenvalues), a self-contained
+eigensolver (Householder tridiagonalization and Sturm counts, with a
+normwise error bound) used as the numeric oracle, strongly-regular parameter
+analysis, and zero-forcing based bounds on the number of distinct distance
+eigenvalues.
 """
 
 from .distances import (DisconnectedError, distance_matrix, format_matrix,

@@ -83,8 +83,10 @@ class Family:
 
     `order` is total over the integers: the generator's order where the
     generator accepts the parameters, a few vertices at most elsewhere.
-    `domain` holds where the closed form is tried before building and which
-    `verify` grid points stay; `grid` has one default range per parameter.
+    `domain` holds where the generator builds a connected graph (its
+    precondition, and for kneser and cocktail-party connectedness too):
+    there the closed form is tried before building, and only those `verify`
+    grid points stay; `grid` has one default range per parameter.
     """
 
     params: tuple[str, ...]
@@ -98,18 +100,23 @@ class Family:
 
 
 FAMILIES: dict[str, Family] = {
-    "complete": Family(("n",), complete, lambda n: n, (range(2, 26),), complete_spectrum),
-    "path": Family(("n",), path, lambda n: n),
-    "cycle": Family(("n",), cycle, lambda n: n, (range(3, 41),), cycle_spectrum),
+    "complete": Family(("n",), complete, lambda n: n, (range(2, 26),),
+                       complete_spectrum, domain=lambda n: n >= 2),
+    "path": Family(("n",), path, lambda n: n, domain=lambda n: n >= 2),
+    "cycle": Family(("n",), cycle, lambda n: n, (range(3, 41),),
+                    cycle_spectrum, domain=lambda n: n >= 3),
     "hypercube": Family(("d",), hypercube, lambda d: 1 << max(d, 0),
-                        (range(1, 9),), lambda d: hamming_spectrum(d, 2)),
+                        (range(1, 9),), lambda d: hamming_spectrum(d, 2),
+                        domain=lambda d: d >= 1),
     "hamming": Family(("d", "n"), hamming, lambda d, n: max(n, 0) ** max(d, 0),
-                      (range(1, 5), range(2, 5)), hamming_spectrum),
+                      (range(1, 5), range(2, 5)), hamming_spectrum,
+                      domain=lambda d, n: d >= 1 and n >= 2),
     "shrikhande": Family((), shrikhande, lambda: 16, (),
                          lambda: shrikhande_power_spectrum(1)),
     "doob": Family(("m", "d"), doob,
                    lambda m, d: 4 ** (2 * m + d) if m >= 1 and d >= 0 else 0,
-                   (range(1, 3), range(0, 2)), doob_spectrum),
+                   (range(1, 3), range(0, 2)), doob_spectrum,
+                   domain=lambda m, d: m >= 1 and d >= 0),
     "johnson": Family(("n", "r"), johnson, _comb0, (range(2, 10), range(1, 9)),
                       johnson_spectrum, domain=lambda n, r: 1 <= r <= n - 1),
     "kneser": Family(("n", "r"), kneser, _comb0, (range(3, 10), range(1, 5)),
@@ -119,24 +126,29 @@ FAMILIES: dict[str, Family] = {
                   domain=lambda r: r >= 2),
     "double-odd": Family(("r",), double_odd,
                          lambda r: 2 * _comb0(2 * r + 1, r), (range(2, 4),),
-                         double_odd_spectrum),
+                         double_odd_spectrum, domain=lambda r: r >= 2),
     "halved-cube": Family(("d",), halved_cube, lambda d: 1 << max(d - 1, 0),
-                          (range(4, 10),), halved_cube_spectrum),
+                          (range(4, 10),), halved_cube_spectrum,
+                          domain=lambda d: d >= 2),
     "cocktail-party": Family(("m",), cocktail_party, lambda m: 2 * m,
-                             (range(2, 9),), cocktail_party_spectrum),
+                             (range(2, 9),), cocktail_party_spectrum,
+                             domain=lambda m: m >= 2),
     "petersen": Family((), petersen, lambda: 10, (), lambda: kneser_spectrum(5, 2)),
     "icosahedron": Family((), icosahedron, lambda: 12, (), icosahedron_spectrum),
     "dodecahedron": Family((), dodecahedron, lambda: 20, (), dodecahedron_spectrum),
     "lollipop": Family(("k", "l"), lollipop,
                        lambda k, l: k + l if k >= 2 and l >= 0 else 0,
                        (range(2, 9), range(0, 9)),
+                       domain=lambda k, l: k >= 2 and l >= 0,
                        det=lollipop_determinant, inertia=lollipop_inertia),
     "barbell": Family(("k", "m", "l"), generalized_barbell,
                       lambda k, m, l: k + m + l if min(k, m) >= 2 and l >= 0 else 0,
                       (range(2, 7), range(2, 7), range(0, 7)),
+                      domain=lambda k, m, l: min(k, m) >= 2 and l >= 0,
                       det=barbell_determinant, inertia=barbell_inertia),
     "hypercube-leaf": Family(("d",), hypercube_with_leaf,
-                             lambda d: (1 << max(d, 0)) + 1),
+                             lambda d: (1 << max(d, 0)) + 1,
+                             domain=lambda d: d >= 1),
 }
 
 

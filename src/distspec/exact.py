@@ -2,18 +2,28 @@
 
 These routines are the ground-truth side of every numeric cross-check.  One
 kernel, run at most once per matrix, gives the determinant, inertia and
-distinct-eigenvalue count:
+distinct-eigenvalue count, all from the characteristic polynomial
+chi(x) = det(xI - M):
 
-1. fraction-free Bareiss elimination over Python ints: rank and determinant;
-2. the characteristic polynomial chi(x) = det(xI - M), by Hessenberg
-   reduction and the standard recurrence (Cohen, *A Course in Computational
-   Algebraic Number Theory*, ch. 2) modulo primes below 2**27 in int64
-   arrays, lifted by the Chinese remainder theorem under a Hadamard bound;
-   (-1)^n chi(0) must equal the Bareiss determinant.  27 bits is (63 - bit
-   length of EXACT_ORDER_CAP) // 2, so EXACT_ORDER_CAP products of two
-   residues plus one more sum below 2**63: a modular product is one matmul;
-3. a symmetric matrix has only real eigenvalues, so Descartes' rule of signs
-   on chi(x) and chi(-x) counts the positive and negative ones exactly, and
+1. chi by Hessenberg reduction and the standard recurrence (Cohen, *A Course
+   in Computational Algebraic Number Theory*, ch. 2) modulo primes below
+   2**27 in int64 arrays, lifted by the Chinese remainder theorem under a
+   Hadamard bound.  27 bits is (63 - bit length of EXACT_ORDER_CAP) // 2, so
+   EXACT_ORDER_CAP products of two residues plus one more sum below 2**63: a
+   modular product is one matmul.  det M = (-1)^n chi(0);
+2. the coefficient of x^(n-k) needs the bound only for k up to the rank r,
+   since larger minors vanish.  For symmetric M, Gaussian elimination modulo
+   the first prime gives r' <= r, stopped once more rank could save no
+   prime, and chi is lifted under the bound for k <= r' + 2.  It is kept
+   only if its (exact) coefficients of x^(n-r'-1) and x^(n-r'-2) are 0;
+   otherwise the prime divided a minor, and chi is lifted under the full
+   bound.  The check suffices because chi is real-rooted: if a_j = a_(j+1)
+   = 0, the j-th derivative has a double root at 0, and by Rolle a multiple
+   root of a real-rooted polynomial's derivative is a root of the polynomial
+   itself, so a_(j-1) = 0 too, and so on down to a_0: the rank is r';
+3. a symmetric matrix has only real eigenvalues, so the rank is n less the
+   multiplicity of the root 0, Descartes' rule of signs on chi(x) and
+   chi(-x) counts the positive and negative ones exactly, and
    n - deg gcd(chi, chi') counts the distinct ones.
 
 The public functions share the kernel through a memo holding only the last
@@ -26,7 +36,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
+from itertools import accumulate, chain
 from typing import Sequence
 
 import numpy as np
@@ -72,38 +82,43 @@ def _integer_rows(rows: Sequence[Sequence]) -> list[list[int]]:
     return [[(x * scale).numerator for x in row] for row in fr]
 
 
-def _bareiss(rows: list[list[int]]) -> tuple[int, int]:
-    """(rank, determinant) of a square matrix by fraction-free elimination;
-    consumes rows.
+def _residues(rows: list[list[int]], primes: list[int]) -> np.ndarray:
+    """The matrix modulo each prime, one int64 array per prime."""
+    n, mm = len(rows), np.array(primes, dtype=np.int64)[:, None, None]
+    try:
+        return np.array(rows, dtype=np.int64).reshape(n, n)[None] % mm
+    except OverflowError:  # entries beyond int64: reduce them as Python ints
+        big = np.array(rows, dtype=object)
+        return np.stack([(big % p).astype(np.int64) for p in primes])
 
-    Every entry after k pivots is a (k+1)-minor of the input (Sylvester's
-    identity), so each division by the previous pivot is exact.  The
-    determinant is 0 unless the matrix has full rank.
+
+def _modular_rank(rows: list[list[int]], p: int,
+                  enough: int) -> tuple[int, int | None]:
+    """The rank of an integer matrix modulo the prime p, a lower bound on
+    its rank, by Gaussian elimination that stops once the rank reaches
+    enough; and its determinant modulo p if the elimination ran through
+    every column, else None.
     """
-    n = len(rows)
-    rank, sign, prev = 0, 1, 1
+    a = _residues(rows, [p])[0]
+    n = len(a)
+    rank, det = 0, 1
     for c in range(n):
-        piv = next((r for r in range(rank, n) if rows[r][c]), None)
-        if piv is None:
+        if rank >= enough:
+            return rank, None
+        nz = np.flatnonzero(a[rank:, c])
+        if not nz.size:
             continue
-        if piv != rank:
-            rows[rank], rows[piv] = rows[piv], rows[rank]
-            sign = -sign
-        top = rows[rank]
-        p = top[c]
-        tail = top[c + 1:]
-        for r in range(rank + 1, n):
-            row = rows[r]
-            f = row[c]
-            if f:
-                row[c + 1:] = [(p * x - f * y) // prev
-                               for x, y in zip(row[c + 1:], tail)]
-            elif p != prev:
-                row[c + 1:] = [p * x // prev for x in row[c + 1:]]
-        prev = p
+        if nz[0]:
+            a[[rank, rank + nz[0]]] = a[[rank + nz[0], rank]]
+            det = -det
+        top = a[rank, c:]
+        det = det * int(top[0]) % p
+        rest = a[rank + 1:, c:]
+        f = rest[:, 0] * pow(int(top[0]), -1, p) % p
+        rest -= f[:, None] * top
+        rest %= p
         rank += 1
-    det = sign * prev if rank == n else 0
-    return rank, det
+    return rank, det * (rank == n) % p
 
 
 def _charpoly_residues(rows: list[list[int]], primes: list[int]) -> np.ndarray:
@@ -121,11 +136,7 @@ def _charpoly_residues(rows: list[list[int]], primes: list[int]) -> np.ndarray:
     n, kp = len(rows), len(primes)
     mod = np.array(primes, dtype=np.int64)
     mc, mm = mod[:, None], mod[:, None, None]
-    try:
-        h = np.array(rows, dtype=np.int64).reshape(n, n)[None] % mm
-    except OverflowError:  # entries beyond int64: reduce them as Python ints
-        big = np.array(rows, dtype=object)
-        h = np.stack([(big % p).astype(np.int64) for p in primes])
+    h = _residues(rows, primes)
     los = [0]  # for each column, the last block start shared by all primes
     for m in range(1, n):
         lo, piv = los[-1], h[:, m, m - 1]
@@ -184,41 +195,62 @@ _CHUNK_ENTRIES = 1 << 19
 
 
 class _Kernel:
-    """Rank, determinant and characteristic polynomial of one integer
-    matrix, each computed on first use."""
+    """The characteristic polynomial of one integer matrix, computed on
+    first use, and whether the matrix is symmetric."""
 
-    def __init__(self, rows: list[list[int]]):
-        self.rows = rows
+    def __init__(self, rows: list[list[int]], symmetric: bool):
+        self.rows, self.symmetric = rows, symmetric
 
-    @cached_property
-    def rank_det(self) -> tuple[int, int]:
-        return _bareiss([list(row) for row in self.rows])
+    def _chi_residues(self, primes: list[int]) -> np.ndarray:
+        """Residues of chi modulo each prime, a few primes at a time."""
+        n = len(self.rows)
+        step = max(1, _CHUNK_ENTRIES // (n * n + 1))
+        return np.concatenate([_charpoly_residues(self.rows, primes[i:i + step])
+                               for i in range(0, len(primes), step)])
 
     @cached_property
     def chi(self) -> list[int]:
-        """Coefficients of det(xI - M), lowest degree first, for symmetric M.
+        """Coefficients of det(xI - M), lowest degree first.
 
-        Each principal k x k minor is at most prod r_i in absolute value,
-        r_i = isqrt(|row_i|^2) + 1 (Hadamard), and minors of order above the
-        rank vanish, so twice max_{k <= rank} e_k(r) bounds the modulus.
+        The coefficient of x^(n-k) is a sum of principal k x k minors, each
+        at most prod r_i in absolute value, r_i = isqrt(|row_i|^2) + 1
+        (Hadamard), so twice the prefix maximum of e_k(r) bounds its lift.
+        For symmetric M the first lift stops at k = r' + 2 and stands only
+        under the two-zero certificate of the module docstring.
         """
-        (rank, det), n = self.rank_det, len(self.rows)
-        e = [1] + [0] * rank  # elementary symmetric functions of the r_i
-        for row in self.rows:
+        rows, n = self.rows, len(self.rows)
+        e = [1] + [0] * n  # elementary symmetric functions of the r_i
+        for i, row in enumerate(rows):
             r = math.isqrt(sum(x * x for x in row)) + 1
-            for k in range(rank, 0, -1):
+            for k in range(i + 1, 0, -1):
                 e[k] += r * e[k - 1]
-        primes = _primes_over(2 * max(e))
-        step = max(1, _CHUNK_ENTRIES // (n * n + 1))
-        res = np.concatenate([_charpoly_residues(self.rows, primes[i:i + step])
-                              for i in range(0, len(primes), step)])
+        bound = [2 * b for b in accumulate(e, max)]
+        primes = full = _primes_over(bound[n])
+        rank, det = 0, None
+        if self.symmetric and len(full) > 1:
+            # from rank enough on, the bound at rank + 2 takes every prime
+            below = math.prod(full[:-1])
+            enough = next(k for k, b in enumerate(bound) if b >= below) - 2
+            if enough > 0:
+                rank, det = _modular_rank(rows, full[0], enough)
+                primes = _primes_over(bound[min(n, rank + 2)])
+        res = self._chi_residues(primes)
         chi = _crt_lift(res, primes)
-        zero = n - rank  # nullity of a symmetric matrix: multiplicity of root 0
-        if any(chi[:zero]) or not chi[zero] or (-1) ** n * chi[0] != det:
+        if len(primes) < len(full) and any(chi[n - rank - 2:n - rank]):
+            more = self._chi_residues(full[len(primes):])
+            chi = _crt_lift(np.concatenate([res, more]), full)
+        zero = next(k for k, c in enumerate(chi) if c)
+        if n - zero < rank or det is not None and \
+                ((-1) ** n * chi[0] - det) % full[0]:
             raise ArithmeticError(
-                f"characteristic polynomial {chi} disagrees with Bareiss "
-                f"rank {rank} and determinant {det}")
+                f"characteristic polynomial {chi} disagrees with rank {rank} "
+                f"and determinant {det} modulo {full[0]}")
         return chi
+
+    @property
+    def nullity(self) -> int:
+        """Multiplicity of the root 0 of chi: n - rank for symmetric M."""
+        return next(k for k, c in enumerate(self.chi) if c)
 
 
 _last: tuple[tuple, _Kernel] | None = None
@@ -230,7 +262,8 @@ def _kernel(mat: Sequence[Sequence], *, symmetric: bool = False,
 
     One pass copies the rows into the memo key; the checks read the copy, in
     the order of precedence of their messages: shape, integer entries,
-    symmetry, order cap.
+    symmetry, order cap.  Symmetry is found once per matrix and kept in its
+    kernel.
     """
     global _last
     key = tuple(map(tuple, mat))
@@ -239,18 +272,19 @@ def _kernel(mat: Sequence[Sequence], *, symmetric: bool = False,
         raise ValueError("matrix must be square")
     if integer and not all(issubclass(t, int) for t in _entry_types(key)):
         raise ValueError("integer entries required")
-    if symmetric and key != tuple(zip(*key)):
+    last = _last
+    kern = last[1] if last is not None and last[0] == key else None
+    sym = kern.symmetric if kern else key == tuple(zip(*key))
+    if symmetric and not sym:
         i, j = next((i, j) for i in range(n) for j in range(i + 1, n)
                     if key[i][j] != key[j][i])
         raise ValueError(f"matrix not symmetric at ({i}, {j})")
     if n > EXACT_ORDER_CAP:
         raise ValueError(
             f"order {n} exceeds the exact search cap {EXACT_ORDER_CAP}")
-    last = _last
-    if last is not None and last[0] == key:
-        return last[1]
-    kern = _Kernel(_integer_rows(key))
-    _last = (key, kern)
+    if kern is None:
+        kern = _Kernel(_integer_rows(key), sym)
+        _last = (key, kern)
     return kern
 
 
@@ -280,13 +314,13 @@ def _gcd_degree(a: list[int], b: list[int]) -> int:
 
 
 def det_exact(mat: Sequence[Sequence[int]]) -> int:
-    """Determinant of an integer matrix by fraction-free Bareiss elimination.
-
-    All intermediate divisions are exact, so the arithmetic stays in the
-    integers no matter how large the entries grow.  Guarded at order
-    EXACT_ORDER_CAP.
+    """Determinant of an integer matrix, (-1)^n chi(0) from the exact
+    characteristic polynomial: no division, and no bound on the size of the
+    entries.  A non-symmetric matrix takes the Hadamard bound of every
+    order.  Guarded at order EXACT_ORDER_CAP.
     """
-    return _kernel(mat, integer=True).rank_det[1]
+    kern = _kernel(mat, integer=True)
+    return (-1) ** len(kern.rows) * kern.chi[0]
 
 
 def inertia_exact(mat: Sequence[Sequence]) -> Inertia:
@@ -298,8 +332,7 @@ def inertia_exact(mat: Sequence[Sequence]) -> Inertia:
     of chi(-x).  Guarded at order EXACT_ORDER_CAP.
     """
     kern = _kernel(mat, symmetric=True)
-    n = len(kern.rows)
-    zero = n - kern.rank_det[0]
+    n, zero = len(kern.rows), kern.nullity
     tail = kern.chi[zero:]
     pos = _sign_changes(tail)
     neg = _sign_changes([c if k % 2 == 0 else -c for k, c in enumerate(tail)])
@@ -317,7 +350,8 @@ def distinct_eigenvalue_count(mat: Sequence[Sequence[int]]) -> int:
     answer carries no numeric tolerance.  Guarded at order EXACT_ORDER_CAP.
     """
     kern = _kernel(mat, symmetric=True)
-    n, rank = len(kern.rows), kern.rank_det[0]
+    n = len(kern.rows)
+    rank = n - kern.nullity
     if rank == 0:
         return int(n > 0)
     f = kern.chi[n - rank:][::-1]

@@ -219,6 +219,22 @@ class TestVerify:
         assert (code, err) == (EXIT_OK, "note: 1 point(s) dropped\n")
         assert len(out.splitlines()) == 1 + 5
 
+    def test_hamming_sweep_drops_points_its_generator_refuses(self, capsys):
+        # hamming needs n >= 2: (d, 1) for d = 1..3 leaves the sweep, and
+        # the six other points run
+        code, data, err = run_json(capsys, "verify", "hamming", "--d", "1..3",
+                                   "--n", "1..3", "--format", "json")
+        assert (code, data["instances"], data["dropped"], err) == \
+            (EXIT_OK, 6, 3, "")
+        assert [r["params"] for r in data["results"]] == \
+            [[d, n] for d in range(1, 4) for n in (2, 3)]
+        assert all(r["match"] for r in data["results"])
+        # CP(1) is built but disconnected: dropped too
+        code, data, err = run_json(capsys, "verify", "cocktail-party",
+                                   "--m", "1..3", "--format", "json")
+        assert (code, data["instances"], data["dropped"], err) == \
+            (EXIT_OK, 2, 1, "")
+
     def test_nothing_dropped_adds_nothing(self, capsys):
         argv = ("verify", "johnson", "--n", "4", "--r", "1..3")
         code, out, err = run(capsys, *argv)

@@ -14,10 +14,12 @@ from hypothesis import strategies as st
 
 from conftest import enumerate_trees
 from distspec import exact
+from distspec.closedforms import halved_cube_spectrum, hamming_spectrum
 from distspec.distances import distance_matrix
 from distspec.exact import (Inertia, det_exact, distinct_eigenvalue_count,
                             inertia_exact)
-from distspec.graphs import generalized_barbell, lollipop
+from distspec.graphs import (generalized_barbell, halved_cube, hypercube,
+                             lollipop)
 from exact_referee import (congruence_inertia, fraction_rank_det,
                            krylov_distinct_count, leverrier_charpoly)
 from test_exact import cofactor_det
@@ -170,27 +172,142 @@ class TestAdversarial:
             routine(big)
 
 
+def full_bound_primes(m):
+    """Primes the lift takes under the Hadamard bound of every order: the
+    product must exceed twice the largest e_k(r), r_i = isqrt|row_i|^2 + 1."""
+    e = [1]
+    for row in m:
+        r = math.isqrt(sum(x * x for x in row)) + 1
+        e = [a + r * b for a, b in zip(e + [0], [0] + e)]
+    return len(exact._primes_over(2 * max(e)))
+
+
+def charpoly_of(spectrum):
+    """prod (x - value)^mult over integer eigenvalues, lowest degree first."""
+    poly = [1]
+    for value, mult in spectrum.entries:
+        for _ in range(mult):
+            poly = [a - value * b for a, b in zip([0] + poly, poly + [0])]
+    return poly
+
+
+@st.composite
+def low_rank_symmetric(draw):
+    """A symmetric integer matrix U^T S U + p V^T T V of order <= 12 and
+    rank <= 6, p the first prime: its rank modulo p is at most rank U."""
+    n = draw(st.integers(1, 12))
+    k = draw(st.integers(0, 6))
+    k_mod = draw(st.integers(0, 6 - k))
+    p = exact._primes_over(1)[0]
+    m = [[0] * n for _ in range(n)]
+    for scale, count in ((1, k), (p, k_mod)):
+        for _ in range(count):
+            s = scale * draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
+            u = draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))
+            for i in range(n):
+                for j in range(n):
+                    m[i][j] += s * u[i] * u[j]
+    return m
+
+
+def spy(monkeypatch):
+    """Record the modular eliminations, and the prime count of each CRT
+    lift."""
+    calls = {"rank": 0, "lifts": []}
+    rank, lift = exact._modular_rank, exact._crt_lift
+
+    def counted_rank(*args):
+        calls["rank"] += 1
+        return rank(*args)
+
+    def counted_lift(res, primes):
+        calls["lifts"].append(len(primes))
+        return lift(res, primes)
+
+    monkeypatch.setattr(exact, "_modular_rank", counted_rank)
+    monkeypatch.setattr(exact, "_crt_lift", counted_lift)
+    return calls
+
+
+class TestCertificate:
+    """The lift under the bound at the modular rank + 2, and the two zero
+    coefficients that certify it."""
+
+    def test_rank_drop_modulo_p_takes_the_full_lift(self, monkeypatch):
+        used = spy(monkeypatch)["lifts"]
+        p = exact._primes_over(1)[0]
+        diag = [[p if i == j == 0 else int(i == j == 1) for j in range(6)]
+                for i in range(6)]
+        assert_matches_referees(diag)
+        assert used[-1] == full_bound_primes(diag)
+        # rank 0 modulo p; with trace 0 the coefficient of x^(n-1) is 0
+        # too, and only the one of x^(n-2) shows the certificate failing
+        for last in (0, 2):
+            base = [[2, -1, 0, 3], [-1, 0, 5, 1], [0, 5, -4, 2],
+                    [3, 1, 2, last]]
+            m = [[p * x for x in row] for row in base]
+            used.clear()
+            assert_matches_referees(m)
+            assert used[0] < used[1] == full_bound_primes(m)
+
+    def test_low_rank_lifts_fewer_primes(self, monkeypatch):
+        used = spy(monkeypatch)["lifts"]
+        rng = random.Random(29)
+        us = [[rng.randint(-10**6, 10**6) for _ in range(12)]
+              for _ in range(3)]
+        rank3 = [[sum(u[i] * u[j] for u in us) for j in range(12)]
+                 for i in range(12)]
+        assert fraction_rank_det(rank3)[0] == 3
+        assert max(map(max, rank3)) > 10**12
+        for m in (distance_matrix(hypercube(6)),
+                  distance_matrix(halved_cube(7)), rank3):
+            used.clear()
+            assert_matches_referees(m)
+            assert len(used) == 1 and used[0] < full_bound_primes(m)
+
+    def test_low_rank_at_the_order_cap(self, monkeypatch):
+        # the referees take seconds at order 256; the closed forms give
+        # chi itself
+        used = spy(monkeypatch)["lifts"]
+        for g, spectrum in ((hypercube(8), hamming_spectrum(8, 2)),
+                            (halved_cube(9), halved_cube_spectrum(9))):
+            d = distance_matrix(g)
+            used.clear()
+            assert exact._kernel(d).chi == charpoly_of(spectrum.spectrum)
+            assert len(used) == 1 and used[0] < full_bound_primes(d)
+
+    @given(low_rank_symmetric())
+    @settings(max_examples=60, deadline=None)
+    def test_low_rank_symmetric(self, m):
+        assert_matches_referees(m)
+
+
 class TestKernelSharing:
     def test_one_kernel_run_per_matrix(self, monkeypatch):
-        calls = {"bareiss": 0, "chi": 0}
-        bareiss, chi = exact._bareiss, exact._charpoly_residues
-
-        def count(name, fn):
-            def wrapped(*args):
-                calls[name] += 1
-                return fn(*args)
-            return wrapped
-
-        monkeypatch.setattr(exact, "_bareiss", count("bareiss", bareiss))
-        monkeypatch.setattr(exact, "_charpoly_residues", count("chi", chi))
+        calls = spy(monkeypatch)
         d = distance_matrix(generalized_barbell(3, 4, 2))
         det_exact(d)
         inertia_exact(d)
         distinct_eigenvalue_count(d)
-        assert calls == {"bareiss": 1, "chi": 1}
+        assert (calls["rank"], len(calls["lifts"])) == (1, 1)
         d[0][1] = d[1][0] = 5  # same list, new contents: a new kernel run
         inertia_exact(d)
-        assert calls == {"bareiss": 2, "chi": 2}
+        assert (calls["rank"], len(calls["lifts"])) == (2, 2)
+        # a prime that divides every entry: the certificate fails, and one
+        # more lift under the full bound follows
+        p = exact._primes_over(1)[0]
+        m = [[p * x for x in row] for row in
+             [[2, -1, 0, 3], [-1, 0, 5, 1], [0, 5, -4, 2], [3, 1, 2, 0]]]
+        det_exact(m)
+        inertia_exact(m)
+        distinct_eigenvalue_count(m)
+        assert (calls["rank"], len(calls["lifts"])) == (3, 4)
+
+    def test_nonsymmetric_det_takes_no_elimination(self, monkeypatch):
+        calls = spy(monkeypatch)
+        m = [[9, 3, 1], [2, 7, 4], [5, 8, 6]]
+        assert det_exact(m) == cofactor_det(m)
+        assert calls == {"rank": 0, "lifts": [full_bound_primes(m)]}
 
     def test_integer_check_precedes_memo(self):
         det_exact([[1, 0], [0, 1]])
@@ -198,9 +315,26 @@ class TestKernelSharing:
             det_exact([[1.0, 0], [0, 1.0]])
 
     def test_determinant_cross_check(self, monkeypatch):
-        monkeypatch.setattr(exact, "_bareiss", lambda rows: (2, 5))
+        # hypercube(6) has rank 7: the elimination runs through every
+        # column and reports det = 0 mod p, here replaced by 1
+        d = distance_matrix(hypercube(6))
+        rank = exact._modular_rank
+        assert rank(d, exact._primes_over(1)[0], 64) == (7, 0)
+        monkeypatch.setattr(exact, "_modular_rank",
+                            lambda *args: (rank(*args)[0], 1))
         with pytest.raises(ArithmeticError, match="determinant"):
-            inertia_exact([[1, 2], [2, 1]])
+            inertia_exact(d)
+
+    def test_rank_above_the_truth_raises(self, monkeypatch):
+        # hypercube(6) has rank 7; a claimed 8 passes the two-zero
+        # certificate, as the coefficients of x^55 and x^54 are 0, but
+        # not the rank check
+        d = distance_matrix(hypercube(6))
+        used = spy(monkeypatch)["lifts"]
+        monkeypatch.setattr(exact, "_modular_rank", lambda *args: (8, None))
+        with pytest.raises(ArithmeticError, match="rank 8"):
+            inertia_exact(d)
+        assert len(used) == 1 and used[0] < full_bound_primes(d)
 
     def test_primes_not_built_at_import(self):
         out = subprocess.run(

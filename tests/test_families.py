@@ -6,6 +6,7 @@ import pytest
 
 from distspec.bounds import ZF_ORDER_CAP
 from distspec.cli import FAMILIES, _grid_instances, build_parser
+from distspec.distances import DisconnectedError, distance_array
 from distspec.exact import EXACT_ORDER_CAP
 from distspec.graphs import GraphError
 from distspec.jacobi import MAX_ORDER
@@ -67,6 +68,27 @@ def test_order_agrees_with_generator_and_closed_form(name):
             assert n <= ZF_ORDER_CAP, p  # the generator's message comes first
         else:
             assert g.n == n, p
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_domain_is_where_the_generator_builds_a_connected_graph(name):
+    fam = FAMILIES[name]
+    for p in itertools.product(range(-1, 8), repeat=len(fam.params)):
+        if fam.order(*p) > 600:
+            continue
+        try:
+            g = fam.gen(*p)
+        except GraphError:
+            assert not fam.domain(*p), p
+            continue
+        try:
+            distance_array(g)
+            connected = True
+        except DisconnectedError:
+            connected = False
+        # K(2, 1) is K_2, left out with the rest of kneser's n <= 2r
+        assert fam.domain(*p) == connected or \
+            (name, p) == ("kneser", (2, 1)), p
 
 
 def test_default_grids_unchanged():
