@@ -46,7 +46,7 @@ from typing import Callable, NoReturn, Optional, Sequence
 
 from .bounds import (TREE_ORDER_CAP, ZF_ORDER_CAP, check_tree_bounds,
                      forcing_bound, trees_by_order, zero_forcing_number)
-from .closedforms import (LEMMA_CAP, LEMMA_RANGES, ClosedFormSpectrum, _comb0,
+from .closedforms import (LEMMA_CAP, LEMMA_RANGES, ClosedFormSpectrum,
                           barbell_determinant, barbell_inertia,
                           cocktail_party_spectrum, complete_spectrum,
                           cycle_spectrum, dodecahedron_spectrum,
@@ -75,6 +75,26 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 # `verify` grid points walked at most, checked before the walk
 SWEEP_POINT_CAP = 10**5
+# no order past 2**ORDER_BITS is computed: every cap and the float range
+# lie below it, while 2**(10**11) alone would exhaust the memory
+ORDER_BITS = 1100
+
+
+def _power(base: int, exp: int) -> int | float:
+    """base**exp for base, exp >= 0, or inf past 2**ORDER_BITS."""
+    big = base > 1 and exp > ORDER_BITS / math.log2(base)
+    return math.inf if big else base ** exp
+
+
+def _binom(a: int, b: int) -> int | float:
+    """C(a, b), zero outside 0 <= b <= a, or inf past 2**ORDER_BITS: as
+    C(a, j) >= 2**j for j <= a/2, at most ORDER_BITS + 1 steps run."""
+    c = int(0 <= b <= a)
+    for j in range(min(b, a - b)):
+        c = c * (a - j) // (j + 1)
+        if c > 1 << ORDER_BITS:
+            return math.inf
+    return c
 
 
 @dataclass(frozen=True)
@@ -82,16 +102,17 @@ class Family:
     """A graph family on the command line.
 
     `order` is total over the integers: the generator's order where the
-    generator accepts the parameters, a few vertices at most elsewhere.
+    generator accepts the parameters, a few vertices at most elsewhere,
+    and inf where that order is past 2**ORDER_BITS.
     `domain` holds where the generator builds a connected graph (its
     precondition, and for kneser and cocktail-party connectedness too):
-    there the closed form is tried before building, and only those `verify`
-    grid points stay; `grid` has one default range per parameter.
+    there the closed form answers without building, and only those
+    `verify` grid points stay; `grid` has one default range per parameter.
     """
 
     params: tuple[str, ...]
     gen: Callable[..., Graph]
-    order: Callable[..., int]
+    order: Callable[..., int | float]
     grid: tuple[range, ...] = ()
     closed: Optional[Callable[..., ClosedFormSpectrum]] = None
     domain: Callable[..., bool] = lambda *params: True
@@ -105,29 +126,32 @@ FAMILIES: dict[str, Family] = {
     "path": Family(("n",), path, lambda n: n, domain=lambda n: n >= 2),
     "cycle": Family(("n",), cycle, lambda n: n, (range(3, 41),),
                     cycle_spectrum, domain=lambda n: n >= 3),
-    "hypercube": Family(("d",), hypercube, lambda d: 1 << max(d, 0),
+    "hypercube": Family(("d",), hypercube, lambda d: _power(2, max(d, 0)),
                         (range(1, 9),), lambda d: hamming_spectrum(d, 2),
                         domain=lambda d: d >= 1),
-    "hamming": Family(("d", "n"), hamming, lambda d, n: max(n, 0) ** max(d, 0),
+    "hamming": Family(("d", "n"), hamming,
+                      lambda d, n: _power(max(n, 0), max(d, 0)),
                       (range(1, 5), range(2, 5)), hamming_spectrum,
                       domain=lambda d, n: d >= 1 and n >= 2),
     "shrikhande": Family((), shrikhande, lambda: 16, (),
                          lambda: shrikhande_power_spectrum(1)),
     "doob": Family(("m", "d"), doob,
-                   lambda m, d: 4 ** (2 * m + d) if m >= 1 and d >= 0 else 0,
+                   lambda m, d: (_power(4, 2 * m + d)
+                                 if m >= 1 and d >= 0 else 0),
                    (range(1, 3), range(0, 2)), doob_spectrum,
                    domain=lambda m, d: m >= 1 and d >= 0),
-    "johnson": Family(("n", "r"), johnson, _comb0, (range(2, 10), range(1, 9)),
+    "johnson": Family(("n", "r"), johnson, _binom, (range(2, 10), range(1, 9)),
                       johnson_spectrum, domain=lambda n, r: 1 <= r <= n - 1),
-    "kneser": Family(("n", "r"), kneser, _comb0, (range(3, 10), range(1, 5)),
+    "kneser": Family(("n", "r"), kneser, _binom, (range(3, 10), range(1, 5)),
                      kneser_spectrum, domain=lambda n, r: 1 <= r and n > 2 * r),
-    "odd": Family(("r",), odd_graph, lambda r: _comb0(2 * r + 1, r),
+    "odd": Family(("r",), odd_graph, lambda r: _binom(2 * r + 1, r),
                   (range(2, 5),), lambda r: kneser_spectrum(2 * r + 1, r),
                   domain=lambda r: r >= 2),
     "double-odd": Family(("r",), double_odd,
-                         lambda r: 2 * _comb0(2 * r + 1, r), (range(2, 4),),
+                         lambda r: 2 * _binom(2 * r + 1, r), (range(2, 4),),
                          double_odd_spectrum, domain=lambda r: r >= 2),
-    "halved-cube": Family(("d",), halved_cube, lambda d: 1 << max(d - 1, 0),
+    "halved-cube": Family(("d",), halved_cube,
+                          lambda d: _power(2, max(d - 1, 0)),
                           (range(4, 10),), halved_cube_spectrum,
                           domain=lambda d: d >= 2),
     "cocktail-party": Family(("m",), cocktail_party, lambda m: 2 * m,
@@ -147,7 +171,7 @@ FAMILIES: dict[str, Family] = {
                       domain=lambda k, m, l: min(k, m) >= 2 and l >= 0,
                       det=barbell_determinant, inertia=barbell_inertia),
     "hypercube-leaf": Family(("d",), hypercube_with_leaf,
-                             lambda d: (1 << max(d, 0)) + 1,
+                             lambda d: _power(2, max(d, 0)) + 1,
                              domain=lambda d: d >= 1),
 }
 
@@ -168,7 +192,8 @@ def _build(fam: Family, params: Sequence[int], cap: int, what: str) -> Graph:
     """The graph, after its order is checked against the route's cap."""
     n = fam.order(*params)
     if n > cap:
-        raise ValueError(f"order {n} exceeds the {what} cap {cap}")
+        size = n if n < math.inf else f"over 2^{ORDER_BITS}"
+        raise ValueError(f"order {size} exceeds the {what} cap {cap}")
     return fam.gen(*params)
 
 
@@ -192,49 +217,36 @@ def _spectrum_report(name: str, params: Sequence[int], *,
                      verify: bool = False, numeric: bool = False) -> dict:
     """The `spectrum` JSON document of one instance.
 
-    The graph comes first outside the family's domain, so bad parameters
-    meet the generator's message, and under verify or numeric or where the
-    family has no closed form; otherwise the closed form answers without
-    one.  A closed form that refuses the parameters hands over to the
-    numeric route with a note, or raises if verify is set: there is then
-    nothing to verify against.
+    The closed form answers inside the family's domain, which is exactly
+    where it accepts the parameters, and builds no graph.  The numeric
+    route builds one under numeric or verify, where the family has no
+    closed form, and outside the domain, where bad parameters meet the
+    generator's or the distance search's refusal.
     """
     fam = _family(name, params)
     if verify and fam.closed is None:
         raise ValueError(f"{name} has no closed-form spectrum to verify")
     n = fam.order(*params)
     out: dict = {"family": name, "params": list(params), "n": n}
-    graph = functools.cache(lambda: _build(fam, params, MAX_ORDER, "supported"))
-    if verify or numeric or fam.closed is None or not fam.domain(*params):
-        graph()
-    closed = None
+    closed_route = not numeric and fam.closed is not None and fam.domain(*params)
+    if verify or not closed_route:
+        graph = _build(fam, params, MAX_ORDER, "supported")
     if fam.closed is None:
         out["note"] = "no closed form for this family; using numeric solver"
-    elif not numeric:
+    if closed_route:
         # D's largest eigenvalue is at least its least row sum, >= n - 1
         if n - 1 > sys.float_info.max:
             raise ValueError("value beyond the float range +-1.8e308")
-        try:
-            cf = fam.closed(*params)
-        except ValueError as exc:
-            if verify:
-                raise
-            if n > MAX_ORDER:  # the numeric route refuses too
-                raise ValueError(f"{exc}; order {n} exceeds the supported "
-                                 f"cap {MAX_ORDER}") from None
-            out["note"] = (f"closed form unavailable here ({exc}); "
-                           "using numeric solver")
-        else:
-            closed = cf.spectrum
-            out["closed_form"] = {**closed.to_json_dict(),
-                                  "formula": cf.formula}
-            if not verify:
-                return out
+        cf = fam.closed(*params)
+        closed = cf.spectrum
+        out["closed_form"] = {**closed.to_json_dict(), "formula": cf.formula}
+        if not verify:
+            return out
 
-    vals = sym_eigenvalues(distance_array(graph()))
+    vals = sym_eigenvalues(distance_array(graph))
     num = cluster_to_spectrum(vals)
     out["numeric"] = num.to_json_dict()
-    if closed is not None:
+    if closed_route:
         # a solver that cannot promise MATCH_TOL proves nothing
         bound = error_bound(vals)
         dev = max_deviation(closed, num)
@@ -299,30 +311,24 @@ def _refuse_other_range_flags(target: str, takes: Sequence[str],
             raise ValueError(f"{target} takes no option --{flag.replace('_', '-')}")
 
 
-def _grid_axes(name: str, args: argparse.Namespace) -> list[range]:
-    """The family's default grid, each axis replaced by its range flag if
-    one is given."""
+def _grid_instances(name: str, args: argparse.Namespace,
+                    cap: int) -> tuple[list[tuple[int, ...]], int]:
+    """The points of the family's grid (each axis its range flag if given)
+    inside the domain and cap, and the number of points left out; they are
+    counted against SWEEP_POINT_CAP before any is walked."""
     fam = FAMILIES[name]
     _refuse_other_range_flags(name, fam.params, args)
     axes = []
     for pname, default in zip(fam.params, fam.grid):
         flag = getattr(args, f"range_{pname}")
         axes.append(default if flag is None else _parse_range(flag))
-    return axes
-
-
-def _grid_instances(name: str, args: argparse.Namespace,
-                    cap: int) -> list[tuple[int, ...]]:
-    """The points of `_grid_axes` inside the domain and no larger than cap,
-    once their number is checked against SWEEP_POINT_CAP."""
-    fam = FAMILIES[name]
-    axes = _grid_axes(name, args)
     points = math.prod(r.stop - r.start for r in axes)
     if points > SWEEP_POINT_CAP:
         raise ValueError(f"the {name} sweep has {points} grid points, over "
                          f"the cap {SWEEP_POINT_CAP}")
-    return [p for p in itertools.product(*axes)
+    jobs = [p for p in itertools.product(*axes)
             if fam.domain(*p) and fam.order(*p) <= cap]
+    return jobs, points - len(jobs)
 
 
 def _pick(doc: dict, *keys: str) -> dict:
@@ -357,30 +363,32 @@ def cmd_verify(args: argparse.Namespace) -> int:
         _refuse_other_range_flags(target, (), args)
         jobs = _lemma_jobs(20 if args.max is None else args.max,
                            10 if args.max_b is None else args.max_b)
-        check = _lemma_row
+        check, dropped = _lemma_row, 0
     elif fam is None:
         raise ValueError(f"unknown verify target {target!r}")
     elif fam.det is not None:
-        jobs = _grid_instances(target, args, EXACT_ORDER_CAP)
+        jobs, dropped = _grid_instances(target, args, EXACT_ORDER_CAP)
         check = lambda p: _pick(_det_report(target, p), "det", "inertia",
                                 "match")
     elif fam.closed is None:
         raise ValueError(f"{target} has no closed-form spectrum to verify")
     else:
-        jobs = _grid_instances(target, args, MAX_ORDER)
+        jobs, dropped = _grid_instances(target, args, MAX_ORDER)
         check = lambda p: _pick(_spectrum_report(target, p, verify=True),
                                 "match", "max_deviation", "error_bound")
     if not jobs:  # a sweep that checks nothing must not pass
         raise ValueError(f"the {target} sweep has no instance inside its "
                          f"domain and cap")
-    dropped = 0 if fam is None else \
-        math.prod(map(len, _grid_axes(target, args))) - len(jobs)
     results = [check(job) for job in jobs]
 
     failures = sum(1 for r in results if not r["match"])
     note = f"{dropped} point(s) dropped"
     if args.format == "csv":
-        _print_csv(results)
+        import csv
+        w = csv.DictWriter(sys.stdout, fieldnames=list(
+            dict.fromkeys(k for r in results for k in r)))
+        w.writeheader()
+        w.writerows(results)
         if dropped:
             print(f"note: {note}", file=sys.stderr)
     elif args.format == "json":
@@ -397,14 +405,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print(f"{len(results)} instance(s), {failures} failure(s)"
               + (f", {note}" if dropped else ""))
     return EXIT_OK if failures == 0 else EXIT_FAIL
-
-
-def _print_csv(results: list[dict]) -> None:
-    import csv
-    keys = dict.fromkeys(k for r in results for k in r)
-    w = csv.DictWriter(sys.stdout, fieldnames=list(keys))
-    w.writeheader()
-    w.writerows(results)
 
 
 # ---------------------------------------------------------------------------

@@ -183,15 +183,17 @@ def double_odd_spectrum(r: int) -> ClosedFormSpectrum:
 
 
 def halved_cube_spectrum(d: int) -> ClosedFormSpectrum:
-    """Distance spectrum of the halved cube on even-weight words, d >= 4.
+    """Distance spectrum of the halved d-cube on even-weight words, d >= 2:
+    d 2^(d-3) once, -2^(d-3) with multiplicity d, zeros elsewhere.
 
-    The formula pattern starts at d = 4; smaller halved cubes are complete
-    graphs better served by the numeric route, so they are rejected here.
+    At d = 3 the zeros have multiplicity 0, leaving the spectrum of K_4.
+    d = 2 is K_2 = {1, -1}, where the pattern breaks (2^(d-3) is 1/2).
     """
-    if d < 4:
-        raise ValueError("halved cube closed form needs d >= 4; use the numeric route below that")
-    big = 2 ** (d - 3)
-    pairs = [(d * big, 1), (0, 2 ** (d - 1) - d - 1), (-big, d)]
+    if d < 2:
+        raise ValueError("halved cube needs d >= 2")
+    big = 2 ** max(d - 3, 0)
+    pairs = ([(d * big, 1), (0, 2 ** (d - 1) - d - 1), (-big, d)] if d > 2
+             else [(1, 1), (-1, 1)])
     return ClosedFormSpectrum(Spectrum(pairs), f"halved-cube({d})")
 
 

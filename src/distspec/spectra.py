@@ -215,10 +215,6 @@ class Inertia:
     zero: int
     negative: int
 
-    @property
-    def n(self) -> int:
-        return self.positive + self.zero + self.negative
-
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.positive, self.zero, self.negative)
 

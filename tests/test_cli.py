@@ -46,11 +46,13 @@ class TestSpectrum:
             ["15", "0", "-3"]
 
     def test_out_of_range_closed_form_falls_back(self, capsys):
+        # the halved 3-cube is K_4, inside the closed form's domain: the
+        # formula answers, and nothing falls back to the solver
         code, data, _ = run_json(capsys, "spectrum", "halved-cube", "3")
         assert code == EXIT_OK
-        assert "closed_form" not in data
-        assert "note" in data
-        assert data["numeric"]["n"] == 4
+        assert "numeric" not in data and "note" not in data
+        assert [(e["exact"], e["mult"])
+                for e in data["closed_form"]["eigs"]] == [("3", 1), ("-1", 3)]
 
     def test_family_without_formula_notes_it(self, capsys):
         code, data, _ = run_json(capsys, "spectrum", "path", "5")
@@ -109,11 +111,13 @@ class TestSpectrum:
         assert counting.shapes == [(27, 27)]
 
     def test_verify_refused_where_the_closed_form_is(self, capsys):
-        code, out, err = run(capsys, "spectrum", "halved-cube", "3",
-                             "--verify")
-        assert (code, out, err) == (
-            EXIT_USAGE, "", "error: halved cube closed form needs d >= 4; "
-                            "use the numeric route below that\n")
+        # no closed form refuses inside its family's domain, so the
+        # smallest halved cubes, K_2 and K_4, are verified like any other
+        for d in ("2", "3"):
+            code, data, err = run_json(capsys, "spectrum", "halved-cube", d,
+                                       "--verify")
+            assert (code, err) == (EXIT_OK, ""), d
+            assert data["match"] is True, d
 
     def test_verify_and_numeric_exclude_each_other(self, capsys):
         code, out, err = run(capsys, "spectrum", "petersen", "--numeric",
@@ -334,10 +338,10 @@ class TestVerify:
         assert "empty range" in err
 
     def test_closed_form_refusal_is_usage_error(self, capsys):
-        code, out, err = run(capsys, "verify", "halved-cube", "--d", "3..4")
-        assert (code, out) == (EXIT_USAGE, "")
-        assert err == "error: halved cube closed form needs d >= 4; " \
-                      "use the numeric route below that\n"
+        # the closed form accepts the whole domain, d >= 2: every point runs
+        code, out, err = run(capsys, "verify", "halved-cube", "--d", "2..5")
+        assert (code, err) == (EXIT_OK, "")
+        assert out.splitlines()[-1] == "4 instance(s), 0 failure(s)"
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -677,6 +681,9 @@ def refuse_to_build(*params):
     raise AssertionError("a graph was built")
 
 
+FLOAT_RANGE = "value beyond the float range +-1.8e308"
+
+
 @pytest.fixture
 def no_graphs(monkeypatch):
     """Every family's generator raises, so a passing command built nothing."""
@@ -715,23 +722,60 @@ class TestSizeBeforeBuilding:
     @pytest.mark.parametrize("flags", [(), ("--verify",)])
     def test_cycle_over_the_entry_cap_is_refused(self, capsys, no_graphs,
                                                  flags):
-        # 2,500,002 closed-form entries, and an order over the solver's cap;
-        # --verify checks the order first, so only that refusal is named
-        closed = "" if flags else ("cycle(10000000) has 2500002 spectrum "
-                                   "entries, over the cap 1000000; ")
+        # 2,500,002 closed-form entries, and an order over the solver's cap:
+        # the closed form refuses alone, and --verify builds first, so
+        # there only the order's cap is named
+        message = ("order 10000000 exceeds the supported cap 1500" if flags
+                   else "cycle(10000000) has 2500002 spectrum entries, over "
+                        "the cap 1000000")
         start = time.perf_counter()
         code, out, err = run(capsys, "spectrum", "cycle", "10000000", *flags)
         assert time.perf_counter() - start < 1
-        assert (code, out, err) == (
-            EXIT_USAGE, "",
-            f"error: {closed}order 10000000 exceeds the supported cap 1500\n")
+        assert (code, out, err) == (EXIT_USAGE, "", f"error: {message}\n")
 
     def test_cycle_refusal_names_both_caps(self, capsys, no_graphs):
+        # the closed form's refusal is the answer: no numeric route follows
         code, out, err = run(capsys, "spectrum", "cycle", "2000001")
         assert (code, out, err) == (
             EXIT_USAGE, "",
             "error: cycle(2000001) has 1000001 spectrum entries, over the cap "
-            "1000000; order 2000001 exceeds the supported cap 1500\n")
+            "1000000\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        ("spectrum hypercube 100000000000", FLOAT_RANGE),
+        ("spectrum halved-cube 100000000000", FLOAT_RANGE),
+        ("spectrum hamming 100000000000 3", FLOAT_RANGE),
+        ("spectrum doob 100000000000 0", FLOAT_RANGE),
+        ("spectrum kneser 100000000000 50000000", FLOAT_RANGE),
+        ("matrix hypercube 100000000000",
+         "order over 2^1100 exceeds the supported cap 1500"),
+        ("spectrum hypercube-leaf 100000000000",
+         "order over 2^1100 exceeds the supported cap 1500"),
+        ("zf-bound kneser 100000000 3000000",
+         "order over 2^1100 exceeds the zero forcing search cap 24"),
+        ("det johnson 100000000000 50000000000",
+         "order over 2^1100 exceeds the exact search cap 256"),
+        ("spectrum odd 100000000000 --verify",
+         "order over 2^1100 exceeds the supported cap 1500"),
+        ("verify hypercube --d 100000000000",
+         "the hypercube sweep has no instance inside its domain and cap"),
+        ("verify double-odd --r 100000000000",
+         "the double-odd sweep has no instance inside its domain and cap"),
+    ])
+    def test_orders_past_every_cap_are_never_computed(self, capsys, no_graphs,
+                                                      argv, message):
+        # 2**(10**11) alone would take 12.5 GB; C(10**8, 3 * 10**6) minutes
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv.split())
+        assert time.perf_counter() - start < 1
+        assert (code, out, err) == (EXIT_USAGE, "", f"error: {message}\n")
+
+    def test_a_sweep_drops_orders_past_every_cap(self, capsys):
+        # 4**(2m) passes 2**1100 from m = 276; only m = 1, 2 are in the cap
+        code, data, err = run_json(capsys, "verify", "doob", "--m", "1..600",
+                                   "--d", "0", "--format", "json")
+        assert (code, err) == (EXIT_OK, "")
+        assert (data["instances"], data["dropped"]) == (2, 598)
 
     def test_verify_without_a_closed_form_builds_nothing(self, capsys,
                                                          no_graphs):

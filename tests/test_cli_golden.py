@@ -43,10 +43,10 @@ REQUESTS = [
     ("spectrum doob 1 1 --verify", True),
     ("spectrum halved-cube 5 --verify --format text", True),
     ("spectrum cycle 400 --verify --format text", True),
-    # a closed form that refuses, with and without --verify
-    ("spectrum halved-cube 3", True),
-    ("spectrum halved-cube 3 --format text", True),
-    ("spectrum halved-cube 3 --verify", False),
+    # the closed form's whole domain: the halved 3-cube is K_4
+    ("spectrum halved-cube 3", False),
+    ("spectrum halved-cube 3 --format text", False),
+    ("spectrum halved-cube 3 --verify", True),
     # outside the domain: the generator's message
     ("spectrum odd 1", False),
     ("spectrum johnson 4 7 --verify", False),
@@ -82,7 +82,8 @@ REQUESTS = [
     ("verify cycle --n 3..5", True),
     ("verify hamming --d 2 --n 2..3 --format csv", True),
     ("verify halved-cube --d 4..5 --format json", True),
-    ("verify halved-cube --d 3..4", False),
+    ("verify halved-cube --d 3..4", True),
+    ("verify halved-cube --d 2..5", True),
     ("verify path", False),
     ("verify cycle --d 3..4", False),
 ]

@@ -262,7 +262,10 @@ class TestSpectrumSanity:
 
     def test_domain_rejections(self):
         with pytest.raises(ValueError):
-            halved_cube_spectrum(3)
+            halved_cube_spectrum(1)
+        # the halved 2- and 3-cubes are K_2 and K_4
+        assert halved_cube_spectrum(2).spectrum == complete_spectrum(2).spectrum
+        assert halved_cube_spectrum(3).spectrum == complete_spectrum(4).spectrum
         with pytest.raises(ValueError):
             cocktail_party_spectrum(1)
         with pytest.raises(ValueError):

@@ -116,7 +116,7 @@ class TestInertia:
 
     def test_counts_sum_to_order(self):
         res = inertia_exact(distance_matrix(hypercube(4)))
-        assert res.positive + res.zero + res.negative == res.n == 16
+        assert res.positive + res.zero + res.negative == 16
 
 
 class TestRank:

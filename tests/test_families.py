@@ -1,11 +1,12 @@
 """The command line's family registry: orders, domains and default grids."""
 
 import itertools
+import math
 
 import pytest
 
 from distspec.bounds import ZF_ORDER_CAP
-from distspec.cli import FAMILIES, _grid_instances, build_parser
+from distspec.cli import FAMILIES, ORDER_BITS, _grid_instances, build_parser
 from distspec.distances import DisconnectedError, distance_array
 from distspec.exact import EXACT_ORDER_CAP
 from distspec.graphs import GraphError
@@ -53,12 +54,9 @@ def test_order_agrees_with_generator_and_closed_form(name):
         assert type(n) is int, p
         cf = None
         if fam.closed is not None and fam.domain(*p):
-            try:
-                cf = fam.closed(*p)
-            except ValueError:
-                pass
-            else:
-                assert cf.spectrum.dimension == n, p
+            # the closed form accepts its family's whole domain
+            cf = fam.closed(*p)
+            assert cf.spectrum.dimension == n, p
         if n > 3000:
             continue
         try:
@@ -97,16 +95,45 @@ def test_default_grids_unchanged():
     assert verifiable == set(EXPECTED_GRIDS)
     for name, expected in EXPECTED_GRIDS.items():
         assert len(FAMILIES[name].grid) == len(FAMILIES[name].params)
-        got = _grid_instances(name, verify_args(), sweep_cap(name))
+        got, dropped = _grid_instances(name, verify_args(), sweep_cap(name))
         assert got == expected, name
+        axes = FAMILIES[name].grid
+        assert dropped == math.prod(map(len, axes)) - len(expected), name
 
 
 def test_grid_points_over_the_cap_are_dropped():
     args = verify_args("--d", "1..7", "--n", "4")
     got = _grid_instances("hamming", args, MAX_ORDER)
-    assert got == [(d, 4) for d in range(1, 6)]  # 4**5 = 1024 <= 1500
+    # 4**5 = 1024 <= 1500
+    assert got == ([(d, 4) for d in range(1, 6)], 2)
     args = verify_args("--k", f"{EXACT_ORDER_CAP - 4}..{EXACT_ORDER_CAP}",
                        "--l", "3")
     got = _grid_instances("lollipop", args, EXACT_ORDER_CAP)
-    assert got == [(k, 3) for k in range(EXACT_ORDER_CAP - 4,
-                                         EXACT_ORDER_CAP - 2)]
+    assert got == ([(k, 3) for k in range(EXACT_ORDER_CAP - 4,
+                                          EXACT_ORDER_CAP - 2)], 3)
+
+
+def test_orders_are_exact_up_to_the_bound_and_inf_past_it():
+    def expect(exact):
+        return exact if exact <= 2 ** ORDER_BITS else math.inf
+
+    def order(name, *p):
+        return FAMILIES[name].order(*p)
+
+    for d in range(ORDER_BITS - 3, ORDER_BITS + 4):
+        assert order("hypercube", d) == expect(2 ** d), d
+        assert order("hypercube-leaf", d) == expect(2 ** d) + 1, d
+        assert order("halved-cube", d) == expect(2 ** (d - 1)), d
+    for d in range(690, 700):  # 3**694 < 2**1100 < 3**695
+        assert order("hamming", d, 3) == expect(3 ** d), d
+    for m, d in ((275, 0), (274, 2), (274, 3), (275, 1)):
+        assert order("doob", m, d) == expect(4 ** (2 * m + d)), (m, d)
+    for n, rs in ((1200, range(-1, 1202)), (10**11, range(0, 60)),
+                  (-3, range(-2, 3))):
+        for r in rs:
+            exact = math.comb(n, r) if 0 <= r <= n else 0
+            assert order("johnson", n, r) == expect(exact), (n, r)
+            assert order("kneser", n, r) == expect(exact), (n, r)
+    for r in range(545, 560):  # C(2r+1, r) passes 2**1100 at r = 553
+        assert order("odd", r) == expect(math.comb(2 * r + 1, r)), r
+        assert order("double-odd", r) == 2 * expect(math.comb(2 * r + 1, r))
