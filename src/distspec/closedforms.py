@@ -1,9 +1,9 @@
 """Closed-form distance spectra and determinant/inertia formulas.
 
-Every function here evaluates a published formula directly, with exact
-integer or quadratic-irrational values wherever the formula allows it; only
-cycle spectra are float-valued (trigonometric).  The numeric eigensolver
-never feeds into these, so the two sides stay independent for cross-checks.
+Each function evaluates a published formula, exactly (integers or quadratic
+irrationals) except the trigonometric cycle spectra; the Kneser spectrum
+runs the Johnson scheme's three-term recurrence (Delsarte 1973, 4.2).  The
+numeric eigensolver never feeds into these: the two routes stay independent.
 """
 
 from __future__ import annotations
@@ -123,14 +123,6 @@ def johnson_spectrum(n: int, r: int) -> ClosedFormSpectrum:
     return ClosedFormSpectrum(Spectrum(pairs), f"johnson({n},{r})")
 
 
-def eberlein(i: int, j: int, n: int, r: int) -> int:
-    """Eberlein polynomial value p_i(j) for the Johnson scheme on r-subsets."""
-    if not (0 <= i <= r and 0 <= j <= r):
-        raise ValueError("needs 0 <= i, j <= r")
-    return sum((-1) ** t * comb(j, t) * _comb0(r - j, i - t) * _comb0(n - r - j, i - t)
-               for t in range(j + 1))
-
-
 def kneser_f(i: int, n: int, r: int) -> int:
     """Distance in K(n, r) between r-sets whose intersection has size r-i."""
     if n <= 2 * r:
@@ -145,27 +137,34 @@ def kneser_multiplicity(j: int, n: int) -> int:
     """Dimension of the j-th common eigenspace of the Johnson scheme."""
     if j < 0 or n < 2 * j - 1:
         raise ValueError("eigenspace index out of range")
-    m = Fraction(n - 2 * j + 1, n - j + 1) * comb(n, j)
-    if m.denominator != 1:
-        raise AssertionError("eigenspace dimension must be integral")
-    return int(m)
+    return comb(n, j) - _comb0(n, j - 1)
 
 
 def kneser_spectrum(n: int, r: int) -> ClosedFormSpectrum:
     """Distance spectrum of K(n, r) for n > 2r.
 
-    Eigenvalue on the j-th eigenspace is the f-weighted sum of Eberlein
-    values; equal eigenvalues across eigenspaces merge with added
-    multiplicities.
+    On the j-th eigenspace the eigenvalue is the sum of kneser_f(i) P_i(j),
+    P_i(j) that of J(n, r)'s distance-i relation, by the scheme's recurrence
+    (Delsarte 1973, 4.2; Brouwer, Cohen and Neumaier 1989, 4.1): P_{-1} = 0,
+    P_0 = 1, c_{i+1} P_{i+1} = (theta_j - a_i) P_i - b_{i-1} P_{i-1} exactly,
+    for b_i = (r-i)(n-r-i), c_i = i^2, a_i = r(n-r) - b_i - c_i and
+    theta_j = b_j - j.  O(r^2) integer steps; equal eigenvalues merge.
     """
     if not 1 <= r <= n - 1:
         raise ValueError("needs 1 <= r <= n-1")
     if n <= 2 * r:
         raise ValueError("kneser spectrum needs n > 2r (connected case)")
+    b = [(r - i) * (n - r - i) for i in range(r + 1)]
+    a = [r * (n - r) - b[i] - i * i for i in range(r + 1)]
+    f = [kneser_f(i, n, r) for i in range(r + 1)]
     pairs = []
     for j in range(r + 1):
-        theta = sum(kneser_f(i, n, r) * eberlein(i, j, n, r) for i in range(r + 1))
-        pairs.append((theta, kneser_multiplicity(j, n)))
+        theta = b[j] - j
+        prev, p, value = 0, 1, f[0]
+        for i in range(r):
+            prev, p = p, ((theta - a[i]) * p - b[i - 1] * prev) // (i + 1) ** 2
+            value += f[i + 1] * p
+        pairs.append((value, kneser_multiplicity(j, n)))
     return ClosedFormSpectrum(Spectrum(pairs), f"kneser({n},{r})")
 
 

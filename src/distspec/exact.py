@@ -341,13 +341,13 @@ def inertia_exact(mat: Sequence[Sequence]) -> Inertia:
     return Inertia(pos, zero, neg)
 
 
-def distinct_eigenvalue_count(mat: Sequence[Sequence[int]]) -> int:
-    """Number of distinct eigenvalues of a symmetric integer matrix.
+def distinct_eigenvalue_count(mat: Sequence[Sequence]) -> int:
+    """Number of distinct eigenvalues of a symmetric rational matrix.
 
-    Equals n - deg gcd(chi, chi') for the characteristic polynomial chi; the
-    root 0, of multiplicity n - rank, is divided out first, so the
-    pseudo-remainder sequence runs on a polynomial of degree rank.  The
-    answer carries no numeric tolerance.  Guarded at order EXACT_ORDER_CAP.
+    n - deg gcd(chi, chi') for chi the characteristic polynomial of the
+    matrix times the LCM of its denominators, with the root 0 (multiplicity
+    n - rank) divided out first so the pseudo-remainder sequence runs on
+    degree rank: no numeric tolerance.  Guarded at order EXACT_ORDER_CAP.
     """
     kern = _kernel(mat, symmetric=True)
     n = len(kern.rows)

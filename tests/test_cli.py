@@ -770,6 +770,25 @@ class TestSizeBeforeBuilding:
         assert time.perf_counter() - start < 1
         assert (code, out, err) == (EXIT_USAGE, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("argv, message", [
+        ("spectrum kneser 700 300", None),
+        ("spectrum odd 505", None),
+        ("spectrum odd 510", FLOAT_RANGE),
+        ("spectrum odd 511", FLOAT_RANGE),
+    ])
+    def test_kneser_closed_forms_up_to_the_float_range_are_quick(
+            self, capsys, no_graphs, argv, message):
+        # orders C(700, 300) ~ 2^685 up to C(1023, 511) ~ 2^1018, all under
+        # the float range: the Johnson recurrence takes O(r^2) integer steps
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv.split())
+        assert time.perf_counter() - start < 5
+        if message:
+            assert (code, out, err) == (EXIT_USAGE, "", f"error: {message}\n")
+        else:
+            assert (code, err) == (EXIT_OK, "")
+            assert "kneser(" in json.loads(out)["closed_form"]["formula"]
+
     def test_a_sweep_drops_orders_past_every_cap(self, capsys):
         # 4**(2m) passes 2**1100 from m = 276; only m = 1, 2 are in the cap
         code, data, err = run_json(capsys, "verify", "doob", "--m", "1..600",

@@ -18,7 +18,7 @@ from distspec.closedforms import (ClosedFormSpectrum, barbell_determinant,
                                   barbell_inertia, cocktail_party_spectrum,
                                   complete_spectrum, cycle_spectrum,
                                   dodecahedron_spectrum, doob_spectrum,
-                                  double_odd_spectrum, eberlein,
+                                  double_odd_spectrum,
                                   halved_cube_spectrum, hamming_spectrum,
                                   icosahedron_spectrum, johnson_spectrum,
                                   kneser_f, kneser_multiplicity,
@@ -280,6 +280,15 @@ class TestSpectrumSanity:
         assert order9_target_spectrum().spectrum.dimension == 9
 
 
+def eberlein(i, j, n, r):
+    """Eberlein polynomial value p_i(j) for the Johnson scheme on r-subsets,
+    as its alternating binomial sum: the referee for kneser_spectrum."""
+    if not (0 <= i <= r and 0 <= j <= r):
+        raise ValueError("needs 0 <= i, j <= r")
+    return sum((-1) ** t * math.comb(j, t) * math.comb(r - j, i - t)
+               * math.comb(n - r - j, i - t) for t in range(min(i, j) + 1))
+
+
 class TestKneserInternals:
     def test_s_value(self):
         assert s_value(5, 2) == 12
@@ -292,6 +301,18 @@ class TestKneserInternals:
             assert eberlein(i, 0, 9, 4) == math.comb(4, i) * math.comb(5, i)
         for j in range(5):
             assert eberlein(0, j, 9, 4) == 1
+
+    def test_recurrence_matches_the_eberlein_sums(self):
+        # multiplicities by (n-2j+1)/(n-j+1) C(n, j), values by Eberlein
+        for n in range(3, 41):
+            for r in range(1, (n + 1) // 2):
+                pairs = []
+                for j in range(r + 1):
+                    mult = Fraction(n - 2 * j + 1, n - j + 1) * math.comb(n, j)
+                    assert mult.denominator == 1
+                    pairs.append((sum(kneser_f(i, n, r) * eberlein(i, j, n, r)
+                                      for i in range(r + 1)), int(mult)))
+                assert kneser_spectrum(n, r).spectrum == Spectrum(pairs)
 
     def test_distance_function_matches_bfs(self):
         for n, r in ((5, 2), (7, 3), (9, 4)):

@@ -129,6 +129,9 @@ class TestRank:
     def test_fraction_entries(self):
         m = [[Fraction(1, 2), 1], [1, 2]]
         assert len(m) - inertia_exact(m).zero == 1
+        # scaled by the LCM 6 of the denominators to diag(3, 2)
+        assert distinct_eigenvalue_count(
+            [[Fraction(1, 2), 0], [0, Fraction(1, 3)]]) == 2
 
     @given(st.integers(1, 6), st.data())
     @settings(max_examples=50, deadline=None)
