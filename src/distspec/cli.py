@@ -418,8 +418,7 @@ def cmd_srg(args: argparse.Namespace) -> int:
         data = srg_eigen_data(p)
         out["conference"] = is_conference(p)
         out["optimistic"] = is_optimistic(p)
-        out["one_positive_distance_eigenvalue"] = classify_one_positive(
-            p.n, p.k, p.lam, p.mu)
+        out["one_positive_distance_eigenvalue"] = classify_one_positive(p)
         out["adjacency"] = {
             "theta": _fmt(data.theta), "tau": _fmt(data.tau),
             "m_theta": data.m_theta, "m_tau": data.m_tau,
@@ -429,11 +428,13 @@ def cmd_srg(args: argparse.Namespace) -> int:
             "theta": _fmt(data.theta_d), "tau": _fmt(data.tau_d),
             "spectrum": data.distance_spectrum().to_json_dict(),
         }
-        comp = complement_params(p)
-        out["complement"] = [comp.n, comp.k, comp.lam, comp.mu]
-        out["complement_connected"] = comp.k > 0 and comp.mu > 0
-        if comp.mu > 0 and comp.is_feasible():
-            out["complement_optimistic"] = is_optimistic(comp)
+        out["complement_connected"] = False
+        if p.k < p.n - 1:
+            comp = complement_params(p)
+            out["complement"] = [comp.n, comp.k, comp.lam, comp.mu]
+            out["complement_connected"] = comp.mu > 0
+            if comp.mu > 0:
+                out["complement_optimistic"] = is_optimistic(comp)
     print(json.dumps(out, indent=2, sort_keys=True))
     return EXIT_OK
 

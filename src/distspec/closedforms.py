@@ -247,9 +247,7 @@ def lollipop_determinant(k: int, length: int) -> int:
     """det D for the lollipop L(k, length); length = 0 is the bare clique."""
     if k < 2 or length < 0:
         raise ValueError("needs k >= 2 and length >= 0")
-    if length == 0:
-        return (-1) ** (k - 1) * (k - 1)
-    return (-1) ** (k + length - 1) * 2 ** (length - 1) * (k * (length + 2) - 2)
+    return (-1) ** (k + length - 1) * 2 ** length * (k * (length + 2) - 2) // 2
 
 
 def lollipop_inertia(k: int, length: int) -> Inertia:

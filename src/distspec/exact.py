@@ -352,8 +352,6 @@ def distinct_eigenvalue_count(mat: Sequence[Sequence]) -> int:
     kern = _kernel(mat, symmetric=True)
     n = len(kern.rows)
     rank = n - kern.nullity
-    if rank == 0:
-        return int(n > 0)
     f = kern.chi[n - rank:][::-1]
     df = [(rank - k) * c for k, c in enumerate(f[:-1])]
     return (rank < n) + rank - _gcd_degree(f, df)

@@ -304,7 +304,7 @@ def generalized_barbell(k: int, m: int, length: int) -> Graph:
 def hypercube_with_leaf(d: int) -> Graph:
     """Hypercube Q_d with one pendant vertex attached at word 0."""
     if d < 1:
-        raise GraphError("needs d >= 1")
+        raise GraphError("hypercube-leaf needs d >= 1")
     q = hypercube(d)
     edges = list(q.edges) + [(0, q.n)]
     return make_graph(q.n + 1, edges)

@@ -110,7 +110,6 @@ class SrgParams:
 class SrgEigenData:
     """Exact adjacency and distance eigenvalue data of an SRG."""
 
-    params: SrgParams
     theta: QuadraticNumber
     tau: QuadraticNumber
     m_theta: int
@@ -146,7 +145,6 @@ def srg_eigen_data(p: SrgParams) -> SrgEigenData:
     tau = base - root * half
     m_theta, m_tau = p._multiplicities()
     return SrgEigenData(
-        params=p,
         theta=theta,
         tau=tau,
         m_theta=m_theta,
@@ -208,26 +206,15 @@ def orthogonal_params(m: int, e: int) -> SrgParams:
     return SrgParams(n, k, lam, lam)
 
 
-def classify_one_positive(n: int, k: int, lam: int, mu: int | None = None) -> bool:
+def classify_one_positive(p: SrgParams) -> bool:
     """Whether an SRG with these parameters has exactly one positive distance
-    eigenvalue: the complete graph, the pentagon, or tau = -2.
-
-    Complete-graph tuples (n, n-1, n-2, *) never satisfy the mu > 0 regime,
-    so they are answered before any feasibility requirement; mu may be left
-    None in that case only.
-    """
-    if k == n - 1:
-        if lam != n - 2:
-            raise SrgParameterError(f"degree n-1 forces lam = n-2, got {lam}")
-        return True
-    if mu is None:
-        raise SrgParameterError("mu required for incomplete graphs")
-    p = SrgParams(n, k, lam, mu)
+    eigenvalue: the complete graph (k = n-1, where feasibility forces
+    lam = n-2), the pentagon, or tau = -2."""
     p.require_spectral()
-    if p.as_tuple() == (5, 2, 0, 1):
+    if p.k == p.n - 1 or p.as_tuple() == (5, 2, 0, 1):
         return True
     # tau = -2 exactly, i.e. the discriminant is the square of lam - mu + 4
-    shift = lam - mu + 4
+    shift = p.lam - p.mu + 4
     return shift > 0 and p.discriminant == shift * shift
 
 

@@ -458,6 +458,28 @@ class TestSrg:
         assert data["adjacency"] == {"theta": 2.0, "tau": -2.0,
                                      "m_theta": 5, "m_tau": 9}
 
+    def test_verdicts_agree_with_the_printed_spectrum(self, capsys):
+        sets = [p.as_tuple() for p in srg.feasible_parameter_sets(100)
+                if p.mu > 0]
+        # complete graphs K_n, at the least and the greatest mu
+        sets += [(n, n - 1, n - 2, mu)
+                 for n in range(2, 41) for mu in sorted({1, n - 1})]
+        for params in sets:
+            code, data, err = run_json(capsys, "srg", *map(str, params))
+            assert (code, err) == (EXIT_OK, ""), params
+            eigs = [(e["value"], e["mult"])
+                    for e in data["distance"]["spectrum"]["eigs"]]
+            pos = sum(m for v, m in eigs if v > 0)
+            neg = sum(m for v, m in eigs if v < 0)
+            assert data["one_positive_distance_eigenvalue"] is (pos == 1), \
+                params
+            assert data["optimistic"] is (pos > neg), params
+            n, k = params[:2]
+            if k == n - 1:
+                assert eigs == [(n - 1, 1), (-1, n - 1)], params
+                assert data["complement_connected"] is False, params
+                assert "complement" not in data, params
+
     def test_infeasible_reports_false(self, capsys):
         code, data, _ = run_json(capsys, "srg", "10", "3", "1", "1")
         assert code == EXIT_OK
@@ -813,6 +835,7 @@ class TestSizeBeforeBuilding:
         ("spectrum hamming 0 2", "hamming needs d >= 1 and n >= 2"),
         ("det lollipop 1 300", "lollipop needs k >= 2 and length >= 0"),
         ("spectrum doob 0 6", "doob needs m >= 1 and d >= 0"),
+        ("det hypercube-leaf 0", "hypercube-leaf needs d >= 1"),
     ])
     def test_bad_parameters_keep_the_generator_message(self, capsys, argv,
                                                        message):

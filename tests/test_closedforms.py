@@ -6,6 +6,7 @@ and against the numeric eigensolver on the actual graph.
 """
 
 import math
+import re
 import time
 from fractions import Fraction
 
@@ -272,6 +273,28 @@ class TestSpectrumSanity:
             kneser_spectrum(6, 3)
         with pytest.raises(ValueError):
             cycle_spectrum(2)
+
+    @pytest.mark.parametrize("fn, args, message", [
+        (hamming_spectrum, (0, 4), "hamming spectrum needs d >= 1 and n >= 2"),
+        (doob_spectrum, (1, -1), "doob spectrum needs m >= 1 and d >= 0"),
+        (shrikhande_power_spectrum, (0,), "needs m >= 1"),
+        (s_value, (4, 4), "needs 1 <= r <= n-1"),
+        (kneser_f, (1, 6, 3), "kneser distance needs n > 2r"),
+        (kneser_f, (4, 7, 3), "needs 0 <= i <= r"),
+        (kneser_multiplicity, (-1, 5), "eigenspace index out of range"),
+        (kneser_spectrum, (5, 0), "needs 1 <= r <= n-1"),
+        (double_odd_spectrum, (1,), "needs r >= 2"),
+        (complete_spectrum, (1,), "needs n >= 2"),
+        (barbell_determinant, (1, 2, 0), "needs k, m >= 2 and length >= 0"),
+        (barbell_inertia, (2, 2, -1), "needs k, m >= 2 and length >= 0"),
+        (lollipop_determinant, (1, 0), "needs k >= 2 and length >= 0"),
+        (lollipop_inertia, (2, -1), "needs k >= 2 and length >= 0"),
+        (tree_determinant, (1,), "needs n >= 2"),
+        (tree_inertia, (1,), "needs n >= 2"),
+    ])
+    def test_refusal_outside_the_domain(self, fn, args, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            fn(*args)
 
     def test_formula_labels(self):
         assert hamming_spectrum(2, 4).formula == "hamming(2,4)"

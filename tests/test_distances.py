@@ -209,6 +209,15 @@ class TestMatrixIO:
         with pytest.raises(ValueError, match=message):
             format_matrix(np.zeros((2, 2), dtype))
 
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty matrix input"),
+        ("  \n\n", "empty matrix input"),
+        ("two\n0 1\n1 0\n", "line 1: expected matrix order"),
+    ])
+    def test_refuses_missing_or_bad_order(self, text, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            parse_matrix(text)
+
     def test_bad_row_length(self):
         with pytest.raises(ValueError, match="line 3: expected 2 entries"):
             parse_matrix("2\n0 1\n1\n")

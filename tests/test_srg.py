@@ -285,37 +285,33 @@ class TestParameterFamilies:
 
 class TestOnePositive:
     def test_complete_graph(self):
-        assert classify_one_positive(7, 6, 5)
-        assert classify_one_positive(7, 6, 5, None)
+        # feasibility forces lam = n-2 at k = n-1 and leaves mu free
+        for mu in range(1, 7):
+            assert classify_one_positive(SrgParams(7, 6, 5, mu)), mu
 
     def test_pentagon(self):
-        assert classify_one_positive(5, 2, 0, 1)
+        assert classify_one_positive(SrgParams(5, 2, 0, 1))
 
     def test_tau_minus_two_families(self):
-        assert classify_one_positive(10, 3, 0, 1)      # Petersen
-        assert classify_one_positive(16, 6, 2, 2)      # Shrikhande / rook
-        assert classify_one_positive(15, 8, 4, 4)
-        assert classify_one_positive(9, 4, 1, 2)       # conference, order 9
+        assert classify_one_positive(SrgParams(10, 3, 0, 1))      # Petersen
+        assert classify_one_positive(SrgParams(16, 6, 2, 2))      # Shrikhande / rook
+        assert classify_one_positive(SrgParams(15, 8, 4, 4))
+        assert classify_one_positive(SrgParams(9, 4, 1, 2))       # conference, order 9
 
     def test_optimistic_graphs_are_not(self):
-        assert not classify_one_positive(13, 6, 2, 3)
-        assert not classify_one_positive(40, 27, 18, 18)
+        assert not classify_one_positive(SrgParams(13, 6, 2, 3))
+        assert not classify_one_positive(SrgParams(40, 27, 18, 18))
 
     def test_tripartite_mixed_case(self):
         # three positive eigenvalues but not optimistic
-        assert not classify_one_positive(9, 6, 3, 6)
+        assert not classify_one_positive(SrgParams(9, 6, 3, 6))
 
     def test_matches_positive_count_across_feasible_sets(self):
         for p in feasible_parameter_sets(100):
             if p.mu == 0:
                 continue
             pos = srg_eigen_data(p).distance_spectrum().inertia_counts()[0]
-            assert classify_one_positive(p.n, p.k, p.lam, p.mu) == \
-                (pos == 1), p.as_tuple()
-
-    def test_mu_required_for_incomplete_graphs(self):
-        with pytest.raises(SrgParameterError):
-            classify_one_positive(10, 3, 0)
+            assert classify_one_positive(p) == (pos == 1), p.as_tuple()
 
 
 class TestFeasibleSweep:
