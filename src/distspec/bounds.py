@@ -28,15 +28,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .distances import distance_matrix
-from .exact import distinct_eigenvalue_count
+from .exact import distinct_eigenvalue_counts
 from .graphs import Graph, make_graph
 
 ZF_ORDER_CAP = 24
-# largest `verify-trees --max-order`: each order costs about 2.7x the last,
-# and order 14 takes about 7 s (6.9-7.2 s as a subprocess) on a 2-vCPU Xeon
+# largest `verify-trees --max-order`: each order costs about 2.3x the last,
+# and order 14 takes about 3.2 s (3.1-3.6 s as a subprocess) on a 2-vCPU
+# Xeon, about half of it growing the trees
 TREE_ORDER_CAP = 14
 
 
@@ -206,19 +207,22 @@ class TreeBoundReport:
     half_floor_holds: bool   # q_D >= floor(diam / 2)
 
 
-def check_tree_bounds(t: Graph) -> TreeBoundReport:
-    """Evaluate the diameter-based lower bounds on q_D for one tree.
+def check_trees_bounds(trees: Sequence[Graph]) -> list[TreeBoundReport]:
+    """Evaluate the diameter-based lower bounds on q_D for trees of one
+    order, with every distinct count from one exact batch.
 
     The strong form q_D >= diam + 1 is the conjectured one; the halved
     form q_D >= floor(diam / 2) is the proven statement.
     """
-    d = distance_matrix(t)
-    diam = max(max(row) for row in d)
-    q = distinct_eigenvalue_count(d)
-    return TreeBoundReport(
-        order=t.n,
-        diameter=diam,
-        distinct_count=q,
-        strong_holds=q >= diam + 1,
-        half_floor_holds=q >= diam // 2,
-    )
+    mats = [distance_matrix(t) for t in trees]
+    reps = []
+    for t, d, q in zip(trees, mats, distinct_eigenvalue_counts(mats)):
+        diam = max(max(row) for row in d)
+        reps.append(TreeBoundReport(
+            order=t.n,
+            diameter=diam,
+            distinct_count=q,
+            strong_holds=q >= diam + 1,
+            half_floor_holds=q >= diam // 2,
+        ))
+    return reps

@@ -44,7 +44,7 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, NoReturn, Optional, Sequence
 
-from .bounds import (TREE_ORDER_CAP, ZF_ORDER_CAP, check_tree_bounds,
+from .bounds import (TREE_ORDER_CAP, ZF_ORDER_CAP, check_trees_bounds,
                      forcing_bound, trees_by_order, zero_forcing_number)
 from .closedforms import (LEMMA_CAP, LEMMA_RANGES, ClosedFormSpectrum,
                           barbell_determinant, barbell_inertia,
@@ -428,6 +428,9 @@ def cmd_srg(args: argparse.Namespace) -> int:
             "theta": _fmt(data.theta_d), "tau": _fmt(data.tau_d),
             "spectrum": data.distance_spectrum().to_json_dict(),
         }
+        if not data.m_theta:  # K_n: theta does not occur, and moves with mu
+            del out["adjacency"]["theta"], out["adjacency"]["m_theta"]
+            del out["distance"]["theta"]
         out["complement_connected"] = False
         if p.k < p.n - 1:
             comp = complement_params(p)
@@ -449,7 +452,7 @@ def cmd_verify_trees(args: argparse.Namespace) -> int:
                          f"2..{TREE_ORDER_CAP}")
     failures = 0
     for order, trees in enumerate(trees_by_order(args.max_order), start=2):
-        reps = [check_tree_bounds(t) for t in trees]
+        reps = check_trees_bounds(trees)
         strong = sum(not r.strong_holds for r in reps)
         weak = sum(not r.half_floor_holds for r in reps)
         failures += strong + weak

@@ -10,7 +10,9 @@ chi(x) = det(xI - M):
    2**27 in int64 arrays, lifted by the Chinese remainder theorem under a
    Hadamard bound.  27 bits is (63 - bit length of EXACT_ORDER_CAP) // 2, so
    EXACT_ORDER_CAP products of two residues plus one more sum below 2**63: a
-   modular product is one matmul.  det M = (-1)^n chi(0);
+   modular product is one matmul.  The reduction runs over a stack of
+   (matrix, prime) slices at once, one matrix with its primes or a batch
+   of matrices of one order.  det M = (-1)^n chi(0);
 2. the coefficient of x^(n-k) needs the bound only for k up to the rank r,
    since larger minors vanish.  For symmetric M, Gaussian elimination modulo
    the first prime gives r' <= r, stopped once more rank could save no
@@ -27,8 +29,12 @@ chi(x) = det(xI - M):
    n - deg gcd(chi, chi') counts the distinct ones.
 
 The public functions share the kernel through a memo holding only the last
-matrix; input is capped at order EXACT_ORDER_CAP.  Rational input is
-first scaled by the LCM of its denominators.  No floating point anywhere.
+matrix; input is capped at order EXACT_ORDER_CAP.  Rational input is first
+scaled by the LCM of its denominators.  No floating point anywhere.
+
+The batch count `distinct_eigenvalue_counts` skips step 2: it lifts every chi
+of its stack under one full bound, since the batch it serves, the trees of
+one order, has nonsingular distance matrices that rank sizing cannot help.
 """
 
 from __future__ import annotations
@@ -82,14 +88,15 @@ def _integer_rows(rows: Sequence[Sequence]) -> list[list[int]]:
     return [[(x * scale).numerator for x in row] for row in fr]
 
 
-def _residues(rows: list[list[int]], primes: list[int]) -> np.ndarray:
-    """The matrix modulo each prime, one int64 array per prime."""
-    n, mm = len(rows), np.array(primes, dtype=np.int64)[:, None, None]
+def _residues(mats: Sequence[Sequence[Sequence[int]]],
+              primes: list[int]) -> np.ndarray:
+    """Each matrix modulo each prime: int64, shape (matrices, primes, n, n)."""
+    n, mm = len(mats[0]), np.array(primes, dtype=np.int64)[:, None, None]
     try:
-        return np.array(rows, dtype=np.int64).reshape(n, n)[None] % mm
+        return np.array(mats, dtype=np.int64).reshape(len(mats), 1, n, n) % mm
     except OverflowError:  # entries beyond int64: reduce them as Python ints
-        big = np.array(rows, dtype=object)
-        return np.stack([(big % p).astype(np.int64) for p in primes])
+        big = np.array(mats, dtype=object).reshape(len(mats), 1, n, n)
+        return (big % mm.astype(object)).astype(np.int64)
 
 
 def _modular_rank(rows: list[list[int]], p: int,
@@ -99,7 +106,7 @@ def _modular_rank(rows: list[list[int]], p: int,
     enough; and its determinant modulo p if the elimination ran through
     every column, else None.
     """
-    a = _residues(rows, [p])[0]
+    a = _residues([rows], [p])[0, 0]
     n = len(a)
     rank, det = 0, 1
     for c in range(n):
@@ -121,31 +128,53 @@ def _modular_rank(rows: list[list[int]], p: int,
     return rank, det * (rank == n) % p
 
 
-def _charpoly_residues(rows: list[list[int]], primes: list[int]) -> np.ndarray:
-    """Coefficients of det(xI - M) modulo each prime, lowest degree first.
+def _charpoly_residues(mats: Sequence[Sequence[Sequence[int]]],
+                       primes: list[int]) -> np.ndarray:
+    """Coefficients of det(xI - M) modulo each prime, lowest degree first,
+    for each integer matrix M of one order: shape (matrices, primes, n + 1).
 
-    Per prime, a similarity brings M to upper Hessenberg form H with every
+    The (matrix, prime) slices run _CHUNK_ENTRIES matrix entries at a time:
+    as many matrices as fit, each with every prime, or else one matrix with
+    as many primes as fit.
+    """
+    n, kp = len(mats[0]), len(primes)
+    step = max(1, _CHUNK_ENTRIES // (n * n + 1))
+    per, group = max(1, step // kp), min(kp, step)
+    return np.concatenate([np.concatenate(
+        [_stack_charpoly(_residues(mats[i:i + per], primes[j:j + group]),
+                         primes[j:j + group]) for j in range(0, kp, group)],
+        axis=1) for i in range(0, len(mats), per)])
+
+
+def _stack_charpoly(h: np.ndarray, primes: list[int]) -> np.ndarray:
+    """chi modulo each prime for a stack h of residues, shape (matrices,
+    primes, n, n), which the reduction overwrites.
+
+    Per slice, a similarity brings M to upper Hessenberg form H with every
     subdiagonal entry 0 or 1.  A 0 starts a diagonal block, and zeroing the
     entries above it leaves chi, the product of the blocks' polynomials, as
-    it is.  With lo the last block start shared by all primes, the recurrence
+    it is.  With lo the last block start shared by all slices, the
+    recurrence
 
         p_{m+1} = x p_m - sum_{lo <= i <= m} H[i, m] p_i
 
     then gives chi = p_n.
     """
-    n, kp = len(rows), len(primes)
-    mod = np.array(primes, dtype=np.int64)
+    nm, kp, n = h.shape[:3]
+    h = h.reshape(nm * kp, n, n)
+    mods = primes * nm  # the prime of each slice
+    mod = np.array(mods, dtype=np.int64)
     mc, mm = mod[:, None], mod[:, None, None]
-    h = _residues(rows, primes)
-    los = [0]  # for each column, the last block start shared by all primes
+    los = [0]  # for each column, the last block start shared by all slices
     for m in range(1, n):
         lo, piv = los[-1], h[:, m, m - 1]
         if not piv.all():
             nz = h[:, m + 1:, m - 1] != 0
-            for k in np.flatnonzero(nz.any(axis=1) & (piv == 0)):
-                i = m + 1 + nz[k].argmax()
-                h[k, [m, i], :] = h[k, [i, m], :]
-                h[k, :, [m, i]] = h[k, :, [i, m]]
+            ks = np.flatnonzero(nz.any(axis=1) & (piv == 0))
+            if ks.size:  # swap row and column m with the first nonzero below
+                iv = m + 1 + nz[ks].argmax(axis=1)
+                h[ks, m], h[ks, iv] = h[ks, iv], h[ks, m]
+                h[ks, :, m], h[ks, :, iv] = h[ks, :, iv], h[ks, :, m]
             ends = piv == 0  # no row to swap in: a block starts at m
             h[ends, lo:m, m:] = 0  # rows above lo are 0 there already
             if ends.all():  # nothing to eliminate
@@ -154,7 +183,7 @@ def _charpoly_residues(rows: list[list[int]], primes: list[int]) -> np.ndarray:
         los.append(lo)
         t = [x or 1 for x in piv.tolist()]  # make H[m, m-1] 1 where nonzero
         row, col = h[:, m, :], h[:, lo:, m]
-        row *= np.array([pow(x, -1, p) for x, p in zip(t, primes)],
+        row *= np.array([pow(x, -1, p) for x, p in zip(t, mods)],
                         dtype=np.int64)[:, None]
         row %= mc
         col *= np.array(t, dtype=np.int64)[:, None]
@@ -166,7 +195,7 @@ def _charpoly_residues(rows: list[list[int]], primes: list[int]) -> np.ndarray:
             rest = h[:, m + 1:, m - 1:]
             rest -= u * row[:, None, m - 1:]
             rest %= mm
-    polys = np.zeros((kp, n + 1, n + 1), dtype=np.int64)
+    polys = np.zeros((nm * kp, n + 1, n + 1), dtype=np.int64)
     polys[:, 0, 0] = 1
     for m, lo in zip(range(n), los):
         new = polys[:, m + 1, :m + 2]
@@ -174,7 +203,7 @@ def _charpoly_residues(rows: list[list[int]], primes: list[int]) -> np.ndarray:
         new[:, :m + 1] -= np.matmul(h[:, None, lo:m + 1, m],
                                     polys[:, lo:m + 1, :m + 1])[:, 0]
         new %= mc
-    return polys[:, n, :]
+    return polys[:, n, :].reshape(nm, kp, n + 1)
 
 
 def _crt_lift(residues: np.ndarray, primes: list[int]) -> list[int]:
@@ -189,9 +218,25 @@ def _crt_lift(residues: np.ndarray, primes: list[int]) -> list[int]:
     return out
 
 
-# Primes are handled this many matrix entries at a time, which caps each
-# int64 working array of the characteristic polynomial at 4 MiB.
+# (matrix, prime) slices are handled this many matrix entries at a time,
+# which caps each int64 working array of the characteristic polynomial at
+# 4 MiB.
 _CHUNK_ENTRIES = 1 << 19
+
+
+def _row_bounds(rows: Sequence[Sequence[int]]) -> list[int]:
+    """r_i = isqrt(|row_i|^2) + 1, at least the Euclidean norm of row i."""
+    return [math.isqrt(sum(x * x for x in row)) + 1 for row in rows]
+
+
+def _hadamard_bounds(r: list[int]) -> list[int]:
+    """Twice the prefix maximum of e_k(r) for k = 0..n: entry k bounds the
+    lift of the coefficients of x^n .. x^(n-k), as in `_Kernel.chi`."""
+    e = [1] + [0] * len(r)  # elementary symmetric functions of the r_i
+    for i, x in enumerate(r):
+        for k in range(i + 1, 0, -1):
+            e[k] += x * e[k - 1]
+    return [2 * b for b in accumulate(e, max)]
 
 
 class _Kernel:
@@ -200,13 +245,6 @@ class _Kernel:
 
     def __init__(self, rows: list[list[int]], symmetric: bool):
         self.rows, self.symmetric = rows, symmetric
-
-    def _chi_residues(self, primes: list[int]) -> np.ndarray:
-        """Residues of chi modulo each prime, a few primes at a time."""
-        n = len(self.rows)
-        step = max(1, _CHUNK_ENTRIES // (n * n + 1))
-        return np.concatenate([_charpoly_residues(self.rows, primes[i:i + step])
-                               for i in range(0, len(primes), step)])
 
     @cached_property
     def chi(self) -> list[int]:
@@ -219,12 +257,7 @@ class _Kernel:
         under the two-zero certificate of the module docstring.
         """
         rows, n = self.rows, len(self.rows)
-        e = [1] + [0] * n  # elementary symmetric functions of the r_i
-        for i, row in enumerate(rows):
-            r = math.isqrt(sum(x * x for x in row)) + 1
-            for k in range(i + 1, 0, -1):
-                e[k] += r * e[k - 1]
-        bound = [2 * b for b in accumulate(e, max)]
+        bound = _hadamard_bounds(_row_bounds(rows))
         primes = full = _primes_over(bound[n])
         rank, det = 0, None
         if self.symmetric and len(full) > 1:
@@ -234,10 +267,10 @@ class _Kernel:
             if enough > 0:
                 rank, det = _modular_rank(rows, full[0], enough)
                 primes = _primes_over(bound[min(n, rank + 2)])
-        res = self._chi_residues(primes)
+        res = _charpoly_residues([rows], primes)[0]
         chi = _crt_lift(res, primes)
         if len(primes) < len(full) and any(chi[n - rank - 2:n - rank]):
-            more = self._chi_residues(full[len(primes):])
+            more = _charpoly_residues([rows], full[len(primes):])[0]
             chi = _crt_lift(np.concatenate([res, more]), full)
         zero = next(k for k, c in enumerate(chi) if c)
         if n - zero < rank or det is not None and \
@@ -256,25 +289,18 @@ class _Kernel:
 _last: tuple[tuple, _Kernel] | None = None
 
 
-def _kernel(mat: Sequence[Sequence], *, symmetric: bool = False,
-            integer: bool = False) -> _Kernel:
-    """The kernel for this matrix, reused if it equals the previous one.
-
-    One pass copies the rows into the memo key; the checks read the copy, in
-    the order of precedence of their messages: shape, integer entries,
-    symmetry, order cap.  Symmetry is found once per matrix and kept in its
-    kernel.
-    """
-    global _last
-    key = tuple(map(tuple, mat))
+def _checked(key: tuple[tuple, ...], *, symmetric: bool, integer: bool,
+             sym: bool | None = None) -> bool:
+    """Whether the rows key form a symmetric matrix, found unless sym is
+    given, after the checks in the order of precedence of their messages:
+    shape, integer entries, symmetry, order cap."""
     n = len(key)
     if any(len(row) != n for row in key):
         raise ValueError("matrix must be square")
     if integer and not all(issubclass(t, int) for t in _entry_types(key)):
         raise ValueError("integer entries required")
-    last = _last
-    kern = last[1] if last is not None and last[0] == key else None
-    sym = kern.symmetric if kern else key == tuple(zip(*key))
+    if sym is None:
+        sym = key == tuple(zip(*key))
     if symmetric and not sym:
         i, j = next((i, j) for i in range(n) for j in range(i + 1, n)
                     if key[i][j] != key[j][i])
@@ -282,6 +308,22 @@ def _kernel(mat: Sequence[Sequence], *, symmetric: bool = False,
     if n > EXACT_ORDER_CAP:
         raise ValueError(
             f"order {n} exceeds the exact search cap {EXACT_ORDER_CAP}")
+    return sym
+
+
+def _kernel(mat: Sequence[Sequence], *, symmetric: bool = False,
+            integer: bool = False) -> _Kernel:
+    """The kernel for this matrix, reused if it equals the previous one.
+
+    One pass copies the rows into the memo key, and `_checked` reads the
+    copy.  Symmetry is found once per matrix and kept in its kernel.
+    """
+    global _last
+    key = tuple(map(tuple, mat))
+    last = _last
+    kern = last[1] if last is not None and last[0] == key else None
+    sym = _checked(key, symmetric=symmetric, integer=integer,
+                   sym=kern.symmetric if kern else None)
     if kern is None:
         kern = _Kernel(_integer_rows(key), sym)
         _last = (key, kern)
@@ -341,17 +383,50 @@ def inertia_exact(mat: Sequence[Sequence]) -> Inertia:
     return Inertia(pos, zero, neg)
 
 
+def _distinct_count(chi: list[int]) -> int:
+    """n - deg gcd(chi, chi') for a real-rooted chi, lowest degree first,
+    with the root 0 (multiplicity n - rank) divided out first so the
+    pseudo-remainder sequence runs on degree rank."""
+    n, zero = len(chi) - 1, next(k for k, c in enumerate(chi) if c)
+    rank = n - zero
+    f = chi[zero:][::-1]
+    df = [(rank - k) * c for k, c in enumerate(f[:-1])]
+    return (rank < n) + rank - _gcd_degree(f, df)
+
+
 def distinct_eigenvalue_count(mat: Sequence[Sequence]) -> int:
     """Number of distinct eigenvalues of a symmetric rational matrix.
 
-    n - deg gcd(chi, chi') for chi the characteristic polynomial of the
-    matrix times the LCM of its denominators, with the root 0 (multiplicity
-    n - rank) divided out first so the pseudo-remainder sequence runs on
-    degree rank: no numeric tolerance.  Guarded at order EXACT_ORDER_CAP.
+    `_distinct_count` of the characteristic polynomial of the matrix times
+    the LCM of its denominators: no numeric tolerance.  Guarded at order
+    EXACT_ORDER_CAP.
     """
-    kern = _kernel(mat, symmetric=True)
-    n = len(kern.rows)
-    rank = n - kern.nullity
-    f = kern.chi[n - rank:][::-1]
-    df = [(rank - k) * c for k, c in enumerate(f[:-1])]
-    return (rank < n) + rank - _gcd_degree(f, df)
+    return _distinct_count(_kernel(mat, symmetric=True).chi)
+
+
+def distinct_eigenvalue_counts(mats: Sequence[Sequence[Sequence[int]]]
+                               ) -> list[int]:
+    """`distinct_eigenvalue_count` of each of a batch of symmetric integer
+    matrices of one order, from one stack of characteristic polynomials.
+
+    Every chi is lifted under one full Hadamard bound for the batch: e_k is
+    symmetric and increasing in each r_i, so e_k of the elementwise maximum
+    of the matrices' sorted row bounds bounds e_k of each.  The full bound
+    needs no rank sizing and so no certificate, which suits full-rank
+    batches such as the distance matrices of trees (Graham and Pollak
+    1971).  Guarded at order EXACT_ORDER_CAP.
+    """
+    keys = [tuple(map(tuple, m)) for m in mats]
+    if len({len(key) for key in keys}) > 1:
+        raise ValueError("matrices must share one order")
+    for key in keys:
+        _checked(key, symmetric=True, integer=True)
+    if not keys:
+        return []
+    r = [max(c) for c in zip(*(sorted(_row_bounds(key), reverse=True)
+                               for key in keys))]
+    primes, n = _primes_over(_hadamard_bounds(r)[-1]), len(keys[0])
+    res = _charpoly_residues(keys, primes).transpose(1, 0, 2)
+    chis = _crt_lift(res.reshape(len(primes), -1), primes)
+    return [_distinct_count(chis[i:i + n + 1])
+            for i in range(0, len(chis), n + 1)]

@@ -43,9 +43,10 @@ def _is_prime_power(q: int) -> bool:
 class SrgParams:
     """Parameter tuple (n, k, lam, mu) of a strongly regular graph.
 
-    mu = 0 (disjoint unions of cliques) is storable so complements always
-    construct, but every spectral operation requires mu > 0, where the
-    graph is connected with diameter 2.
+    mu = 0 (disjoint unions of cliques) is storable so that the complement
+    of every feasible set but the complete graph's constructs, but every
+    spectral operation requires mu > 0, where the graph is connected with
+    diameter 2.
     """
 
     n: int
@@ -176,8 +177,13 @@ def is_optimistic(p: SrgParams) -> bool:
 
 
 def complement_params(p: SrgParams) -> SrgParams:
-    """Parameters of the complement graph."""
+    """Parameters of the complement graph.  The complement of K_n is
+    edgeless, so a complete-graph set (k = n - 1) is refused."""
     n, k, lam, mu = p.as_tuple()
+    if k == n - 1:
+        raise SrgParameterError(
+            f"{p.as_tuple()} is the complete graph K_{n}: its complement is "
+            f"edgeless and has no strongly regular parameters")
     return SrgParams(n, n - k - 1, n - 2 - 2 * k + mu, n - 2 * k + lam)
 
 

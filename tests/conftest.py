@@ -16,7 +16,8 @@ import numpy as np
 
 from distspec import (Graph, Spectrum, cluster_to_spectrum, distance_matrix,
                       sym_eigenvalues)
-from distspec.bounds import trees_by_order
+from distspec.bounds import (TreeBoundReport, check_trees_bounds,
+                             trees_by_order)
 from distspec.spectra import Value
 
 
@@ -36,6 +37,11 @@ def enumerate_trees(n: int) -> list[Graph]:
     vertices, in the order `bounds.trees_by_order` yields them."""
     *_, last = trees_by_order(n)
     return last
+
+
+def check_tree_bounds(t: Graph) -> TreeBoundReport:
+    """`bounds.check_trees_bounds` of one tree."""
+    return check_trees_bounds([t])[0]
 
 
 def largest(s: Spectrum) -> Value:

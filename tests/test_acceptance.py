@@ -8,10 +8,9 @@ carries its tolerance and, where one applies, its runtime budget.
 import math
 import time
 
-from conftest import (enumerate_trees, largest, multiplicity,
-                      numeric_spectrum, smallest)
-from distspec.bounds import (check_tree_bounds, forcing_bound,
-                             zero_forcing_number)
+from conftest import (check_tree_bounds, enumerate_trees, largest,
+                      multiplicity, numeric_spectrum, smallest)
+from distspec.bounds import forcing_bound, zero_forcing_number
 from distspec.closedforms import (barbell_determinant, barbell_inertia,
                                   cocktail_party_spectrum, cycle_spectrum,
                                   dodecahedron_spectrum, doob_spectrum,

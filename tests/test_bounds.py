@@ -11,10 +11,10 @@ from typing import Iterable
 import networkx as nx
 import pytest
 
-from conftest import enumerate_trees, numeric_spectrum
+from conftest import check_tree_bounds, enumerate_trees, numeric_spectrum
 from distspec.bounds import (ZF_ORDER_CAP, _adj_masks, _closure_mask,
-                             check_tree_bounds, forcing_bound,
-                             tree_canonical_code, zero_forcing_number)
+                             forcing_bound, tree_canonical_code,
+                             zero_forcing_number)
 from distspec.cli import FAMILIES
 from distspec.distances import distance_matrix
 from distspec.exact import distinct_eigenvalue_count

@@ -480,6 +480,20 @@ class TestSrg:
                 assert data["complement_connected"] is False, params
                 assert "complement" not in data, params
 
+    def test_complete_graph_document_does_not_depend_on_mu(self, capsys):
+        # K_7's theta has multiplicity 0, so neither it nor its distance
+        # counterpart, which would move with mu, is printed
+        docs = []
+        for mu in range(1, 7):
+            code, data, err = run_json(capsys, "srg", "7", "6", "5", str(mu))
+            assert (code, err, data.pop("params")) == (EXIT_OK, "",
+                                                       [7, 6, 5, mu])
+            docs.append(data)
+        assert docs == [docs[0]] * 6
+        assert docs[0]["adjacency"] == {"tau": -1.0, "m_tau": 6}
+        assert "theta" not in docs[0]["distance"]
+        assert docs[0]["distance"]["tau"] == -1.0
+
     def test_infeasible_reports_false(self, capsys):
         code, data, _ = run_json(capsys, "srg", "10", "3", "1", "1")
         assert code == EXIT_OK

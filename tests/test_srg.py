@@ -245,6 +245,16 @@ class TestComplement:
         with pytest.raises(SrgParameterError):
             c.require_spectral()
 
+    @pytest.mark.parametrize("params", [(5, 4, 3, 1)] + [
+        (7, 6, 5, mu) for mu in range(1, 7)])
+    def test_complete_graph_has_none(self, params):
+        n = params[0]
+        with pytest.raises(SrgParameterError) as info:
+            complement_params(SrgParams(*params))
+        assert str(info.value) == (
+            f"{params} is the complete graph K_{n}: its complement is "
+            f"edgeless and has no strongly regular parameters")
+
 
 class TestParameterFamilies:
     def test_symplectic(self):
