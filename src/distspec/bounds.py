@@ -21,6 +21,19 @@ first of each class, and the search starts from their closure.
 The spectral connection: the number of distinct distance eigenvalues q_D(g)
 is at least (n-1)/(Z(complement) + 1) + 1, and each eigenvalue multiplicity
 is at most Z(complement) + 1.
+
+Trees are enumerated as level sequences: the depths of the vertices in
+preorder, each vertex's parent the last earlier vertex one level up.  The
+successor of Beyer and Hedetniemi (*SIAM J. Comput.* 9, 1980) walks the
+canonical sequences of the rooted trees of one order in decreasing
+lexicographic order: with p the last position above level 1 and q its
+parent, the levels from p on repeat the block from q to p - 1.
+Wright, Richmond, Odlyzko and McKay (*SIAM J. Comput.* 15, 1986) keep one
+rooting of each free tree, at its centre: the one whose root's first
+subtree, with levels shifted down by 1, is no greater by (height, size,
+sequence) than the rest of the tree.  Equality holds where the two halves
+around a central edge are isomorphic.  No kept sequence exceeds the path
+rooted at its centre, so the walk starts there.
 """
 
 from __future__ import annotations
@@ -35,9 +48,9 @@ from .exact import distinct_eigenvalue_counts
 from .graphs import Graph, make_graph
 
 ZF_ORDER_CAP = 24
-# largest `verify-trees --max-order`: each order costs about 2.3x the last,
-# and order 14 takes about 3.2 s (3.1-3.6 s as a subprocess) on a 2-vCPU
-# Xeon, about half of it growing the trees
+# largest `verify-trees --max-order`: each order costs about 2.1x the last,
+# and order 14 takes 2.0-2.5 s as a subprocess on a 2-vCPU Xeon, about a
+# tenth of it growing the trees
 TREE_ORDER_CAP = 14
 
 
@@ -141,61 +154,35 @@ def forcing_bound(n: int, z: int) -> Fraction:
 # ---------------------------------------------------------------------------
 # isomorph-free tree enumeration
 
-def _tree_centers(adj: list[list[int]]) -> list[int]:
-    deg = [len(nbrs) for nbrs in adj]
-    layer = [v for v, k in enumerate(deg) if k <= 1]
-    remaining = len(adj)
-    while remaining > 2:
-        remaining -= len(layer)
-        nxt = []
-        for v in layer:
-            deg[v] = 0
-            for w in adj[v]:
-                if deg[w] > 0:
-                    deg[w] -= 1
-                    if deg[w] == 1:
-                        nxt.append(w)
-        layer = nxt
-    return sorted(layer)
+def _parent(lv: list[int], v: int) -> int:
+    """The parent of vertex v > 0: the last earlier vertex one level up."""
+    return v - 1 - lv[v - 1::-1].index(lv[v] - 1)
 
 
-def _rooted_code(adj: list[list[int]], root: int) -> str:
-    def rec(v: int, parent: int) -> str:
-        kids = sorted(rec(w, v) for w in adj[v] if w != parent)
-        return "(" + "".join(kids) + ")"
-    return rec(root, -1)
-
-
-def tree_canonical_code(n: int, edges: list[tuple[int, int]]) -> str:
-    """Canonical string for a free tree: the smaller rooted code over its
-    one or two centers.  Equal codes mean isomorphic trees."""
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    return min(_rooted_code(adj, c) for c in _tree_centers(adj))
+def _free_trees(n: int) -> Iterator[list[int]]:
+    """The level sequence of each tree of order n rooted at its centre, one
+    per isomorphism class, as the module docstring sets out."""
+    lv = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
+    while True:
+        m = (lv + [1]).index(1, 2)  # where the root's second subtree starts
+        left, rest = [x - 1 for x in lv[1:m]], [0] + lv[m:]
+        if (max(left), len(left), left) <= (max(rest), len(rest), rest):
+            yield lv
+        p = n - 1
+        while lv[p] == 1:
+            p -= 1
+        if p == 0:
+            return
+        q = _parent(lv, p)
+        lv = lv[:p] + (lv[q:p] * n)[:n - p]
 
 
 def trees_by_order(max_n: int) -> Iterator[list[Graph]]:
     """One representative per isomorphism class of trees, as one list for
-    each order 2, 3, ..., max_n in turn.
-
-    Each order grows from the last by attaching a leaf to every vertex of
-    every class and deduplicating by canonical code; every tree arises from
-    a leaf deletion, so the sweep is exhaustive.
-    """
-    reps: list[list[tuple[int, int]]] = [[(0, 1)]]
-    for order in range(2, max_n + 1):
-        if order > 2:
-            seen: dict[str, list[tuple[int, int]]] = {}
-            for edges in reps:
-                for v in range(order - 1):
-                    grown = edges + [(v, order - 1)]
-                    code = tree_canonical_code(order, grown)
-                    if code not in seen:
-                        seen[code] = grown
-            reps = [seen[c] for c in sorted(seen)]
-        yield [make_graph(order, edges) for edges in reps]
+    each order 2, 3, ..., max_n in turn."""
+    for n in range(2, max_n + 1):
+        yield [make_graph(n, [(_parent(lv, v), v) for v in range(1, n)])
+               for lv in _free_trees(n)]
 
 
 @dataclass(frozen=True)

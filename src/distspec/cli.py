@@ -197,13 +197,14 @@ def _build(fam: Family, params: Sequence[int], cap: int, what: str) -> Graph:
     return fam.gen(*params)
 
 
-def _parse_range(text: str) -> range:
-    """Parse "a..b" (inclusive) or a single integer "a"."""
-    if ".." in text:
-        lo_s, hi_s = text.split("..", 1)
-        lo, hi = int(lo_s), int(hi_s)
-    else:
-        lo = hi = int(text)
+def _parse_range(pname: str, text: str) -> range:
+    """Parse the value of --pname: "a..b" (inclusive) or a single integer."""
+    lo_s, dots, hi_s = text.partition("..")
+    try:
+        lo, hi = int(lo_s), int(hi_s if dots else lo_s)
+    except ValueError:
+        raise ValueError(f"argument --{pname}: invalid range {text!r}: "
+                         "expected A..B or A") from None
     if hi < lo:
         raise ValueError(f"empty range {text!r}")
     return range(lo, hi + 1)
@@ -321,7 +322,7 @@ def _grid_instances(name: str, args: argparse.Namespace,
     axes = []
     for pname, default in zip(fam.params, fam.grid):
         flag = getattr(args, f"range_{pname}")
-        axes.append(default if flag is None else _parse_range(flag))
+        axes.append(default if flag is None else _parse_range(pname, flag))
     points = math.prod(r.stop - r.start for r in axes)
     if points > SWEEP_POINT_CAP:
         raise ValueError(f"the {name} sweep has {points} grid points, over "

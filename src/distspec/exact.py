@@ -80,9 +80,14 @@ def _entry_types(rows: Sequence[Sequence]) -> set[type]:
 
 
 def _integer_rows(rows: Sequence[Sequence]) -> list[list[int]]:
-    """Rows as Python ints, scaled by the positive LCM of all denominators."""
+    """Rows as Python ints, scaled by the positive LCM of all denominators;
+    a float entry must be finite."""
     if _entry_types(rows) <= {int}:
         return [list(row) for row in rows]
+    for i, row in enumerate(rows):
+        for j, x in enumerate(row):
+            if isinstance(x, float) and not math.isfinite(x):
+                raise ValueError(f"entry ({i}, {j}) is {x}, not finite")
     fr = [[Fraction(x) for x in row] for row in rows]
     scale = math.lcm(*(x.denominator for row in fr for x in row))
     return [[(x * scale).numerator for x in row] for row in fr]

@@ -39,6 +39,36 @@ def enumerate_trees(n: int) -> list[Graph]:
     return last
 
 
+def tree_canonical_code(n: int, edges: list[tuple[int, int]]) -> str:
+    """Referee for the tree enumeration: a canonical string for a free
+    tree, the smaller nested-parenthesis code rooted at its one or two
+    centres.  Equal codes mean isomorphic trees."""
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    # peel leaves until one or two vertices, the centres, are left
+    deg = [len(nbrs) for nbrs in adj]
+    layer = [v for v, k in enumerate(deg) if k <= 1]
+    remaining = n
+    while remaining > 2:
+        remaining -= len(layer)
+        nxt = []
+        for v in layer:
+            deg[v] = 0
+            for w in adj[v]:
+                if deg[w] > 0:
+                    deg[w] -= 1
+                    if deg[w] == 1:
+                        nxt.append(w)
+        layer = nxt
+
+    def rooted(v: int, parent: int) -> str:
+        return "(" + "".join(sorted(rooted(w, v) for w in adj[v]
+                                    if w != parent)) + ")"
+    return min(rooted(c, -1) for c in layer)
+
+
 def check_tree_bounds(t: Graph) -> TreeBoundReport:
     """`bounds.check_trees_bounds` of one tree."""
     return check_trees_bounds([t])[0]

@@ -11,9 +11,10 @@ from typing import Iterable
 import networkx as nx
 import pytest
 
-from conftest import check_tree_bounds, enumerate_trees, numeric_spectrum
+from conftest import (check_tree_bounds, enumerate_trees, numeric_spectrum,
+                      tree_canonical_code)
 from distspec.bounds import (ZF_ORDER_CAP, _adj_masks, _closure_mask,
-                             forcing_bound, tree_canonical_code,
+                             forcing_bound, trees_by_order,
                              zero_forcing_number)
 from distspec.cli import FAMILIES
 from distspec.distances import distance_matrix
@@ -307,9 +308,16 @@ class TestEigenvalueBound:
 
 class TestTreeEnumeration:
     def test_counts_match_reference_sequence(self):
-        expect = [1, 1, 2, 3, 6, 11, 23, 47, 106]
-        got = [len(enumerate_trees(n)) for n in range(2, 11)]
-        assert got == expect
+        # OEIS A000055 for orders 2-14, up to the cap
+        expect = [1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159]
+        assert [len(trees) for trees in trees_by_order(14)] == expect
+
+    def test_matches_networkx(self):
+        for n, trees in enumerate(trees_by_order(12), start=2):
+            ours = {tree_canonical_code(n, list(t.edges)) for t in trees}
+            theirs = {tree_canonical_code(n, list(t.edges()))
+                      for t in nx.nonisomorphic_trees(n)}
+            assert len(ours) == len(trees) and ours == theirs, n
 
     def test_every_output_is_a_tree(self):
         for t in enumerate_trees(8):
@@ -323,7 +331,7 @@ class TestTreeEnumeration:
         assert len(codes) == len(trees)
 
     def test_matches_pruefer_route(self):
-        for n in range(2, 9):
+        for n in range(2, 10):
             a = {tree_canonical_code(t.n, list(t.edges))
                  for t in enumerate_trees(n)}
             b = {tree_canonical_code(t.n, list(t.edges))

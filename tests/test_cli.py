@@ -356,6 +356,14 @@ class TestVerify:
     ("spectrum", "the following arguments are required: family"),
     ("det lollipop x 2", "argument params: invalid int value: 'x'"),
     ("verify cycle --d 3..4", "cycle takes no parameter d"),
+    ("verify johnson --n 5.. --r 1",
+     "argument --n: invalid range '5..': expected A..B or A"),
+    ("verify johnson --n ..5 --r 1",
+     "argument --n: invalid range '..5': expected A..B or A"),
+    ("verify johnson --n 3..4..5 --r 1",
+     "argument --n: invalid range '3..4..5': expected A..B or A"),
+    ("verify johnson --n a..b --r 1",
+     "argument --n: invalid range 'a..b': expected A..B or A"),
     ("verify petersen --n 5", "petersen takes no parameter n"),
     ("verify lemma-identities --n 3..4",
      "lemma-identities takes no parameter n"),

@@ -178,3 +178,12 @@ class TestDistinctEigenvalueCount:
             if b - a > 1e-6:
                 clusters += 1
         assert distinct_eigenvalue_count(m) == clusters
+
+
+@pytest.mark.parametrize("fn", [inertia_exact, distinct_eigenvalue_count])
+@pytest.mark.parametrize("x", [float("inf"), float("-inf"), float("nan")])
+def test_non_finite_entries_are_refused(fn, x):
+    # one ValueError naming the entry, not Fraction's OverflowError for inf
+    with pytest.raises(ValueError,
+                       match=rf"^entry \(1, 1\) is {x}, not finite$"):
+        fn([[1.5, 2], [2, x]])
