@@ -28,9 +28,9 @@ chi(x) = det(xI - M):
    chi(-x) counts the positive and negative ones exactly, and
    n - deg gcd(chi, chi') counts the distinct ones.
 
-The public functions share the kernel through a memo holding only the last
-matrix; input is capped at order EXACT_ORDER_CAP.  Rational input is first
-scaled by the LCM of its denominators.  No floating point anywhere.
+The public functions share chi through a memo of the last matrix, its
+symmetry and its chi; input is capped at order EXACT_ORDER_CAP.  Every entry
+is taken exactly and scaled by the LCM of the denominators: no rounding.
 
 The batch count `distinct_eigenvalue_counts` skips step 2: it lifts every chi
 of its stack under one full bound, since the batch it serves, the trees of
@@ -40,9 +40,11 @@ one order, has nonsingular distance matrices that rank sizing cannot help.
 from __future__ import annotations
 
 import math
+from decimal import Decimal
 from fractions import Fraction
-from functools import cached_property
 from itertools import accumulate, chain
+from numbers import Integral, Rational
+from operator import mul
 from typing import Sequence
 
 import numpy as np
@@ -75,22 +77,34 @@ def _primes_over(bound: int) -> list[int]:
     return _PRIMES[:k]
 
 
-def _entry_types(rows: Sequence[Sequence]) -> set[type]:
-    return set(map(type, chain.from_iterable(rows)))
-
-
-def _integer_rows(rows: Sequence[Sequence]) -> list[list[int]]:
+def _integer_rows(rows: Sequence[Sequence],
+                  integer: bool) -> Sequence[Sequence[int]]:
     """Rows as Python ints, scaled by the positive LCM of all denominators;
-    a float entry must be finite."""
-    if _entry_types(rows) <= {int}:
-        return [list(row) for row in rows]
-    for i, row in enumerate(rows):
-        for j, x in enumerate(row):
-            if isinstance(x, float) and not math.isfinite(x):
-                raise ValueError(f"entry ({i}, {j}) is {x}, not finite")
-    fr = [[Fraction(x) for x in row] for row in rows]
+    with integer set, every entry must be an integer."""
+    types = set(map(type, chain.from_iterable(rows)))
+    if types <= {int}:
+        return rows
+    if all(issubclass(t, Integral) for t in types):
+        return [list(map(int, row)) for row in rows]
+    if integer:
+        raise ValueError("integer entries required")
+    fr = [[_fraction(x, i, j) for j, x in enumerate(row)]
+          for i, row in enumerate(rows)]
     scale = math.lcm(*(x.denominator for row in fr for x in row))
     return [[(x * scale).numerator for x in row] for row in fr]
+
+
+def _fraction(x, i: int, j: int) -> Fraction:
+    """Entry (i, j), a rational or finite float or Decimal, exactly."""
+    if isinstance(x, Rational):
+        return Fraction(int(x.numerator), int(x.denominator))
+    if not isinstance(x, (float, np.floating, Decimal)):
+        raise ValueError(
+            f"entry ({i}, {j}) is {x!r}, not a rational, float or Decimal")
+    try:
+        return Fraction(*x.as_integer_ratio())
+    except (OverflowError, ValueError):  # infinite or NaN
+        raise ValueError(f"entry ({i}, {j}) is {x}, not finite") from None
 
 
 def _residues(mats: Sequence[Sequence[Sequence[int]]],
@@ -104,7 +118,7 @@ def _residues(mats: Sequence[Sequence[Sequence[int]]],
         return (big % mm.astype(object)).astype(np.int64)
 
 
-def _modular_rank(rows: list[list[int]], p: int,
+def _modular_rank(rows: Sequence[Sequence[int]], p: int,
                   enough: int) -> tuple[int, int | None]:
     """The rank of an integer matrix modulo the prime p, a lower bound on
     its rank, by Gaussian elimination that stops once the rank reaches
@@ -229,14 +243,15 @@ def _crt_lift(residues: np.ndarray, primes: list[int]) -> list[int]:
 _CHUNK_ENTRIES = 1 << 19
 
 
-def _row_bounds(rows: Sequence[Sequence[int]]) -> list[int]:
-    """r_i = isqrt(|row_i|^2) + 1, at least the Euclidean norm of row i."""
-    return [math.isqrt(sum(x * x for x in row)) + 1 for row in rows]
-
-
-def _hadamard_bounds(r: list[int]) -> list[int]:
+def _hadamard_bounds(mats: Sequence[Sequence[Sequence[int]]]) -> list[int]:
     """Twice the prefix maximum of e_k(r) for k = 0..n: entry k bounds the
-    lift of the coefficients of x^n .. x^(n-k), as in `_Kernel.chi`."""
+    lift of the coefficients of x^n .. x^(n-k) of chi of every matrix.  The
+    coefficient of x^(n-k) sums principal k x k minors, at most prod r_i
+    each (Hadamard), r_i = isqrt(|row_i|^2) + 1; as e_k is symmetric and
+    increasing, r is the elementwise maximum of the sorted row bounds."""
+    r = [max(c) for c in zip(*(sorted(
+        [math.isqrt(sum(map(mul, row, row))) + 1 for row in m], reverse=True)
+        for m in mats))]
     e = [1] + [0] * len(r)  # elementary symmetric functions of the r_i
     for i, x in enumerate(r):
         for k in range(i + 1, 0, -1):
@@ -244,66 +259,50 @@ def _hadamard_bounds(r: list[int]) -> list[int]:
     return [2 * b for b in accumulate(e, max)]
 
 
-class _Kernel:
-    """The characteristic polynomial of one integer matrix, computed on
-    first use, and whether the matrix is symmetric."""
-
-    def __init__(self, rows: list[list[int]], symmetric: bool):
-        self.rows, self.symmetric = rows, symmetric
-
-    @cached_property
-    def chi(self) -> list[int]:
-        """Coefficients of det(xI - M), lowest degree first.
-
-        The coefficient of x^(n-k) is a sum of principal k x k minors, each
-        at most prod r_i in absolute value, r_i = isqrt(|row_i|^2) + 1
-        (Hadamard), so twice the prefix maximum of e_k(r) bounds its lift.
-        For symmetric M the first lift stops at k = r' + 2 and stands only
-        under the two-zero certificate of the module docstring.
-        """
-        rows, n = self.rows, len(self.rows)
-        bound = _hadamard_bounds(_row_bounds(rows))
-        primes = full = _primes_over(bound[n])
-        rank, det = 0, None
-        if self.symmetric and len(full) > 1:
-            # from rank enough on, the bound at rank + 2 takes every prime
-            below = math.prod(full[:-1])
-            enough = next(k for k, b in enumerate(bound) if b >= below) - 2
-            if enough > 0:
-                rank, det = _modular_rank(rows, full[0], enough)
-                primes = _primes_over(bound[min(n, rank + 2)])
-        res = _charpoly_residues([rows], primes)[0]
-        chi = _crt_lift(res, primes)
-        if len(primes) < len(full) and any(chi[n - rank - 2:n - rank]):
-            more = _charpoly_residues([rows], full[len(primes):])[0]
-            chi = _crt_lift(np.concatenate([res, more]), full)
-        zero = next(k for k, c in enumerate(chi) if c)
-        if n - zero < rank or det is not None and \
-                ((-1) ** n * chi[0] - det) % full[0]:
-            raise ArithmeticError(
-                f"characteristic polynomial {chi} disagrees with rank {rank} "
-                f"and determinant {det} modulo {full[0]}")
-        return chi
-
-    @property
-    def nullity(self) -> int:
-        """Multiplicity of the root 0 of chi: n - rank for symmetric M."""
-        return next(k for k, c in enumerate(self.chi) if c)
+def _zero(chi: list[int]) -> int:
+    """Multiplicity of the root 0 of chi: n - rank for symmetric M."""
+    return next(k for k, c in enumerate(chi) if c)
 
 
-_last: tuple[tuple, _Kernel] | None = None
+def _chi(rows: Sequence[Sequence[int]], symmetric: bool) -> list[int]:
+    """Coefficients of det(xI - M), lowest degree first, for an integer
+    matrix M.  For symmetric M the first lift stops at k = r' + 2 and stands
+    only under the two-zero certificate of the module docstring."""
+    n = len(rows)
+    bound = _hadamard_bounds([rows])
+    primes = full = _primes_over(bound[n])
+    rank, det = 0, None
+    if symmetric and len(full) > 1:
+        # from rank enough on, the bound at rank + 2 takes every prime
+        below = math.prod(full[:-1])
+        enough = next(k for k, b in enumerate(bound) if b >= below) - 2
+        if enough > 0:
+            rank, det = _modular_rank(rows, full[0], enough)
+            primes = _primes_over(bound[min(n, rank + 2)])
+    res = _charpoly_residues([rows], primes)[0]
+    chi = _crt_lift(res, primes)
+    if len(primes) < len(full) and any(chi[n - rank - 2:n - rank]):
+        more = _charpoly_residues([rows], full[len(primes):])[0]
+        chi = _crt_lift(np.concatenate([res, more]), full)
+    if n - _zero(chi) < rank or det is not None and \
+            ((-1) ** n * chi[0] - det) % full[0]:
+        raise ArithmeticError(
+            f"characteristic polynomial {chi} disagrees with rank {rank} "
+            f"and determinant {det} modulo {full[0]}")
+    return chi
 
 
-def _checked(key: tuple[tuple, ...], *, symmetric: bool, integer: bool,
+_last: tuple[tuple, bool, list[int]] | None = None
+
+
+def _checked(key: tuple[tuple, ...], *, symmetric: bool,
              sym: bool | None = None) -> bool:
     """Whether the rows key form a symmetric matrix, found unless sym is
     given, after the checks in the order of precedence of their messages:
-    shape, integer entries, symmetry, order cap."""
+    shape, symmetry, order cap."""
     n = len(key)
     if any(len(row) != n for row in key):
         raise ValueError("matrix must be square")
-    if integer and not all(issubclass(t, int) for t in _entry_types(key)):
-        raise ValueError("integer entries required")
     if sym is None:
         sym = key == tuple(zip(*key))
     if symmetric and not sym:
@@ -316,23 +315,23 @@ def _checked(key: tuple[tuple, ...], *, symmetric: bool, integer: bool,
     return sym
 
 
-def _kernel(mat: Sequence[Sequence], *, symmetric: bool = False,
-            integer: bool = False) -> _Kernel:
-    """The kernel for this matrix, reused if it equals the previous one.
+def _chi_of(mat: Sequence[Sequence], *, symmetric: bool = False,
+            integer: bool = False) -> list[int]:
+    """chi of this matrix, reused if the matrix equals the previous one.
 
-    One pass copies the rows into the memo key, and `_checked` reads the
-    copy.  Symmetry is found once per matrix and kept in its kernel.
+    One pass copies the rows into the memo key, which the checks read.
+    Symmetry is found once per matrix and kept in the memo.
     """
     global _last
     key = tuple(map(tuple, mat))
     last = _last
-    kern = last[1] if last is not None and last[0] == key else None
-    sym = _checked(key, symmetric=symmetric, integer=integer,
-                   sym=kern.symmetric if kern else None)
-    if kern is None:
-        kern = _Kernel(_integer_rows(key), sym)
-        _last = (key, kern)
-    return kern
+    hit = last is not None and last[0] == key
+    sym = _checked(key, symmetric=symmetric, sym=last[1] if hit else None)
+    if integer or not hit:
+        rows = _integer_rows(key, integer)
+    if not hit:
+        _last = (key, sym, _chi(rows, sym))
+    return _last[2]
 
 
 def _sign_changes(coeffs: Sequence[int]) -> int:
@@ -361,26 +360,27 @@ def _gcd_degree(a: list[int], b: list[int]) -> int:
 
 
 def det_exact(mat: Sequence[Sequence[int]]) -> int:
-    """Determinant of an integer matrix, (-1)^n chi(0) from the exact
-    characteristic polynomial: no division, and no bound on the size of the
-    entries.  A non-symmetric matrix takes the Hadamard bound of every
-    order.  Guarded at order EXACT_ORDER_CAP.
+    """Determinant of an integer matrix (Python or numpy integers), (-1)^n
+    chi(0) from the exact characteristic polynomial: no division, and no
+    bound on the size of the entries.  A non-symmetric matrix takes the
+    Hadamard bound of every order.  Guarded at order EXACT_ORDER_CAP.
     """
-    kern = _kernel(mat, integer=True)
-    return (-1) ** len(kern.rows) * kern.chi[0]
+    chi = _chi_of(mat, integer=True)
+    return (-1) ** (len(chi) - 1) * chi[0]
 
 
 def inertia_exact(mat: Sequence[Sequence]) -> Inertia:
-    """Inertia (positive, zero, negative) of a symmetric rational matrix.
+    """Inertia (positive, zero, negative) of a symmetric matrix of rationals
+    (numpy integers too) or finite floats, numpy floats or Decimals.
 
     Read off the integer characteristic polynomial: the zero count is the
     multiplicity of the root 0, and Descartes' rule of signs, exact for a
     polynomial with only real roots, counts the positive roots of chi(x) and
     of chi(-x).  Guarded at order EXACT_ORDER_CAP.
     """
-    kern = _kernel(mat, symmetric=True)
-    n, zero = len(kern.rows), kern.nullity
-    tail = kern.chi[zero:]
+    chi = _chi_of(mat, symmetric=True)
+    n, zero = len(chi) - 1, _zero(chi)
+    tail = chi[zero:]
     pos = _sign_changes(tail)
     neg = _sign_changes([c if k % 2 == 0 else -c for k, c in enumerate(tail)])
     if pos + neg + zero != n:
@@ -392,7 +392,7 @@ def _distinct_count(chi: list[int]) -> int:
     """n - deg gcd(chi, chi') for a real-rooted chi, lowest degree first,
     with the root 0 (multiplicity n - rank) divided out first so the
     pseudo-remainder sequence runs on degree rank."""
-    n, zero = len(chi) - 1, next(k for k, c in enumerate(chi) if c)
+    n, zero = len(chi) - 1, _zero(chi)
     rank = n - zero
     f = chi[zero:][::-1]
     df = [(rank - k) * c for k, c in enumerate(f[:-1])]
@@ -400,13 +400,14 @@ def _distinct_count(chi: list[int]) -> int:
 
 
 def distinct_eigenvalue_count(mat: Sequence[Sequence]) -> int:
-    """Number of distinct eigenvalues of a symmetric rational matrix.
+    """Number of distinct eigenvalues of a symmetric matrix with the entries
+    of `inertia_exact`.
 
     `_distinct_count` of the characteristic polynomial of the matrix times
     the LCM of its denominators: no numeric tolerance.  Guarded at order
     EXACT_ORDER_CAP.
     """
-    return _distinct_count(_kernel(mat, symmetric=True).chi)
+    return _distinct_count(_chi_of(mat, symmetric=True))
 
 
 def distinct_eigenvalue_counts(mats: Sequence[Sequence[Sequence[int]]]
@@ -414,24 +415,21 @@ def distinct_eigenvalue_counts(mats: Sequence[Sequence[Sequence[int]]]
     """`distinct_eigenvalue_count` of each of a batch of symmetric integer
     matrices of one order, from one stack of characteristic polynomials.
 
-    Every chi is lifted under one full Hadamard bound for the batch: e_k is
-    symmetric and increasing in each r_i, so e_k of the elementwise maximum
-    of the matrices' sorted row bounds bounds e_k of each.  The full bound
-    needs no rank sizing and so no certificate, which suits full-rank
-    batches such as the distance matrices of trees (Graham and Pollak
-    1971).  Guarded at order EXACT_ORDER_CAP.
+    Every chi is lifted under one full Hadamard bound for the batch.  The
+    full bound needs no rank sizing and so no certificate, which suits
+    full-rank batches such as the distance matrices of trees (Graham and
+    Pollak 1971).  Guarded at order EXACT_ORDER_CAP.
     """
     keys = [tuple(map(tuple, m)) for m in mats]
     if len({len(key) for key in keys}) > 1:
         raise ValueError("matrices must share one order")
     for key in keys:
-        _checked(key, symmetric=True, integer=True)
-    if not keys:
+        _checked(key, symmetric=True)
+    rows = [_integer_rows(key, True) for key in keys]
+    if not rows:
         return []
-    r = [max(c) for c in zip(*(sorted(_row_bounds(key), reverse=True)
-                               for key in keys))]
-    primes, n = _primes_over(_hadamard_bounds(r)[-1]), len(keys[0])
-    res = _charpoly_residues(keys, primes).transpose(1, 0, 2)
+    primes, n = _primes_over(_hadamard_bounds(rows)[-1]), len(keys[0])
+    res = _charpoly_residues(rows, primes).transpose(1, 0, 2)
     chis = _crt_lift(res.reshape(len(primes), -1), primes)
     return [_distinct_count(chis[i:i + n + 1])
             for i in range(0, len(chis), n + 1)]

@@ -1,6 +1,8 @@
 """Exact integer/rational linear algebra: determinant, inertia, rank,
 minimal polynomial degree."""
 
+import re
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -8,9 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from distspec.distances import distance_matrix
+from distspec import exact
+from distspec.distances import distance_array, distance_matrix
 from distspec.exact import (Inertia, det_exact, distinct_eigenvalue_count,
-                            inertia_exact)
+                            distinct_eigenvalue_counts, inertia_exact)
 from distspec.graphs import (complete, cycle, generalized_barbell, hamming,
                              hypercube, hypercube_with_leaf, path, petersen)
 
@@ -57,6 +60,9 @@ class TestDeterminant:
     def test_rejects_non_integer(self):
         with pytest.raises(ValueError, match="integer entries"):
             det_exact([[1.0, 0], [0, 1.0]])
+        for x in (np.float32(1), Fraction(1), Decimal(1), "1", None):
+            with pytest.raises(ValueError, match="integer entries"):
+                det_exact([[x, 0], [0, 1]])
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="square"):
@@ -181,9 +187,60 @@ class TestDistinctEigenvalueCount:
 
 
 @pytest.mark.parametrize("fn", [inertia_exact, distinct_eigenvalue_count])
-@pytest.mark.parametrize("x", [float("inf"), float("-inf"), float("nan")])
+@pytest.mark.parametrize("x", [
+    float("inf"), float("-inf"), float("nan"),
+    pytest.param(Decimal("Infinity"), id="Decimal-Infinity"),
+    pytest.param(Decimal("-Infinity"), id="Decimal--Infinity"),
+    pytest.param(Decimal("NaN"), id="Decimal-NaN"),
+    pytest.param(np.float32("inf"), id="float32-inf"),
+    pytest.param(np.float64("nan"), id="float64-nan")])
 def test_non_finite_entries_are_refused(fn, x):
     # one ValueError naming the entry, not Fraction's OverflowError for inf
     with pytest.raises(ValueError,
-                       match=rf"^entry \(1, 1\) is {x}, not finite$"):
+                       match=rf"^entry \(1, 1\) is {re.escape(str(x))}, "
+                             "not finite$"):
         fn([[1.5, 2], [2, x]])
+
+
+class TestEntries:
+    """An entry is a rational, numpy integers included, or a finite float,
+    numpy float or Decimal, each taken exactly; any other is refused."""
+
+    def test_numpy_integers_count_as_integers(self):
+        a = distance_array(cycle(5))
+        assert det_exact(a) == cofactor_det(a.tolist()) == 6
+        assert inertia_exact(a) == Inertia(1, 0, 4)
+        assert distinct_eigenvalue_counts([a, a]) == [3, 3]
+
+    def test_numpy_integers_become_python_ints_before_the_bound(self):
+        # the squares of these int64 entries overflow int64
+        base = [[2, -1, 0], [-1, 0, 5], [0, 5, -4]]
+        a = np.array(base, dtype=np.int64) * 3 * 10**9
+        assert det_exact(a) == cofactor_det(a.tolist()) == -46 * 27 * 10**27
+        assert inertia_exact(a) == inertia_exact(base)
+        assert distinct_eigenvalue_counts([a]) == [3]
+
+    @pytest.mark.parametrize("x", [
+        1.5, np.float16(1.5), np.float32(1.5), np.float64(1.5),
+        Decimal("1.5"), Fraction(3, 2)], ids=lambda x: type(x).__name__)
+    def test_real_entries(self, x, monkeypatch):
+        monkeypatch.setattr(exact, "_last", None)  # equal entries would hit
+        m = [[1, x], [x, 2]]  # twice it is [[2, 3], [3, 4]], det -1
+        assert inertia_exact(m) == Inertia(1, 0, 1)
+        assert distinct_eigenvalue_count(m) == 2
+
+    def test_entries_are_taken_exactly(self):
+        # float32(0.1), 0.1 and Decimal('0.1') are three different numbers
+        for x, y in ((np.float32(0.1), 0.1), (Decimal("0.1"), 0.1)):
+            assert distinct_eigenvalue_count([[x, 0], [0, y]]) == 2
+        assert distinct_eigenvalue_count(
+            [[Decimal("0.5"), 0], [0, np.float32(0.5)]]) == 1
+
+    @pytest.mark.parametrize("fn", [inertia_exact, distinct_eigenvalue_count])
+    @pytest.mark.parametrize("x", [None, "1/2", 1j, np.bool_(True)],
+                             ids=["None", "str", "complex", "bool_"])
+    def test_other_entries_are_refused(self, fn, x):
+        with pytest.raises(ValueError,
+                           match=rf"^entry \(0, 1\) is {re.escape(repr(x))}, "
+                                 "not a rational, float or Decimal$"):
+            fn([[1, x], [x, 2]])

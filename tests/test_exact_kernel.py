@@ -7,8 +7,10 @@ import os
 import random
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +19,7 @@ from conftest import enumerate_trees
 from distspec import exact
 from distspec.bounds import trees_by_order
 from distspec.closedforms import halved_cube_spectrum, hamming_spectrum
-from distspec.distances import distance_matrix
+from distspec.distances import distance_array, distance_matrix
 from distspec.exact import (Inertia, det_exact, distinct_eigenvalue_count,
                             distinct_eigenvalue_counts, inertia_exact)
 from distspec.graphs import (cocktail_party, complete, cycle,
@@ -116,7 +118,7 @@ class TestCharpolyResidues:
 
     def test_kernel_chi_matches_leverrier(self):
         d = distance_matrix(generalized_barbell(3, 3, 2))
-        assert exact._kernel(d).chi == leverrier_charpoly(d)
+        assert exact._chi_of(d) == leverrier_charpoly(d)
 
 
 class TestAdversarial:
@@ -276,7 +278,7 @@ class TestCertificate:
                             (halved_cube(9), halved_cube_spectrum(9))):
             d = distance_matrix(g)
             used.clear()
-            assert exact._kernel(d).chi == charpoly_of(spectrum.spectrum)
+            assert exact._chi_of(d) == charpoly_of(spectrum.spectrum)
             assert len(used) == 1 and used[0] < full_bound_primes(d)
 
     @given(low_rank_symmetric())
@@ -289,9 +291,7 @@ class TestKernelSharing:
     def test_one_kernel_run_per_matrix(self, monkeypatch):
         calls = spy(monkeypatch)
         d = distance_matrix(generalized_barbell(3, 4, 2))
-        det_exact(d)
-        inertia_exact(d)
-        distinct_eigenvalue_count(d)
+        want = det_exact(d), inertia_exact(d), distinct_eigenvalue_count(d)
         assert (calls["rank"], len(calls["lifts"])) == (1, 1)
         d[0][1] = d[1][0] = 5  # same list, new contents: a new kernel run
         inertia_exact(d)
@@ -305,6 +305,12 @@ class TestKernelSharing:
         inertia_exact(m)
         distinct_eigenvalue_count(m)
         assert (calls["rank"], len(calls["lifts"])) == (3, 4)
+        # the uint16 array of the first matrix: one run, the same answers
+        a = distance_array(generalized_barbell(3, 4, 2))
+        assert a.dtype == np.uint16
+        assert (det_exact(a), inertia_exact(a),
+                distinct_eigenvalue_count(a)) == want
+        assert (calls["rank"], len(calls["lifts"])) == (4, 5)
 
     def test_nonsymmetric_det_takes_no_elimination(self, monkeypatch):
         calls = spy(monkeypatch)
@@ -379,7 +385,8 @@ class TestBatch:
                  enumerate_trees(12)[100])]
         want = [distinct_eigenvalue_count(m) for m in mats]
         assert want == [krylov_distinct_count(m) for m in mats]
-        assert [exact._kernel(m).nullity for m in mats] == [5, 5, 0, 5, 0]
+        assert [exact._zero(exact._chi_of(m)) for m in mats] == \
+            [5, 5, 0, 5, 0]
         calls = spy(monkeypatch)
         assert distinct_eigenvalue_counts(mats) == want
         # one lift, under a bound no smaller than any matrix's own
@@ -426,8 +433,9 @@ class TestBatch:
             distinct_eigenvalue_counts([[[0]], [[0, 1], [1, 0]]])
         with pytest.raises(ValueError, match="matrix must be square"):
             distinct_eigenvalue_counts([[[0, 1]]])
-        with pytest.raises(ValueError, match="integer entries required"):
-            distinct_eigenvalue_counts([[[Fraction(1, 2)]]])
+        for x in (Fraction(1, 2), 1.0, np.float32(1), Decimal(1), "1", None):
+            with pytest.raises(ValueError, match="integer entries required"):
+                distinct_eigenvalue_counts([[[x]]])
         with pytest.raises(ValueError, match=r"not symmetric at \(0, 1\)"):
             distinct_eigenvalue_counts([[[0, 1], [1, 0]], [[0, 1], [2, 0]]])
         n = exact.EXACT_ORDER_CAP + 1
