@@ -34,23 +34,39 @@ subtree, with levels shifted down by 1, is no greater by (height, size,
 sequence) than the rest of the tree.  Equality holds where the two halves
 around a central edge are isomorphic.  No kept sequence exceeds the path
 rooted at its centre, so the walk starts there.
+
+A tree's distance matrix D follows from its level sequence lv with no
+graph and no search.  In preorder the subtree of v is the range [v, e(v)),
+e(v) the first later vertex at level <= lv[v], or n.  Row 0 of D is lv, and
+row v is row parent(v) + 1, minus 2 on [v, e(v)): n row steps for all trees
+of one order at once.
+
+The diameter bounds need only a certified lower bound on q_D.  Take an
+integer vector x and a prime p, and let K be the n x (diam + 1) matrix
+[x, Dx, ..., D^diam x].  Then rank_p(K) <= rank_Q(K) <= deg minpoly(D) =
+q_D, the last because a symmetric D is diagonalizable.  So rank_p(K) =
+diam + 1 proves q_D >= diam + 1, and with it q_D >= floor(diam / 2).  One
+elimination modulo p, over a stack of Krylov matrices, finds the rank; any
+matrix it does not certify falls back to the exact count.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
 from typing import Iterator, Sequence
 
-from .distances import distance_matrix
-from .exact import distinct_eigenvalue_counts
-from .graphs import Graph, make_graph
+import numpy as np
+
+from .exact import distinct_eigenvalue_count
+from .graphs import Graph
 
 ZF_ORDER_CAP = 24
-# largest `verify-trees --max-order`: each order costs about 2.1x the last,
-# and order 14 takes 2.0-2.5 s as a subprocess on a 2-vCPU Xeon, about a
-# tenth of it growing the trees
+# largest `verify-trees --max-order`: through order 14, 0.35-0.45 s as a
+# subprocess on a 2-vCPU Xeon, 0.2 s of it the sweep, where each order
+# costs about 3x the last and growing the trees is about 40% of it
 TREE_ORDER_CAP = 14
 
 
@@ -154,11 +170,6 @@ def forcing_bound(n: int, z: int) -> Fraction:
 # ---------------------------------------------------------------------------
 # isomorph-free tree enumeration
 
-def _parent(lv: list[int], v: int) -> int:
-    """The parent of vertex v > 0: the last earlier vertex one level up."""
-    return v - 1 - lv[v - 1::-1].index(lv[v] - 1)
-
-
 def _free_trees(n: int) -> Iterator[list[int]]:
     """The level sequence of each tree of order n rooted at its centre, one
     per isomorphism class, as the module docstring sets out."""
@@ -173,43 +184,84 @@ def _free_trees(n: int) -> Iterator[list[int]]:
             p -= 1
         if p == 0:
             return
-        q = _parent(lv, p)
+        q = p - 1 - lv[p - 1::-1].index(lv[p] - 1)  # the parent of p
         lv = lv[:p] + (lv[q:p] * n)[:n - p]
 
 
-def trees_by_order(max_n: int) -> Iterator[list[Graph]]:
-    """One representative per isomorphism class of trees, as one list for
-    each order 2, 3, ..., max_n in turn."""
+def trees_by_order(max_n: int) -> Iterator[np.ndarray]:
+    """The level sequences of one tree per isomorphism class, as one int64
+    array of shape (trees, n) for each order n = 2, 3, ..., max_n in turn."""
     for n in range(2, max_n + 1):
-        yield [make_graph(n, [(_parent(lv, v), v) for v in range(1, n)])
-               for lv in _free_trees(n)]
+        yield np.array(list(_free_trees(n)), dtype=np.int64)
+
+
+def tree_distances(lvs: np.ndarray) -> np.ndarray:
+    """The distance matrices, shape (trees, n, n), of the trees whose level
+    sequences are the rows of lvs, by the preorder rule of the module
+    docstring."""
+    t, n = lvs.shape
+    tail = np.pad(lvs, ((0, 0), (0, 1)))  # level 0 at n ends every subtree
+    d = np.empty((t, n, n), dtype=np.int64)
+    d[:, 0] = lvs
+    trees, cols = np.arange(t), np.arange(n)
+    for v in range(1, n):
+        parent = v - 1 - (lvs[:, v - 1::-1] == lvs[:, v, None] - 1).argmax(1)
+        end = v + 1 + (tail[:, v + 1:] <= lvs[:, v, None]).argmax(1)
+        inside = (cols >= v) & (cols < end[:, None])
+        d[:, v] = d[trees, parent] + 1 - 2 * inside
+    return d
 
 
 @dataclass(frozen=True)
 class TreeBoundReport:
     order: int
     diameter: int
-    distinct_count: int
+    distinct_lower: int      # diam + 1 if certified, else the exact q_D
     strong_holds: bool       # q_D >= diam + 1
     half_floor_holds: bool   # q_D >= floor(diam / 2)
 
 
-def check_trees_bounds(trees: Sequence[Graph]) -> list[TreeBoundReport]:
-    """Evaluate the diameter-based lower bounds on q_D for trees of one
-    order, with every distinct count from one exact batch.
+# the certificate's prime, the exact kernel's largest: n p^2 < 2^63 up to
+# order 256, so a Krylov step is one int64 matmul
+_PRIME = 2**27 - 39
+
+
+def _start_vectors(t: int, n: int) -> np.ndarray:
+    """The Krylov start vector x of each of t matrices of order n, from a
+    fixed seed (Python's generator: numpy's takes longer to import)."""
+    bits = random.Random(0).randbytes(8 * t * n)
+    return np.frombuffer(bits, dtype=np.int64).reshape(t, n) % _PRIME
+
+
+def check_trees_bounds(mats: Sequence[Sequence[Sequence[int]]]
+                       ) -> list[TreeBoundReport]:
+    """Evaluate the diameter-based lower bounds on q_D for the distance
+    matrices of trees of one order, with the largest entry as the diameter.
 
     The strong form q_D >= diam + 1 is the conjectured one; the halved
-    form q_D >= floor(diam / 2) is the proven statement.
+    form q_D >= floor(diam / 2) is the proven statement.  A matrix whose
+    Krylov rank modulo _PRIME certifies the strong form reports diam + 1
+    as its lower bound; any other reports its exact distinct count.
     """
-    mats = [distance_matrix(t) for t in trees]
-    reps = []
-    for t, d, q in zip(trees, mats, distinct_eigenvalue_counts(mats)):
-        diam = max(max(row) for row in d)
-        reps.append(TreeBoundReport(
-            order=t.n,
-            diameter=diam,
-            distinct_count=q,
-            strong_holds=q >= diam + 1,
-            half_floor_holds=q >= diam // 2,
-        ))
-    return reps
+    d = np.asarray(mats, dtype=np.int64)
+    t, n, _ = d.shape
+    diam = d.max(axis=(1, 2))
+    m = min(int(diam.max()) + 1, n)
+    k = np.empty((t, n, m), dtype=np.int64)  # column j is D^j x mod p
+    k[:, :, 0] = _start_vectors(t, n)
+    for j in range(1, m):
+        k[:, :, j] = np.matmul(d, k[:, :, j - 1:j])[:, :, 0] % _PRIME
+    # eliminate column c below row c without inverses; a matrix is
+    # certified while each of its columns through diam has a pivot
+    certified, trees = diam < n, np.arange(t)
+    for c in range(m):
+        nz = k[:, c:, c] != 0
+        certified &= nz.any(axis=1) | (diam < c)
+        piv = c + nz.argmax(axis=1)
+        k[trees, c], k[trees, piv] = k[trees, piv], k[trees, c]
+        top, rest = k[:, None, c, c:], k[:, c + 1:, c:]
+        rest[:] = (rest * top[:, :, :1] - rest[:, :, :1] * top) % _PRIME
+    lower = [di + 1 if ok else distinct_eigenvalue_count(dt)
+             for di, ok, dt in zip(diam.tolist(), certified.tolist(), d)]
+    return [TreeBoundReport(n, di, q, q >= di + 1, q >= di // 2)
+            for di, q in zip(diam.tolist(), lower)]

@@ -45,7 +45,8 @@ from dataclasses import dataclass
 from typing import Callable, NoReturn, Optional, Sequence
 
 from .bounds import (TREE_ORDER_CAP, ZF_ORDER_CAP, check_trees_bounds,
-                     forcing_bound, trees_by_order, zero_forcing_number)
+                     forcing_bound, tree_distances, trees_by_order,
+                     zero_forcing_number)
 from .closedforms import (LEMMA_CAP, LEMMA_RANGES, ClosedFormSpectrum,
                           barbell_determinant, barbell_inertia,
                           cocktail_party_spectrum, complete_spectrum,
@@ -453,7 +454,7 @@ def cmd_verify_trees(args: argparse.Namespace) -> int:
                          f"2..{TREE_ORDER_CAP}")
     failures = 0
     for order, trees in enumerate(trees_by_order(args.max_order), start=2):
-        reps = check_trees_bounds(trees)
+        reps = check_trees_bounds(tree_distances(trees))
         strong = sum(not r.strong_holds for r in reps)
         weak = sum(not r.half_floor_holds for r in reps)
         failures += strong + weak

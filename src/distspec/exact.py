@@ -10,9 +10,8 @@ chi(x) = det(xI - M):
    2**27 in int64 arrays, lifted by the Chinese remainder theorem under a
    Hadamard bound.  27 bits is (63 - bit length of EXACT_ORDER_CAP) // 2, so
    EXACT_ORDER_CAP products of two residues plus one more sum below 2**63: a
-   modular product is one matmul.  The reduction runs over a stack of
-   (matrix, prime) slices at once, one matrix with its primes or a batch
-   of matrices of one order.  det M = (-1)^n chi(0);
+   modular product is one matmul.  The reduction runs over the matrix's
+   primes at once, one slice per prime.  det M = (-1)^n chi(0);
 2. the coefficient of x^(n-k) needs the bound only for k up to the rank r,
    since larger minors vanish.  For symmetric M, Gaussian elimination modulo
    the first prime gives r' <= r, stopped once more rank could save no
@@ -31,10 +30,6 @@ chi(x) = det(xI - M):
 The public functions share chi through a memo of the last matrix, its
 symmetry and its chi; input is capped at order EXACT_ORDER_CAP.  Every entry
 is taken exactly and scaled by the LCM of the denominators: no rounding.
-
-The batch count `distinct_eigenvalue_counts` skips step 2: it lifts every chi
-of its stack under one full bound, since the batch it serves, the trees of
-one order, has nonsingular distance matrices that rank sizing cannot help.
 """
 
 from __future__ import annotations
@@ -107,14 +102,13 @@ def _fraction(x, i: int, j: int) -> Fraction:
         raise ValueError(f"entry ({i}, {j}) is {x}, not finite") from None
 
 
-def _residues(mats: Sequence[Sequence[Sequence[int]]],
-              primes: list[int]) -> np.ndarray:
-    """Each matrix modulo each prime: int64, shape (matrices, primes, n, n)."""
-    n, mm = len(mats[0]), np.array(primes, dtype=np.int64)[:, None, None]
+def _residues(rows: Sequence[Sequence[int]], primes: list[int]) -> np.ndarray:
+    """The matrix modulo each prime: int64, shape (primes, n, n)."""
+    n, mm = len(rows), np.array(primes, dtype=np.int64)[:, None, None]
     try:
-        return np.array(mats, dtype=np.int64).reshape(len(mats), 1, n, n) % mm
+        return np.array(rows, dtype=np.int64).reshape(1, n, n) % mm
     except OverflowError:  # entries beyond int64: reduce them as Python ints
-        big = np.array(mats, dtype=object).reshape(len(mats), 1, n, n)
+        big = np.array(rows, dtype=object).reshape(1, n, n)
         return (big % mm.astype(object)).astype(np.int64)
 
 
@@ -125,7 +119,7 @@ def _modular_rank(rows: Sequence[Sequence[int]], p: int,
     enough; and its determinant modulo p if the elimination ran through
     every column, else None.
     """
-    a = _residues([rows], [p])[0, 0]
+    a = _residues(rows, [p])[0]
     n = len(a)
     rank, det = 0, 1
     for c in range(n):
@@ -147,27 +141,21 @@ def _modular_rank(rows: Sequence[Sequence[int]], p: int,
     return rank, det * (rank == n) % p
 
 
-def _charpoly_residues(mats: Sequence[Sequence[Sequence[int]]],
+def _charpoly_residues(rows: Sequence[Sequence[int]],
                        primes: list[int]) -> np.ndarray:
     """Coefficients of det(xI - M) modulo each prime, lowest degree first,
-    for each integer matrix M of one order: shape (matrices, primes, n + 1).
-
-    The (matrix, prime) slices run _CHUNK_ENTRIES matrix entries at a time:
-    as many matrices as fit, each with every prime, or else one matrix with
-    as many primes as fit.
-    """
-    n, kp = len(mats[0]), len(primes)
-    step = max(1, _CHUNK_ENTRIES // (n * n + 1))
-    per, group = max(1, step // kp), min(kp, step)
-    return np.concatenate([np.concatenate(
-        [_stack_charpoly(_residues(mats[i:i + per], primes[j:j + group]),
-                         primes[j:j + group]) for j in range(0, kp, group)],
-        axis=1) for i in range(0, len(mats), per)])
+    for an integer matrix M: shape (primes, n + 1).  The primes run
+    _CHUNK_ENTRIES matrix entries at a time."""
+    group = max(1, _CHUNK_ENTRIES // (len(rows) ** 2 + 1))
+    return np.concatenate([
+        _stack_charpoly(_residues(rows, primes[j:j + group]),
+                        primes[j:j + group])
+        for j in range(0, len(primes), group)])
 
 
 def _stack_charpoly(h: np.ndarray, primes: list[int]) -> np.ndarray:
-    """chi modulo each prime for a stack h of residues, shape (matrices,
-    primes, n, n), which the reduction overwrites.
+    """chi modulo each prime for a stack h of residues of one matrix, shape
+    (primes, n, n), which the reduction overwrites.
 
     Per slice, a similarity brings M to upper Hessenberg form H with every
     subdiagonal entry 0 or 1.  A 0 starts a diagonal block, and zeroing the
@@ -179,10 +167,8 @@ def _stack_charpoly(h: np.ndarray, primes: list[int]) -> np.ndarray:
 
     then gives chi = p_n.
     """
-    nm, kp, n = h.shape[:3]
-    h = h.reshape(nm * kp, n, n)
-    mods = primes * nm  # the prime of each slice
-    mod = np.array(mods, dtype=np.int64)
+    kp, n = h.shape[:2]
+    mod = np.array(primes, dtype=np.int64)
     mc, mm = mod[:, None], mod[:, None, None]
     los = [0]  # for each column, the last block start shared by all slices
     for m in range(1, n):
@@ -202,7 +188,7 @@ def _stack_charpoly(h: np.ndarray, primes: list[int]) -> np.ndarray:
         los.append(lo)
         t = [x or 1 for x in piv.tolist()]  # make H[m, m-1] 1 where nonzero
         row, col = h[:, m, :], h[:, lo:, m]
-        row *= np.array([pow(x, -1, p) for x, p in zip(t, mods)],
+        row *= np.array([pow(x, -1, p) for x, p in zip(t, primes)],
                         dtype=np.int64)[:, None]
         row %= mc
         col *= np.array(t, dtype=np.int64)[:, None]
@@ -214,7 +200,7 @@ def _stack_charpoly(h: np.ndarray, primes: list[int]) -> np.ndarray:
             rest = h[:, m + 1:, m - 1:]
             rest -= u * row[:, None, m - 1:]
             rest %= mm
-    polys = np.zeros((nm * kp, n + 1, n + 1), dtype=np.int64)
+    polys = np.zeros((kp, n + 1, n + 1), dtype=np.int64)
     polys[:, 0, 0] = 1
     for m, lo in zip(range(n), los):
         new = polys[:, m + 1, :m + 2]
@@ -222,7 +208,7 @@ def _stack_charpoly(h: np.ndarray, primes: list[int]) -> np.ndarray:
         new[:, :m + 1] -= np.matmul(h[:, None, lo:m + 1, m],
                                     polys[:, lo:m + 1, :m + 1])[:, 0]
         new %= mc
-    return polys[:, n, :].reshape(nm, kp, n + 1)
+    return polys[:, n, :]
 
 
 def _crt_lift(residues: np.ndarray, primes: list[int]) -> list[int]:
@@ -237,21 +223,18 @@ def _crt_lift(residues: np.ndarray, primes: list[int]) -> list[int]:
     return out
 
 
-# (matrix, prime) slices are handled this many matrix entries at a time,
+# a matrix's prime slices are handled this many matrix entries at a time,
 # which caps each int64 working array of the characteristic polynomial at
 # 4 MiB.
 _CHUNK_ENTRIES = 1 << 19
 
 
-def _hadamard_bounds(mats: Sequence[Sequence[Sequence[int]]]) -> list[int]:
+def _hadamard_bounds(rows: Sequence[Sequence[int]]) -> list[int]:
     """Twice the prefix maximum of e_k(r) for k = 0..n: entry k bounds the
-    lift of the coefficients of x^n .. x^(n-k) of chi of every matrix.  The
-    coefficient of x^(n-k) sums principal k x k minors, at most prod r_i
-    each (Hadamard), r_i = isqrt(|row_i|^2) + 1; as e_k is symmetric and
-    increasing, r is the elementwise maximum of the sorted row bounds."""
-    r = [max(c) for c in zip(*(sorted(
-        [math.isqrt(sum(map(mul, row, row))) + 1 for row in m], reverse=True)
-        for m in mats))]
+    lift of the coefficients of x^n .. x^(n-k) of chi.  The coefficient of
+    x^(n-k) sums principal k x k minors, at most prod r_i each (Hadamard),
+    r_i = isqrt(|row_i|^2) + 1."""
+    r = [math.isqrt(sum(map(mul, row, row))) + 1 for row in rows]
     e = [1] + [0] * len(r)  # elementary symmetric functions of the r_i
     for i, x in enumerate(r):
         for k in range(i + 1, 0, -1):
@@ -269,7 +252,7 @@ def _chi(rows: Sequence[Sequence[int]], symmetric: bool) -> list[int]:
     matrix M.  For symmetric M the first lift stops at k = r' + 2 and stands
     only under the two-zero certificate of the module docstring."""
     n = len(rows)
-    bound = _hadamard_bounds([rows])
+    bound = _hadamard_bounds(rows)
     primes = full = _primes_over(bound[n])
     rank, det = 0, None
     if symmetric and len(full) > 1:
@@ -279,10 +262,10 @@ def _chi(rows: Sequence[Sequence[int]], symmetric: bool) -> list[int]:
         if enough > 0:
             rank, det = _modular_rank(rows, full[0], enough)
             primes = _primes_over(bound[min(n, rank + 2)])
-    res = _charpoly_residues([rows], primes)[0]
+    res = _charpoly_residues(rows, primes)
     chi = _crt_lift(res, primes)
     if len(primes) < len(full) and any(chi[n - rank - 2:n - rank]):
-        more = _charpoly_residues([rows], full[len(primes):])[0]
+        more = _charpoly_residues(rows, full[len(primes):])
         chi = _crt_lift(np.concatenate([res, more]), full)
     if n - _zero(chi) < rank or det is not None and \
             ((-1) ** n * chi[0] - det) % full[0]:
@@ -295,16 +278,25 @@ def _chi(rows: Sequence[Sequence[int]], symmetric: bool) -> list[int]:
 _last: tuple[tuple, bool, list[int]] | None = None
 
 
-def _checked(key: tuple[tuple, ...], *, symmetric: bool,
-             sym: bool | None = None) -> bool:
-    """Whether the rows key form a symmetric matrix, found unless sym is
-    given, after the checks in the order of precedence of their messages:
-    shape, symmetry, order cap."""
-    n = len(key)
+def _chi_of(mat: Sequence[Sequence], *, symmetric: bool = False,
+            integer: bool = False) -> list[int]:
+    """chi of this matrix, reused if the matrix equals the previous one.
+
+    One pass copies the rows into the memo key, which the checks read in
+    the order of precedence of their messages: shape, symmetry, order cap.
+    A numpy array of integers or floats is first turned into Python
+    numbers, which compare faster than numpy scalars.  Symmetry is found
+    once per matrix and kept in the memo.
+    """
+    global _last
+    if isinstance(mat, np.ndarray) and mat.dtype.kind in "iuf":
+        mat = mat.tolist()
+    key = tuple(map(tuple, mat))
+    last, n = _last, len(key)
+    hit = last is not None and last[0] == key
     if any(len(row) != n for row in key):
         raise ValueError("matrix must be square")
-    if sym is None:
-        sym = key == tuple(zip(*key))
+    sym = last[1] if hit else key == tuple(zip(*key))
     if symmetric and not sym:
         i, j = next((i, j) for i in range(n) for j in range(i + 1, n)
                     if key[i][j] != key[j][i])
@@ -312,21 +304,6 @@ def _checked(key: tuple[tuple, ...], *, symmetric: bool,
     if n > EXACT_ORDER_CAP:
         raise ValueError(
             f"order {n} exceeds the exact search cap {EXACT_ORDER_CAP}")
-    return sym
-
-
-def _chi_of(mat: Sequence[Sequence], *, symmetric: bool = False,
-            integer: bool = False) -> list[int]:
-    """chi of this matrix, reused if the matrix equals the previous one.
-
-    One pass copies the rows into the memo key, which the checks read.
-    Symmetry is found once per matrix and kept in the memo.
-    """
-    global _last
-    key = tuple(map(tuple, mat))
-    last = _last
-    hit = last is not None and last[0] == key
-    sym = _checked(key, symmetric=symmetric, sym=last[1] if hit else None)
     if integer or not hit:
         rows = _integer_rows(key, integer)
     if not hit:
@@ -388,48 +365,18 @@ def inertia_exact(mat: Sequence[Sequence]) -> Inertia:
     return Inertia(pos, zero, neg)
 
 
-def _distinct_count(chi: list[int]) -> int:
-    """n - deg gcd(chi, chi') for a real-rooted chi, lowest degree first,
-    with the root 0 (multiplicity n - rank) divided out first so the
-    pseudo-remainder sequence runs on degree rank."""
+def distinct_eigenvalue_count(mat: Sequence[Sequence]) -> int:
+    """Number of distinct eigenvalues of a symmetric matrix with the entries
+    of `inertia_exact`.
+
+    n - deg gcd(chi, chi') for chi of the matrix times the LCM of its
+    denominators, real-rooted, with the root 0 (multiplicity n - rank)
+    divided out first so the pseudo-remainder sequence runs on degree rank:
+    no numeric tolerance.  Guarded at order EXACT_ORDER_CAP.
+    """
+    chi = _chi_of(mat, symmetric=True)
     n, zero = len(chi) - 1, _zero(chi)
     rank = n - zero
     f = chi[zero:][::-1]
     df = [(rank - k) * c for k, c in enumerate(f[:-1])]
     return (rank < n) + rank - _gcd_degree(f, df)
-
-
-def distinct_eigenvalue_count(mat: Sequence[Sequence]) -> int:
-    """Number of distinct eigenvalues of a symmetric matrix with the entries
-    of `inertia_exact`.
-
-    `_distinct_count` of the characteristic polynomial of the matrix times
-    the LCM of its denominators: no numeric tolerance.  Guarded at order
-    EXACT_ORDER_CAP.
-    """
-    return _distinct_count(_chi_of(mat, symmetric=True))
-
-
-def distinct_eigenvalue_counts(mats: Sequence[Sequence[Sequence[int]]]
-                               ) -> list[int]:
-    """`distinct_eigenvalue_count` of each of a batch of symmetric integer
-    matrices of one order, from one stack of characteristic polynomials.
-
-    Every chi is lifted under one full Hadamard bound for the batch.  The
-    full bound needs no rank sizing and so no certificate, which suits
-    full-rank batches such as the distance matrices of trees (Graham and
-    Pollak 1971).  Guarded at order EXACT_ORDER_CAP.
-    """
-    keys = [tuple(map(tuple, m)) for m in mats]
-    if len({len(key) for key in keys}) > 1:
-        raise ValueError("matrices must share one order")
-    for key in keys:
-        _checked(key, symmetric=True)
-    rows = [_integer_rows(key, True) for key in keys]
-    if not rows:
-        return []
-    primes, n = _primes_over(_hadamard_bounds(rows)[-1]), len(keys[0])
-    res = _charpoly_residues(rows, primes).transpose(1, 0, 2)
-    chis = _crt_lift(res.reshape(len(primes), -1), primes)
-    return [_distinct_count(chis[i:i + n + 1])
-            for i in range(0, len(chis), n + 1)]

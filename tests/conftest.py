@@ -18,6 +18,7 @@ from distspec import (Graph, Spectrum, cluster_to_spectrum, distance_matrix,
                       sym_eigenvalues)
 from distspec.bounds import (TreeBoundReport, check_trees_bounds,
                              trees_by_order)
+from distspec.graphs import make_graph
 from distspec.spectra import Value
 
 
@@ -34,9 +35,12 @@ def adjacency_matrix(g: Graph) -> list[list[int]]:
 
 def enumerate_trees(n: int) -> list[Graph]:
     """One representative per isomorphism class of trees on n >= 2
-    vertices, in the order `bounds.trees_by_order` yields them."""
+    vertices, built from the level sequences `bounds.trees_by_order`
+    yields, in its order: each vertex v > 0 joined to its parent, the last
+    earlier vertex one level up."""
     *_, last = trees_by_order(n)
-    return last
+    return [make_graph(n, [(v - 1 - lv[v - 1::-1].index(lv[v] - 1), v)
+                           for v in range(1, n)]) for lv in last.tolist()]
 
 
 def tree_canonical_code(n: int, edges: list[tuple[int, int]]) -> str:
@@ -70,8 +74,8 @@ def tree_canonical_code(n: int, edges: list[tuple[int, int]]) -> str:
 
 
 def check_tree_bounds(t: Graph) -> TreeBoundReport:
-    """`bounds.check_trees_bounds` of one tree."""
-    return check_trees_bounds([t])[0]
+    """`bounds.check_trees_bounds` of one tree, from its BFS distances."""
+    return check_trees_bounds([distance_matrix(t)])[0]
 
 
 def largest(s: Spectrum) -> Value:

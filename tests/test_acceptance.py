@@ -286,7 +286,7 @@ def test_criterion_10_tree_sweep():
         check(failures, len(trees) == want, ("count", order, len(trees)))
         for t in trees:
             rep = check_tree_bounds(t)
-            check(failures, rep.distinct_count >= rep.diameter + 1,
+            check(failures, rep.distinct_lower >= rep.diameter + 1,
                   ("bound", order, t.edges))
     elapsed = time.perf_counter() - t0
     check(failures, elapsed < 600, f"runtime {elapsed:.0f}s over budget")

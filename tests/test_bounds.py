@@ -9,12 +9,15 @@ from itertools import combinations, permutations, product
 from typing import Iterable
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from conftest import (check_tree_bounds, enumerate_trees, numeric_spectrum,
                       tree_canonical_code)
-from distspec.bounds import (ZF_ORDER_CAP, _adj_masks, _closure_mask,
-                             forcing_bound, trees_by_order,
+from distspec import bounds
+from distspec.bounds import (ZF_ORDER_CAP, TreeBoundReport, _adj_masks,
+                             _closure_mask, check_trees_bounds, forcing_bound,
+                             tree_distances, trees_by_order,
                              zero_forcing_number)
 from distspec.cli import FAMILIES
 from distspec.distances import distance_matrix
@@ -313,7 +316,8 @@ class TestTreeEnumeration:
         assert [len(trees) for trees in trees_by_order(14)] == expect
 
     def test_matches_networkx(self):
-        for n, trees in enumerate(trees_by_order(12), start=2):
+        for n in range(2, 13):
+            trees = enumerate_trees(n)
             ours = {tree_canonical_code(n, list(t.edges)) for t in trees}
             theirs = {tree_canonical_code(n, list(t.edges()))
                       for t in nx.nonisomorphic_trees(n)}
@@ -356,14 +360,14 @@ class TestTreeBounds:
         rep = check_tree_bounds(path(8))
         assert rep.order == 8
         assert rep.diameter == 7
-        assert rep.distinct_count == 8
+        assert rep.distinct_lower == 8
         assert rep.strong_holds and rep.half_floor_holds
 
     def test_star_report(self):
         star = make_graph(5, [(0, i) for i in range(1, 5)])
         rep = check_tree_bounds(star)
         assert rep.diameter == 2
-        assert rep.distinct_count == 3
+        assert rep.distinct_lower == 3
         assert rep.strong_holds
 
     def test_all_small_trees_hold(self):
@@ -372,4 +376,47 @@ class TestTreeBounds:
                 rep = check_tree_bounds(t)
                 assert rep.strong_holds, t.edges
                 assert rep.half_floor_holds
-                assert rep.distinct_count >= rep.diameter + 1
+                assert rep.distinct_lower >= rep.diameter + 1
+
+
+class TestTreeSweep:
+    """`check_trees_bounds` on the level-sequence matrices: a one-prime
+    Krylov rank certifies q_D >= diam + 1, else the exact count decides."""
+
+    def test_level_sequence_matrices_match_bfs(self):
+        for n, lvs in enumerate(trees_by_order(12), start=2):
+            assert tree_distances(lvs).tolist() == \
+                [distance_matrix(t) for t in enumerate_trees(n)], n
+
+    def test_lower_bound_never_exceeds_exact_count(self):
+        for lvs in trees_by_order(11):
+            mats = tree_distances(lvs)
+            for rep, d in zip(check_trees_bounds(mats), mats):
+                assert rep.distinct_lower <= distinct_eigenvalue_count(d)
+
+    def test_zero_start_vector_certifies_nothing(self, monkeypatch):
+        fallbacks = []
+
+        def counted(d):
+            fallbacks.append(d)
+            return distinct_eigenvalue_count(d)
+
+        monkeypatch.setattr(bounds, "_start_vectors",
+                            lambda t, n: np.zeros((t, n), dtype=np.int64))
+        monkeypatch.setattr(bounds, "distinct_eigenvalue_count", counted)
+        for n, lvs in enumerate(trees_by_order(9), start=2):
+            mats = tree_distances(lvs)
+            want = []
+            for d in mats.tolist():
+                diam, q = max(map(max, d)), krylov_distinct_count(d)
+                want.append(TreeBoundReport(n, diam, q, q >= diam + 1,
+                                            q >= diam // 2))
+            assert check_trees_bounds(mats) == want, n
+        assert len(fallbacks) == sum(len(t) for t in trees_by_order(9))
+
+    def test_few_distinct_values_fall_back_to_a_violation(self):
+        # 3(J - I) of order 4: largest entry 3, but only 2 distinct
+        # eigenvalues, so no Krylov rank reaches 4
+        m = [[3 * (i != j) for j in range(4)] for i in range(4)]
+        assert check_trees_bounds([m]) == \
+            [TreeBoundReport(4, 3, 2, False, True)]

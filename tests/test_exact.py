@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from distspec import exact
 from distspec.distances import distance_array, distance_matrix
 from distspec.exact import (Inertia, det_exact, distinct_eigenvalue_count,
-                            distinct_eigenvalue_counts, inertia_exact)
+                            inertia_exact)
 from distspec.graphs import (complete, cycle, generalized_barbell, hamming,
                              hypercube, hypercube_with_leaf, path, petersen)
 
@@ -210,7 +210,7 @@ class TestEntries:
         a = distance_array(cycle(5))
         assert det_exact(a) == cofactor_det(a.tolist()) == 6
         assert inertia_exact(a) == Inertia(1, 0, 4)
-        assert distinct_eigenvalue_counts([a, a]) == [3, 3]
+        assert distinct_eigenvalue_count(a) == 3
 
     def test_numpy_integers_become_python_ints_before_the_bound(self):
         # the squares of these int64 entries overflow int64
@@ -218,7 +218,17 @@ class TestEntries:
         a = np.array(base, dtype=np.int64) * 3 * 10**9
         assert det_exact(a) == cofactor_det(a.tolist()) == -46 * 27 * 10**27
         assert inertia_exact(a) == inertia_exact(base)
-        assert distinct_eigenvalue_counts([a]) == [3]
+        assert distinct_eigenvalue_count(a) == 3
+
+    def test_integer_array_memo_key_holds_python_ints(self, monkeypatch):
+        a = distance_array(hypercube(4))
+        monkeypatch.setattr(exact, "_last", None)
+        got = det_exact(a), inertia_exact(a), distinct_eigenvalue_count(a)
+        assert {type(x) for row in exact._last[0] for x in row} == {int}
+        monkeypatch.setattr(exact, "_last", None)
+        rows = a.tolist()
+        assert got == (det_exact(rows), inertia_exact(rows),
+                       distinct_eigenvalue_count(rows))
 
     @pytest.mark.parametrize("x", [
         1.5, np.float16(1.5), np.float32(1.5), np.float64(1.5),

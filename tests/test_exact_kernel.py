@@ -7,8 +7,6 @@ import os
 import random
 import subprocess
 import sys
-from decimal import Decimal
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,14 +15,12 @@ from hypothesis import strategies as st
 
 from conftest import enumerate_trees
 from distspec import exact
-from distspec.bounds import trees_by_order
 from distspec.closedforms import halved_cube_spectrum, hamming_spectrum
 from distspec.distances import distance_array, distance_matrix
 from distspec.exact import (Inertia, det_exact, distinct_eigenvalue_count,
-                            distinct_eigenvalue_counts, inertia_exact)
-from distspec.graphs import (cocktail_party, complete, cycle,
-                             generalized_barbell, halved_cube, hypercube,
-                             icosahedron, lollipop, petersen)
+                            inertia_exact)
+from distspec.graphs import (generalized_barbell, halved_cube, hypercube,
+                             lollipop)
 from exact_referee import (congruence_inertia, fraction_rank_det,
                            krylov_distinct_count, leverrier_charpoly)
 from test_exact import cofactor_det
@@ -105,7 +101,7 @@ class TestCharpolyResidues:
             m = [[data.draw(entry) for _ in range(n)] for _ in range(n)]
         primes = [2, 3, 5, exact._primes_over(1)[0]]
         chi = leverrier_charpoly(m)
-        got = exact._charpoly_residues([m], primes)[0].tolist()
+        got = exact._charpoly_residues(m, primes).tolist()
         assert got == [[c % p for c in chi] for p in primes]
 
     def test_largest_residues_at_the_order_cap(self):
@@ -113,8 +109,26 @@ class TestCharpolyResidues:
         # p-1, each sum of products is as large as the prime bound allows
         n, p = exact.EXACT_ORDER_CAP, exact._primes_over(1)[0]
         m = [[p - 1] * n for _ in range(n)]
-        got = exact._charpoly_residues([m], [p])[0].tolist()
+        got = exact._charpoly_residues(m, [p]).tolist()
         assert got == [[0] * (n - 1) + [n % p, 1]]
+
+    @pytest.mark.parametrize("entries, group", [(1000, 6), (100, 1)])
+    def test_primes_run_in_groups(self, monkeypatch, entries, group):
+        # each prime takes a 12 x 12 slice and 13 coefficients: 1000
+        # entries hold six primes, 100 entries one
+        m = [[10**12 * x for x in row]
+             for row in distance_matrix(enumerate_trees(12)[100])]
+        groups = []
+        stack = exact._stack_charpoly
+
+        def counted(h, primes):
+            groups.append(len(primes))
+            return stack(h, primes)
+
+        monkeypatch.setattr(exact, "_CHUNK_ENTRIES", entries)
+        monkeypatch.setattr(exact, "_stack_charpoly", counted)
+        assert exact._chi_of(m) == leverrier_charpoly(m)
+        assert len(groups) > 1 and max(groups) == group
 
     def test_kernel_chi_matches_leverrier(self):
         d = distance_matrix(generalized_barbell(3, 3, 2))
@@ -133,9 +147,9 @@ class TestAdversarial:
         used = []
         chi = exact._charpoly_residues
 
-        def spy(mats, primes):
+        def spy(rows, primes):
             used.append(len(primes))
-            return chi(mats, primes)
+            return chi(rows, primes)
 
         monkeypatch.setattr(exact, "_charpoly_residues", spy)
         rng = random.Random(12)
@@ -366,78 +380,3 @@ class TestKernelSharing:
         assert [m for m in range(primes[-1], top, 2) if trial(m)] == \
             primes[::-1]
 
-
-class TestBatch:
-    """`distinct_eigenvalue_counts`: one stack of characteristic
-    polynomials for a batch of one order, lifted under one full bound."""
-
-    def test_every_tree_through_order_11(self):
-        for order, trees in enumerate(trees_by_order(11), start=2):
-            mats = [distance_matrix(t) for t in trees]
-            assert distinct_eigenvalue_counts(mats) == \
-                [distinct_eigenvalue_count(m) for m in mats], order
-
-    def test_mixed_order_12_batch_off_trees(self, monkeypatch):
-        # three singular matrices, which the single path lifts under a
-        # bound sized by their modular rank, K_12 and one tree
-        mats = [distance_matrix(g) for g in
-                (cycle(12), cocktail_party(6), complete(12), icosahedron(),
-                 enumerate_trees(12)[100])]
-        want = [distinct_eigenvalue_count(m) for m in mats]
-        assert want == [krylov_distinct_count(m) for m in mats]
-        assert [exact._zero(exact._chi_of(m)) for m in mats] == \
-            [5, 5, 0, 5, 0]
-        calls = spy(monkeypatch)
-        assert distinct_eigenvalue_counts(mats) == want
-        # one lift, under a bound no smaller than any matrix's own
-        assert calls["rank"] == 0 and len(calls["lifts"]) == 1
-        assert calls["lifts"][0] >= max(map(full_bound_primes, mats))
-
-    def test_one_bound_covers_the_largest_matrix(self):
-        # chi of the second matrix needs about 10 primes, of the first 1;
-        # lifted under the first one's bound, it comes out garbled, with
-        # 10 distinct roots where the scaled Petersen matrix has 3
-        small = distance_matrix(lollipop(4, 6))
-        big = [[10**12 * x for x in row]
-               for row in distance_matrix(petersen())]
-        want = [krylov_distinct_count(m) for m in (small, big)]
-        assert want[1] == 3
-        assert distinct_eigenvalue_counts([small, big]) == want
-        assert distinct_eigenvalue_counts([big, small]) == want[::-1]
-
-    @pytest.mark.parametrize("entries, first", [(1000, (3, 2)),
-                                                (100, (1, 1))])
-    def test_chunks_of_every_tree_of_order_12(self, monkeypatch, entries,
-                                              first):
-        # the batch takes 2 primes: 1000 entries, six 12 x 12 slices, hold
-        # three matrices with both primes, and 100 entries one slice
-        mats = [distance_matrix(t) for t in enumerate_trees(12)]
-        want = [distinct_eigenvalue_count(m) for m in mats]
-        chunks = []
-        stack = exact._stack_charpoly
-
-        def counted(h, primes):
-            chunks.append(h.shape[:2])
-            return stack(h, primes)
-
-        monkeypatch.setattr(exact, "_CHUNK_ENTRIES", entries)
-        monkeypatch.setattr(exact, "_stack_charpoly", counted)
-        assert distinct_eigenvalue_counts(mats) == want
-        assert chunks[0] == first
-        assert sum(a * b for a, b in chunks) == len(mats) * 2
-
-    def test_refusals(self):
-        assert distinct_eigenvalue_counts([]) == []
-        assert distinct_eigenvalue_counts([[]]) == [0]
-        with pytest.raises(ValueError, match="matrices must share one order"):
-            distinct_eigenvalue_counts([[[0]], [[0, 1], [1, 0]]])
-        with pytest.raises(ValueError, match="matrix must be square"):
-            distinct_eigenvalue_counts([[[0, 1]]])
-        for x in (Fraction(1, 2), 1.0, np.float32(1), Decimal(1), "1", None):
-            with pytest.raises(ValueError, match="integer entries required"):
-                distinct_eigenvalue_counts([[[x]]])
-        with pytest.raises(ValueError, match=r"not symmetric at \(0, 1\)"):
-            distinct_eigenvalue_counts([[[0, 1], [1, 0]], [[0, 1], [2, 0]]])
-        n = exact.EXACT_ORDER_CAP + 1
-        with pytest.raises(ValueError, match=f"order {n} exceeds"):
-            distinct_eigenvalue_counts([[[0] * n] * n])

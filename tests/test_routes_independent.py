@@ -28,7 +28,8 @@ def referenced_names(path):
     return names
 
 
-@pytest.mark.parametrize("module", ["jacobi.py", "exact.py", "distances.py"])
+@pytest.mark.parametrize("module", ["jacobi.py", "exact.py", "distances.py",
+                                    "bounds.py"])
 def test_no_library_eigensolver(module):
     path = Path(distspec.__file__).parent / module
     assert not referenced_names(path) & FORBIDDEN
