@@ -10,8 +10,10 @@ chi(x) = det(xI - M):
    2**27 in int64 arrays, lifted by the Chinese remainder theorem under a
    Hadamard bound.  27 bits is (63 - bit length of EXACT_ORDER_CAP) // 2, so
    EXACT_ORDER_CAP products of two residues plus one more sum below 2**63: a
-   modular product is one matmul.  The reduction runs over the matrix's
-   primes at once, one slice per prime.  det M = (-1)^n chi(0);
+   modular product is one matmul, as is each Hessenberg column.  The
+   reduction runs over the matrix's primes at once, one slice per prime, of
+   one array of the matrix (int64 where the entries fit), and a block start
+   every slice shares costs no zeroing.  det M = (-1)^n chi(0);
 2. the coefficient of x^(n-k) needs the bound only for k up to the rank r,
    since larger minors vanish.  For symmetric M, Gaussian elimination modulo
    the first prime gives r' <= r, stopped once more rank could save no
@@ -102,17 +104,26 @@ def _fraction(x, i: int, j: int) -> Fraction:
         raise ValueError(f"entry ({i}, {j}) is {x}, not finite") from None
 
 
-def _residues(rows: Sequence[Sequence[int]], primes: list[int]) -> np.ndarray:
-    """The matrix modulo each prime: int64, shape (primes, n, n)."""
-    n, mm = len(rows), np.array(primes, dtype=np.int64)[:, None, None]
+def _int_array(rows: Sequence[Sequence[int]]) -> np.ndarray:
+    """An integer matrix as one int64 array, or as an object array of
+    Python ints if an entry is beyond int64."""
+    n = len(rows)
     try:
-        return np.array(rows, dtype=np.int64).reshape(1, n, n) % mm
-    except OverflowError:  # entries beyond int64: reduce them as Python ints
-        big = np.array(rows, dtype=object).reshape(1, n, n)
-        return (big % mm.astype(object)).astype(np.int64)
+        return np.array(rows, dtype=np.int64).reshape(n, n)
+    except OverflowError:
+        return np.array(rows, dtype=object).reshape(n, n)
 
 
-def _modular_rank(rows: Sequence[Sequence[int]], p: int,
+def _residues(a: Sequence[Sequence[int]] | np.ndarray,
+              primes: list[int]) -> np.ndarray:
+    """The integer matrix a, rows or an `_int_array`, modulo each prime: a
+    new int64 array, shape (primes, n, n)."""
+    a = a if isinstance(a, np.ndarray) else _int_array(a)
+    mm = np.array(primes, dtype=a.dtype)[:, None, None]
+    return (a % mm).astype(np.int64, copy=False)
+
+
+def _modular_rank(rows: Sequence[Sequence[int]] | np.ndarray, p: int,
                   enough: int) -> tuple[int, int | None]:
     """The rank of an integer matrix modulo the prime p, a lower bound on
     its rank, by Gaussian elimination that stops once the rank reaches
@@ -141,7 +152,7 @@ def _modular_rank(rows: Sequence[Sequence[int]], p: int,
     return rank, det * (rank == n) % p
 
 
-def _charpoly_residues(rows: Sequence[Sequence[int]],
+def _charpoly_residues(rows: Sequence[Sequence[int]] | np.ndarray,
                        primes: list[int]) -> np.ndarray:
     """Coefficients of det(xI - M) modulo each prime, lowest degree first,
     for an integer matrix M: shape (primes, n + 1).  The primes run
@@ -165,7 +176,10 @@ def _stack_charpoly(h: np.ndarray, primes: list[int]) -> np.ndarray:
 
         p_{m+1} = x p_m - sum_{lo <= i <= m} H[i, m] p_i
 
-    then gives chi = p_n.
+    then gives chi = p_n.  As it and every later step read only rows lo..,
+    a block start all slices share zeroes nothing.  Column m becomes one
+    product of columns m.. with (t; u), column m - 1 from row m down, taken
+    before row m is scaled by 1/t: the row and column operations commute.
     """
     kp, n = h.shape[:2]
     mod = np.array(primes, dtype=np.int64)
@@ -174,7 +188,11 @@ def _stack_charpoly(h: np.ndarray, primes: list[int]) -> np.ndarray:
     for m in range(1, n):
         lo, piv = los[-1], h[:, m, m - 1]
         if not piv.all():
-            nz = h[:, m + 1:, m - 1] != 0
+            below = h[:, m:, m - 1]
+            if not below.any():  # shared by all slices: nothing to zero
+                los.append(m)
+                continue
+            nz = below[:, 1:] != 0
             ks = np.flatnonzero(nz.any(axis=1) & (piv == 0))
             if ks.size:  # swap row and column m with the first nonzero below
                 iv = m + 1 + nz[ks].argmax(axis=1)
@@ -182,23 +200,20 @@ def _stack_charpoly(h: np.ndarray, primes: list[int]) -> np.ndarray:
                 h[ks, :, m], h[ks, :, iv] = h[ks, :, iv], h[ks, :, m]
             ends = piv == 0  # no row to swap in: a block starts at m
             h[ends, lo:m, m:] = 0  # rows above lo are 0 there already
-            if ends.all():  # nothing to eliminate
-                los.append(m)
-                continue
+            piv[ends] = 1  # t = 1: no later step reads H[m, m-1]
         los.append(lo)
-        t = [x or 1 for x in piv.tolist()]  # make H[m, m-1] 1 where nonzero
-        row, col = h[:, m, :], h[:, lo:, m]
+        t, v = piv.tolist(), h[:, m:, m - 1:m]  # v = (t; u), t the pivot
+        if shift := v[:, 1:].any():  # column m = columns m.. @ v
+            h[:, lo:, m:m + 1] = np.matmul(h[:, lo:, m:], v) % mm
+        else:
+            h[:, lo:, m] = h[:, lo:, m] * piv[:, None] % mc
+        row = h[:, m, m - 1:]  # over t, which makes H[m, m-1] 1
         row *= np.array([pow(x, -1, p) for x, p in zip(t, primes)],
                         dtype=np.int64)[:, None]
         row %= mc
-        col *= np.array(t, dtype=np.int64)[:, None]
-        col %= mc
-        u = h[:, m + 1:, m - 1:m]
-        if u.any():  # column m += columns m+1.. @ u; rows m+1.. -= u * row m
-            col += np.matmul(h[:, lo:, m + 1:], u)[:, :, 0]
-            col %= mc
+        if shift:  # rows m+1.. -= u * row m
             rest = h[:, m + 1:, m - 1:]
-            rest -= u * row[:, None, m - 1:]
+            rest -= v[:, 1:] * row[:, None]
             rest %= mm
     polys = np.zeros((kp, n + 1, n + 1), dtype=np.int64)
     polys[:, 0, 0] = 1
@@ -254,18 +269,18 @@ def _chi(rows: Sequence[Sequence[int]], symmetric: bool) -> list[int]:
     n = len(rows)
     bound = _hadamard_bounds(rows)
     primes = full = _primes_over(bound[n])
-    rank, det = 0, None
+    rank, det, a = 0, None, _int_array(rows)
     if symmetric and len(full) > 1:
         # from rank enough on, the bound at rank + 2 takes every prime
         below = math.prod(full[:-1])
         enough = next(k for k, b in enumerate(bound) if b >= below) - 2
         if enough > 0:
-            rank, det = _modular_rank(rows, full[0], enough)
+            rank, det = _modular_rank(a, full[0], enough)
             primes = _primes_over(bound[min(n, rank + 2)])
-    res = _charpoly_residues(rows, primes)
+    res = _charpoly_residues(a, primes)
     chi = _crt_lift(res, primes)
     if len(primes) < len(full) and any(chi[n - rank - 2:n - rank]):
-        more = _charpoly_residues(rows, full[len(primes):])
+        more = _charpoly_residues(a, full[len(primes):])
         chi = _crt_lift(np.concatenate([res, more]), full)
     if n - _zero(chi) < rank or det is not None and \
             ((-1) ** n * chi[0] - det) % full[0]:

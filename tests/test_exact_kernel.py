@@ -87,6 +87,12 @@ class TestAgainstReferees:
         assert det_exact(m) == cofactor_det(m)
 
 
+def assert_residues_match(m, primes):
+    chi = leverrier_charpoly(m)
+    got = exact._charpoly_residues(m, primes).tolist()
+    assert got == [[c % p for c in chi] for p in primes]
+
+
 class TestCharpolyResidues:
     @given(st.integers(1, 8), st.booleans(), st.data())
     @settings(max_examples=80, deadline=None)
@@ -99,10 +105,33 @@ class TestCharpolyResidues:
             m = symmetric(n, lambda: data.draw(entry))
         else:
             m = [[data.draw(entry) for _ in range(n)] for _ in range(n)]
-        primes = [2, 3, 5, exact._primes_over(1)[0]]
-        chi = leverrier_charpoly(m)
-        got = exact._charpoly_residues(m, primes).tolist()
-        assert got == [[c % p for c in chi] for p in primes]
+        assert_residues_match(m, [2, 3, 5, exact._primes_over(1)[0]])
+
+    @pytest.mark.parametrize("m", [
+        # J - I maps e_0 into the span of e_0 and the all-ones vector, and
+        # from column 2 on each column starts a block modulo every prime
+        [[int(i != j) for j in range(12)] for i in range(12)],
+        distance_matrix(hypercube(4))])
+    def test_block_start_every_slice_shares(self, m):
+        assert_residues_match(m, [7, 11, 13, exact._primes_over(1)[0]])
+
+    def test_block_start_only_some_slices_share(self):
+        # modulo 2 column 0 is 0 below the diagonal, so that slice alone
+        # starts a block at 1 and zeroes row 0 to the right of column 0
+        m = [[1, 3, 5], [2, 0, 1], [4, 1, 3]]
+        assert_residues_match(m, [2, 3, exact._primes_over(1)[0]])
+
+    def test_hessenberg_input_only_scales(self):
+        # already tridiagonal: every u is 0, and the pivots 2..5 are not 1
+        m = [[1, 2, 0, 0, 0], [2, 0, 3, 0, 0], [0, 3, -1, 4, 0],
+             [0, 0, 4, 2, 5], [0, 0, 0, 5, 1]]
+        assert_residues_match(m, [7, exact._primes_over(1)[0]])
+
+    def test_one_slice_swaps_while_another_keeps_its_pivot(self):
+        # H[1, 0] = 3 is 0 modulo 3, where row 2 swaps in; modulo 5 and
+        # the kernel's prime the pivot 3 stays
+        m = [[0, 3, 1, 2], [3, 1, 0, 1], [1, 0, 2, 1], [2, 1, 1, 0]]
+        assert_residues_match(m, [3, 5, exact._primes_over(1)[0]])
 
     def test_largest_residues_at_the_order_cap(self):
         # (p-1)J is -J mod p, whose chi is x^(n-1) (x+n); with every entry
@@ -248,6 +277,19 @@ def spy(monkeypatch):
     return calls
 
 
+def array_spy(monkeypatch):
+    """Record each array the kernel makes of a matrix's rows."""
+    arrays = []
+    to_array = exact._int_array
+
+    def counted(rows):
+        arrays.append(to_array(rows))
+        return arrays[-1]
+
+    monkeypatch.setattr(exact, "_int_array", counted)
+    return arrays
+
+
 class TestCertificate:
     """The lift under the bound at the modular rank + 2, and the two zero
     coefficients that certify it."""
@@ -268,6 +310,22 @@ class TestCertificate:
             used.clear()
             assert_matches_referees(m)
             assert used[0] < used[1] == full_bound_primes(m)
+
+    def test_rank_drop_beyond_int64_lifts_the_object_array(self,
+                                                           monkeypatch):
+        # p * m, m[0][0] = 2**40: rank 0 modulo p, a nonzero trace, and an
+        # entry near 2**67, so every residue comes from Python ints
+        used = spy(monkeypatch)["lifts"]
+        arrays = array_spy(monkeypatch)
+        p = exact._primes_over(1)[0]
+        base = [[2**40, -1, 0, 3], [-1, 0, 5, 1], [0, 5, -4, 2],
+                [3, 1, 2, 0]]
+        m = [[p * x for x in row] for row in base]
+        assert exact._chi_of(m, symmetric=True) == leverrier_charpoly(m)
+        assert [a.dtype for a in arrays] == [object]
+        assert used[0] < used[1] == full_bound_primes(m)
+        rank, det = fraction_rank_det(m)
+        assert (len(m) - inertia_exact(m).zero, det_exact(m)) == (rank, det)
 
     def test_low_rank_lifts_fewer_primes(self, monkeypatch):
         used = spy(monkeypatch)["lifts"]
@@ -325,6 +383,17 @@ class TestKernelSharing:
         assert (det_exact(a), inertia_exact(a),
                 distinct_eigenvalue_count(a)) == want
         assert (calls["rank"], len(calls["lifts"])) == (4, 5)
+
+    def test_one_array_per_chi(self, monkeypatch):
+        # the rank, each prime group and the re-lift all reduce one array
+        calls, arrays = spy(monkeypatch), array_spy(monkeypatch)
+        monkeypatch.setattr(exact, "_CHUNK_ENTRIES", 20)  # 1 prime a group
+        p = exact._primes_over(1)[0]
+        m = [[p * x for x in row] for row in
+             [[2, -1, 0, 3], [-1, 0, 5, 1], [0, 5, -4, 2], [3, 1, 2, 0]]]
+        assert inertia_exact(m) == congruence_inertia(m)
+        assert calls["rank"] == 1 and len(calls["lifts"]) == 2
+        assert len(arrays) == 1
 
     def test_nonsymmetric_det_takes_no_elimination(self, monkeypatch):
         calls = spy(monkeypatch)
