@@ -71,11 +71,7 @@ TREE_ORDER_CAP = 14
 
 
 def _adj_masks(g: Graph) -> list[int]:
-    adj = [0] * g.n
-    for u, v in g.edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    return adj
+    return [sum(1 << w for w in g.neighbors(v)) for v in range(g.n)]
 
 
 def _closure_mask(adj: list[int], full: int, blue: int) -> int:

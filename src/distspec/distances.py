@@ -6,16 +6,21 @@ edges.  Disconnected input is rejected with a witness pair of vertices.
 
 `distance_array` grows every BFS ball together: `ball[v]` is a Python-int
 bitset of the sources within distance l of v, and one sweep ORs each ball
-with its neighbours' balls.  After each sweep the balls are unpacked into one
+with its neighbours' balls.  After sweep l the balls are unpacked into one
 n x n counter of how many levels have held source s inside ball[v], so
-d(s, v) = levels - inside[v][s]; the matrix is symmetric, so the counter's
-rows are the sources' rows.  Each level costs O(m) big-int ORs of n bits
-plus O(n^2) bytes of numpy work, so long thin graphs pay most: `cycle(1500)`
-(diameter 750) takes about 0.9 s on a 2-vCPU Xeon, against 0.4 s for n
-single-source searches.  `distance_array` returns that counter (uint16
-below order 65,536), which the CLI's `matrix` and numeric `spectrum` hand
-straight to `format_matrix` and the solver; `distance_matrix` is its Python
-lists, for the public API and the exact kernel, which works in Python ints.
+after L sweeps d(s, v) = L - inside[v][s] off the diagonal; the matrix is
+symmetric, so the counter's rows are the sources' rows.  Two levels are
+known without unpacking: level 0 is the identity (the diagonal is zeroed
+at the end), and the search stops at the first level where every ball
+holds every vertex, so that all-ones level is neither unpacked nor swept
+again.  A sweep that grows nothing leaves a disconnected graph.  Each
+level costs O(m) big-int ORs of n bits plus O(n^2) bytes of numpy work, so
+long thin graphs pay most: `cycle(1500)` (diameter 750) takes about 0.9 s
+on a 2-vCPU Xeon, against 0.4 s for n single-source searches.
+`distance_array` returns that counter (uint16 below order 65,536), which
+the CLI's `matrix` and numeric `spectrum` hand straight to `format_matrix`
+and the solver; `distance_matrix` is its Python lists, for the public API
+and the exact kernel, which works in Python ints.
 """
 
 from __future__ import annotations
@@ -38,27 +43,29 @@ def distance_array(g: Graph) -> np.ndarray:
     n = g.n
     nbrs = [g.neighbors(v) for v in range(n)]
     ball = [1 << v for v in range(n)]
+    full = (1 << n) - 1
     width = (n + 7) // 8
     inside = np.zeros((n, n), np.uint16 if n < 65536 else np.uint32)
     levels = 0
     while True:
-        packed = b"".join(b.to_bytes(width, "little") for b in ball)
-        inside += np.unpackbits(np.frombuffer(packed, np.uint8).reshape(n, width),
-                                axis=1, count=n, bitorder="little")
-        levels += 1
         grown = []
         for v in range(n):
             b = ball[v]
             for u in nbrs[v]:
                 b |= ball[u]
             grown.append(b)
-        if grown == ball:
+        levels += 1
+        if grown.count(full) == n or grown == ball:
             break
         ball = grown
-    for v, b in enumerate(ball):
+        packed = b"".join(b.to_bytes(width, "little") for b in ball)
+        inside += np.unpackbits(np.frombuffer(packed, np.uint8).reshape(n, width),
+                                axis=1, count=n, bitorder="little")
+    for v, b in enumerate(grown):
         if not b & 1:
             raise DisconnectedError(0, v)
     np.subtract(levels, inside, out=inside)
+    np.fill_diagonal(inside, 0)
     return inside
 
 
@@ -72,36 +79,48 @@ def format_matrix(mat: IntMatrix | np.ndarray) -> str:
 
     `mat` is a list of rows of ints that fit int64, or a 2-d array of a
     type that casts to int64 without loss (other types are refused).
-    Rows are formatted 64 at a time with no Python work per entry (an int64
-    array's slabs are views, not copies): each entry fills one fixed-width
-    cell of bytes, its separator in column 0 (a newline before a row's
-    first entry, a space elsewhere), its sign in column 1 where the slab
-    holds a negative entry, then its digits right-aligned in NUL padding.
-    One pass over the slab's bytes then drops the NULs, leaving the text.
+    Rows are formatted 64 at a time with no Python work per entry, in
+    slabs that are views of an unsigned array in its own type (what
+    `distance_array` returns) and int64 slabs otherwise (views of an int64
+    array, copies of anything else).  Each entry
+    fills one fixed-width cell of bytes, its separator in column 0 (a
+    newline before a row's first entry, a space elsewhere), its sign in
+    column 1 where the slab holds a negative entry, then its digits
+    right-aligned in NUL padding.  One pass over the slab's bytes then
+    drops the NULs, leaving the text.
     """
+    unsigned = False
     if isinstance(mat, np.ndarray):
         if not np.can_cast(mat.dtype, np.int64):  # no silent wrap or rounding
             raise ValueError(f"matrix entries of type {mat.dtype} may not "
                              "fit int64")
         square = mat.ndim == 2 and mat.shape[0] == mat.shape[1]
+        unsigned = mat.dtype.kind == "u"
     else:
         square = all(len(row) == len(mat) for row in mat)
     if not square:
         raise ValueError("matrix must be square")
     n = len(mat)
-    slabs = [_format_rows(np.asarray(mat[lo:lo + 64], np.int64))
+    slabs = [_format_rows(mat[lo:lo + 64] if unsigned
+                          else np.asarray(mat[lo:lo + 64], np.int64))
              for lo in range(0, n, 64)]
     return "".join([str(n), *slabs, "\n"])  # one copy of the text, not two
 
 
 def _format_rows(rows: np.ndarray) -> str:
-    """Each row of a 2-d int64 array as a newline and its entries."""
-    neg = rows < 0
-    signed = bool(neg.any())
-    mag = np.abs(rows).view(np.uint64)           # |-2**63| is 2**63 unsigned
+    """Each row of a 2-d unsigned or int64 array as a newline and its
+    entries.  `rows` is read, never written."""
+    signed = False
+    if rows.dtype.kind == "u":
+        mag = rows
+    else:
+        neg = rows < 0
+        signed = bool(neg.any())
+        mag = np.abs(rows).view(np.uint64)       # |-2**63| is 2**63 unsigned
     top = int(mag.max())
-    if top < 1 << 32:
+    if top < 1 << 32 and mag.itemsize > 4:
         mag = mag.astype(np.uint32)              # divides about 4x faster
+    ten = mag.dtype.type(10)
     digits = len(str(top))
     cells = np.zeros((*rows.shape, 1 + signed + digits), np.uint8)
     cells[:, :, 0] = ord(" ")
@@ -110,7 +129,11 @@ def _format_rows(rows: np.ndarray) -> str:
         cells[:, :, 1] = neg * ord("-")
     for k in range(1, digits + 1):
         live = mag > 0
-        mag, digit = np.divmod(mag, 10)
+        if k < digits:
+            mag, digit = np.divmod(mag, ten)
+        else:
+            digit = mag                          # the leading digit: below 10
+        digit = digit.astype(np.uint8)
         digit += ord("0")
         if k > 1:                                # no leading zeros; 0 prints "0"
             digit *= live

@@ -2,18 +2,23 @@
 
 Vertices are always 0..n-1.  Graphs are simple, undirected, and immutable
 after construction; connectivity is only required once distances are taken.
-Families given by a vertex list and an adjacency rule (Johnson, Kneser,
-halved cube, cocktail party) are built by one helper, `_graph_on`: vertex i
-stands for the i-th item of the list.  Subset-valued families encode each
-subset as a bitmask and list the masks in increasing order, so vertex
-numbering is reproducible across runs.  Product graphs index vertex (u, v)
-as u*n_h + v.
+A graph is its order and its adjacency: one sorted tuple of neighbours per
+vertex.  Every family generator emits those tuples straight from its
+adjacency rule, in O(n + m) with no edge list and no pair scan, through the
+unchecked `Graph(adj)`; `make_graph` checks and builds an outside edge list.
+The edge set `Graph.edges` is built the first time it is read.
+
+Subset-valued families (Johnson, Kneser, halved cube) encode each subset as
+a bitmask and list the masks in increasing order; vertex i stands for the
+i-th mask, so vertex numbering is reproducible across runs.  Product graphs
+index vertex (u, v) as u*n_h + v.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import combinations
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 
 class GraphError(ValueError):
@@ -21,19 +26,30 @@ class GraphError(ValueError):
 
 
 class Graph:
-    """Immutable simple graph on vertices 0..n-1."""
+    """Immutable simple graph on vertices 0..n-1.
 
-    __slots__ = ("n", "edges", "_adj")
+    `Graph(adj)` trusts `adj`: one sorted tuple of neighbours per vertex,
+    symmetric and loop-free.  Outside edge lists go through `make_graph`.
+    """
 
-    def __init__(self, n: int, edges: frozenset[tuple[int, int]],
-                 adj: tuple[tuple[int, ...], ...]):
-        self.n = n
-        self.edges = edges
+    __slots__ = ("n", "_adj", "_edges")
+
+    def __init__(self, adj: tuple[tuple[int, ...], ...]):
+        self.n = len(adj)
         self._adj = adj
+        self._edges = None
+
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """Every edge once, as (u, v) with u < v."""
+        if self._edges is None:
+            self._edges = frozenset((u, v) for u, a in enumerate(self._adj)
+                                    for v in a[bisect_left(a, u):])
+        return self._edges
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return sum(map(len, self._adj)) // 2
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._adj[v]
@@ -42,17 +58,19 @@ class Graph:
         return len(self._adj[v])
 
     def has_edge(self, u: int, v: int) -> bool:
-        if u > v:
-            u, v = v, u
-        return (u, v) in self.edges
+        if not (0 <= u < self.n and 0 <= v < self.n):
+            return False
+        a = self._adj[u]
+        i = bisect_left(a, v)
+        return i < len(a) and a[i] == v
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.n == other.n and self.edges == other.edges
+        return self._adj == other._adj
 
     def __hash__(self):
-        return hash((self.n, self.edges))
+        return hash(self._adj)
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
@@ -67,6 +85,7 @@ def make_graph(n: int, edges: Iterable[Sequence[int]]) -> Graph:
     if n < 2:
         raise GraphError(f"graph order must be at least 2, got {n}")
     norm: set[tuple[int, int]] = set()
+    adj: list[list[int]] = [[] for _ in range(n)]
     for e in edges:
         u, v = e
         if not (0 <= u < n and 0 <= v < n):
@@ -78,41 +97,37 @@ def make_graph(n: int, edges: Iterable[Sequence[int]]) -> Graph:
         if (u, v) in norm:
             raise GraphError(f"duplicate edge ({u}, {v})")
         norm.add((u, v))
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in norm:
         adj[u].append(v)
         adj[v].append(u)
-    return Graph(n, frozenset(norm), tuple(tuple(sorted(a)) for a in adj))
+    return Graph(tuple(tuple(sorted(a)) for a in adj))
 
 
 def complement(g: Graph) -> Graph:
-    edges = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)
-             if not g.has_edge(u, v)]
-    return make_graph(g.n, edges)
+    return Graph(tuple(tuple(w for w in range(g.n)
+                             if w != v and not g.has_edge(v, w))
+                       for v in range(g.n)))
 
 
 def cartesian_product(g: Graph, h: Graph) -> Graph:
     """Cartesian product; (u,v) ~ (u',v') iff equal in one slot, adjacent in the other."""
     nh = h.n
-    edges = []
-    for u in range(g.n):
-        for v, w in h.edges:
-            edges.append((u * nh + v, u * nh + w))
-    for u, w in g.edges:
-        for v in range(nh):
-            edges.append((u * nh + v, w * nh + v))
-    return make_graph(g.n * nh, edges)
+    adj = []
+    for u, a in enumerate(g._adj):
+        i = bisect_left(a, u)
+        below = [w * nh for w in a[:i]]
+        above = [w * nh for w in a[i:]]
+        base = u * nh
+        adj += (tuple([w + v for w in below] + [base + x for x in b]
+                      + [w + v for w in above])
+                for v, b in enumerate(h._adj))
+    return Graph(tuple(adj))
 
 
 def tensor_product(g: Graph, h: Graph) -> Graph:
     """Tensor (categorical) product; adjacent iff adjacent in both slots."""
     nh = h.n
-    edges = set()
-    for u, w in g.edges:
-        for v, x in h.edges:
-            edges.add((u * nh + v, w * nh + x))
-            edges.add((u * nh + x, w * nh + v))
-    return make_graph(g.n * nh, edges)
+    return Graph(tuple(tuple(w * nh + x for w in a for x in b)
+                       for a in g._adj for b in h._adj))
 
 
 # ---------------------------------------------------------------------------
@@ -128,12 +143,18 @@ def even_subsets(d: int) -> list[int]:
     return [s for s in range(1 << d) if s.bit_count() % 2 == 0]
 
 
-def _graph_on(verts: Sequence, adjacent: Callable[..., bool]) -> Graph:
-    """Vertex i stands for verts[i]; i < j are adjacent when
-    adjacent(verts[i], verts[j]) holds."""
-    return make_graph(len(verts), [(i, j) for (i, s), (j, t)
-                                   in combinations(enumerate(verts), 2)
-                                   if adjacent(s, t)])
+def _clique(lo: int, hi: int) -> list[tuple[int, ...]]:
+    """Neighbour tuples of a clique on lo..hi-1."""
+    span = tuple(range(lo, hi))
+    return [span[:i] + span[i + 1:] for i in range(hi - lo)]
+
+
+def _path(lo: int, hi: int) -> list[tuple[int, ...]]:
+    """Neighbour tuples of a path on lo..hi-1."""
+    rows = [(v - 1, v + 1) for v in range(lo, hi)]
+    rows[0] = rows[0][1:]
+    rows[-1] = rows[-1][:-1]
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -142,28 +163,29 @@ def _graph_on(verts: Sequence, adjacent: Callable[..., bool]) -> Graph:
 def complete(n: int) -> Graph:
     if n < 2:
         raise GraphError("complete graph needs n >= 2")
-    return make_graph(n, combinations(range(n), 2))
+    return Graph(tuple(_clique(0, n)))
 
 
 def path(n: int) -> Graph:
     if n < 2:
         raise GraphError("path needs n >= 2")
-    return make_graph(n, [(i, i + 1) for i in range(n - 1)])
+    return Graph(tuple(_path(0, n)))
 
 
 def cycle(n: int) -> Graph:
     if n < 3:
         raise GraphError("cycle needs n >= 3")
-    return make_graph(n, [(i, (i + 1) % n) for i in range(n)])
+    rows = [(v - 1, v + 1) for v in range(n)]
+    rows[0], rows[-1] = (1, n - 1), (0, n - 2)
+    return Graph(tuple(rows))
 
 
 def hypercube(d: int) -> Graph:
     if d < 1:
         raise GraphError("hypercube needs d >= 1")
-    n = 1 << d
-    edges = [(v, v | (1 << b)) for v in range(n) for b in range(d)
-             if not v & (1 << b)]
-    return make_graph(n, edges)
+    bits = [1 << b for b in range(d)]
+    return Graph(tuple(tuple(sorted([v ^ b for b in bits]))
+                       for v in range(1 << d)))
 
 
 def hamming(d: int, n: int) -> Graph:
@@ -171,16 +193,17 @@ def hamming(d: int, n: int) -> Graph:
     Hamming distance one.  Vertex index reads the word as a base-n number."""
     if d < 1 or n < 2:
         raise GraphError("hamming needs d >= 1 and n >= 2")
-    total = n ** d
-    edges = []
-    for v in range(total):
-        scale = 1
-        for _ in range(d):
-            digit = (v // scale) % n
-            for other in range(digit + 1, n):
-                edges.append((v, v + (other - digit) * scale))
-            scale *= n
-    return make_graph(total, edges)
+    scales = [n ** k for k in range(d)]
+    adj = []
+    for v in range(n ** d):
+        row = []
+        for s in scales:                  # v and the words differing at s
+            low = v - v // s % n * s
+            row += range(low, low + n * s, s)
+        row.sort()                        # v, once per digit, in one run
+        i = row.index(v)
+        adj.append(tuple(row[:i] + row[i + d:]))
+    return Graph(tuple(adj))
 
 
 _SHRIKHANDE_STEPS = ((0, 1), (0, 3), (1, 0), (3, 0), (1, 1), (3, 3))
@@ -189,13 +212,9 @@ _SHRIKHANDE_STEPS = ((0, 1), (0, 3), (1, 0), (3, 0), (1, 1), (3, 3))
 def shrikhande() -> Graph:
     """Shrikhande graph as the Cayley graph of Z4 x Z4 with connection set
     {+-(0,1), +-(1,0), +-(1,1)}.  Vertex (a,b) has index 4a+b."""
-    edges = set()
-    for a in range(4):
-        for b in range(4):
-            for da, db in _SHRIKHANDE_STEPS:
-                u, v = 4 * a + b, 4 * ((a + da) % 4) + (b + db) % 4
-                edges.add((min(u, v), max(u, v)))
-    return make_graph(16, edges)
+    return Graph(tuple(tuple(sorted(4 * ((a + da) % 4) + (b + db) % 4
+                                    for da, db in _SHRIKHANDE_STEPS))
+                       for a in range(4) for b in range(4)))
 
 
 def doob(m: int, d: int) -> Graph:
@@ -212,21 +231,36 @@ def doob(m: int, d: int) -> Graph:
 
 def johnson(n: int, r: int) -> Graph:
     """Johnson graph J(n, r): r-subsets, adjacent when the intersection has
-    size r-1."""
+    size r-1: swap one element in and one out."""
     if not 1 <= r <= n - 1:
         raise GraphError("johnson needs 1 <= r <= n-1")
-    return _graph_on(r_subsets(n, r), lambda s, t: (s & t).bit_count() == r - 1)
+    verts = r_subsets(n, r)
+    index = {s: i for i, s in enumerate(verts)}
+    bits = [1 << i for i in range(n)]
+    adj = []
+    for s in verts:
+        outs = [b for b in bits if not s & b]
+        adj.append(tuple(sorted([index[s ^ a ^ b] for a in bits if s & a
+                                 for b in outs])))
+    return Graph(tuple(adj))
 
 
 def kneser(n: int, r: int) -> Graph:
-    """Kneser graph K(n, r): r-subsets, adjacent when disjoint.
+    """Kneser graph K(n, r): r-subsets, adjacent when disjoint: the
+    r-subsets of the complement.
 
     Disconnected cases (n <= 2r) are legal graph objects here; distance
     computations reject them downstream.
     """
     if not 1 <= r <= n - 1:
         raise GraphError("kneser needs 1 <= r <= n-1")
-    return _graph_on(r_subsets(n, r), lambda s, t: not s & t)
+    verts = r_subsets(n, r)
+    index = {s: i for i, s in enumerate(verts)}
+    bits = [1 << i for i in range(n)]
+    return Graph(tuple(
+        tuple(sorted([index[sum(c)] for c in
+                      combinations([b for b in bits if not s & b], r)]))
+        for s in verts))
 
 
 def odd_graph(r: int) -> Graph:
@@ -248,10 +282,15 @@ def double_odd(r: int) -> Graph:
 
 
 def halved_cube(d: int) -> Graph:
-    """Halved cube: even-weight binary words, adjacent at Hamming distance 2."""
+    """Halved cube: even-weight binary words, adjacent at Hamming distance 2.
+
+    Of the words 2k and 2k+1 exactly one has even weight, so the even word
+    s is vertex s >> 1."""
     if d < 2:
         raise GraphError("halved cube needs d >= 2")
-    return _graph_on(even_subsets(d), lambda s, t: (s ^ t).bit_count() == 2)
+    masks = [(1 << i) | (1 << j) for i, j in combinations(range(d), 2)]
+    return Graph(tuple(tuple(sorted([(s ^ t) >> 1 for t in masks]))
+                       for s in even_subsets(d)))
 
 
 def cocktail_party(m: int) -> Graph:
@@ -259,7 +298,9 @@ def cocktail_party(m: int) -> Graph:
     (2i, 2i+1).  CP(1) is a valid but disconnected graph."""
     if m < 1:
         raise GraphError("cocktail party needs m >= 1")
-    return _graph_on(range(2 * m), lambda u, v: u // 2 != v // 2)
+    span = tuple(range(2 * m))
+    rows = [span[:i] + span[i + 2:] for i in range(0, 2 * m, 2)]
+    return Graph(tuple(a for a in rows for _ in range(2)))
 
 
 def petersen() -> Graph:
@@ -273,10 +314,10 @@ def lollipop(k: int, length: int) -> Graph:
         raise GraphError("lollipop needs k >= 2 and length >= 0")
     if length == 0:
         return complete(k)
-    edges = [(u, v) for u in range(k) for v in range(u + 1, k)]
-    edges.append((k - 1, k))
-    edges.extend((k + i, k + i + 1) for i in range(length - 1))
-    return make_graph(k + length, edges)
+    adj = _clique(0, k) + _path(k, k + length)
+    adj[k - 1] += (k,)
+    adj[k] = (k - 1,) + adj[k]
+    return Graph(tuple(adj))
 
 
 def generalized_barbell(k: int, m: int, length: int) -> Graph:
@@ -289,25 +330,27 @@ def generalized_barbell(k: int, m: int, length: int) -> Graph:
     """
     if k < 2 or m < 2 or length < 0:
         raise GraphError("generalized barbell needs k, m >= 2 and length >= 0")
-    edges = [(u, v) for u in range(k) for v in range(u + 1, k)]
-    edges += [(u, v) for u in range(k, k + m) for v in range(u + 1, k + m)]
+    base = k + m
+    adj = _clique(0, k) + _clique(k, base)
     if length == 0:
-        edges.append((k - 1, k + m - 1))
+        adj[k - 1] += (base - 1,)
+        adj[base - 1] = (k - 1,) + adj[base - 1]
     else:
-        base = k + m
-        edges.append((k - 1, base))
-        edges.extend((base + i, base + i + 1) for i in range(length - 1))
-        edges.append((k + m - 1, base + length - 1))
-    return make_graph(k + m + length, edges)
+        adj += _path(base, base + length)
+        tail = base + length - 1
+        adj[base - 1] += (tail,)
+        adj[tail] = (base - 1,) + adj[tail]
+        adj[k - 1] += (base,)
+        adj[base] = (k - 1,) + adj[base]     # last: base is tail at length 1
+    return Graph(tuple(adj))
 
 
 def hypercube_with_leaf(d: int) -> Graph:
     """Hypercube Q_d with one pendant vertex attached at word 0."""
     if d < 1:
         raise GraphError("hypercube-leaf needs d >= 1")
-    q = hypercube(d)
-    edges = list(q.edges) + [(0, q.n)]
-    return make_graph(q.n + 1, edges)
+    q = hypercube(d)._adj
+    return Graph((q[0] + (len(q),), *q[1:], (0,)))
 
 
 # frozen canonical edge lists for the two sporadic polyhedra

@@ -12,6 +12,9 @@ Tests compare routes pairwise so a bug in any one of them shows up.
 
 from __future__ import annotations
 
+from itertools import combinations, product
+from typing import Callable, Sequence
+
 import numpy as np
 
 from distspec import (Graph, Spectrum, cluster_to_spectrum, distance_matrix,
@@ -31,6 +34,96 @@ def adjacency_matrix(g: Graph) -> list[list[int]]:
     for u, v in g.edges:
         a[u][v] = a[v][u] = 1
     return a
+
+
+# ---------------------------------------------------------------------------
+# referee for the family generators: every pair of vertices tested
+
+def pair_scan(verts: Sequence, adjacent: Callable[..., bool]) -> list[tuple[int, int]]:
+    """The edges (i, j), i < j, where adjacent(verts[i], verts[j]) holds."""
+    return [(i, j) for (i, s), (j, t) in combinations(enumerate(verts), 2)
+            if adjacent(s, t)]
+
+
+def _subsets(n: int, r: int) -> list[int]:
+    return sorted(sum(1 << i for i in c) for c in combinations(range(n), r))
+
+
+def _one_apart(s: tuple, t: tuple) -> bool:
+    return sum(a != b for a, b in zip(s, t)) == 1
+
+
+_SHRIKHANDE = [(a, b) for a in range(4) for b in range(4)]
+_SHRIKHANDE_STEPS = {(0, 1), (0, 3), (1, 0), (3, 0), (1, 1), (3, 3)}
+
+
+def _shrikhande_adjacent(s: tuple, t: tuple) -> bool:
+    return ((t[0] - s[0]) % 4, (t[1] - s[1]) % 4) in _SHRIKHANDE_STEPS
+
+
+def _doob(m: int, d: int):
+    """Words of m Shrikhande coordinates and one Hamming word, adjacent
+    when exactly one coordinate differs, by its factor's rule."""
+    rules = [_shrikhande_adjacent] * m + [_one_apart]
+
+    def adjacent(s, t):
+        diff = [k for k in range(m + 1) if s[k] != t[k]]
+        return len(diff) == 1 and rules[diff[0]](s[diff[0]], t[diff[0]])
+
+    words = list(product(range(4), repeat=d))
+    return list(product(*[_SHRIKHANDE] * m, words)), adjacent
+
+
+def _kneser(n: int, r: int):
+    return _subsets(n, r), lambda s, t: not s & t
+
+
+def _barbell(k: int, m: int, length: int):
+    base = k + m
+    joins = ({(k - 1, base - 1)} if length == 0
+             else {(k - 1, base), (base - 1, base + length - 1)})
+    return range(base + length), lambda u, v: (
+        v < k or k <= u < v < base or (u >= base and v == u + 1)
+        or (u, v) in joins)
+
+
+# CLI family name -> (vertex list, adjacency rule) of the generator at the
+# given parameters, in the generator's vertex numbering.  The sporadic
+# icosahedron and dodecahedron are frozen edge lists, not rules.
+REFEREES: dict[str, Callable] = {
+    "complete": lambda n: (range(n), lambda u, v: True),
+    "path": lambda n: (range(n), lambda u, v: v == u + 1),
+    "cycle": lambda n: (range(n), lambda u, v: (v - u) % n in (1, n - 1)),
+    "hypercube": lambda d: (range(1 << d),
+                            lambda u, v: (u ^ v).bit_count() == 1),
+    "hamming": lambda d, n: (list(product(range(n), repeat=d)), _one_apart),
+    "shrikhande": lambda: (_SHRIKHANDE, _shrikhande_adjacent),
+    "doob": _doob,
+    "johnson": lambda n, r: (_subsets(n, r),
+                             lambda s, t: (s & t).bit_count() == r - 1),
+    "kneser": _kneser,
+    "odd": lambda r: _kneser(2 * r + 1, r),
+    "double-odd": lambda r: (
+        list(product(_subsets(2 * r + 1, r), range(2))),
+        lambda s, t: not s[0] & t[0] and s[1] != t[1]),
+    "halved-cube": lambda d: (
+        [s for s in range(1 << d) if s.bit_count() % 2 == 0],
+        lambda s, t: (s ^ t).bit_count() == 2),
+    "cocktail-party": lambda m: (range(2 * m), lambda u, v: u // 2 != v // 2),
+    "petersen": lambda: _kneser(5, 2),
+    "lollipop": lambda k, length: (range(k + length), lambda u, v: (
+        v < k or (u, v) == (k - 1, k) or (u >= k and v == u + 1))),
+    "barbell": _barbell,
+    "hypercube-leaf": lambda d: (
+        range((1 << d) + 1), lambda u, v: (
+            (v < 1 << d and (u ^ v).bit_count() == 1) or (u, v) == (0, 1 << d))),
+}
+
+
+def referee_graph(name: str, params: Sequence[int]) -> Graph:
+    """The family's graph by the pair scan, built by `make_graph`."""
+    verts, adjacent = REFEREES[name](*params)
+    return make_graph(len(verts), pair_scan(verts, adjacent))
 
 
 def enumerate_trees(n: int) -> list[Graph]:

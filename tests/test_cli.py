@@ -12,8 +12,10 @@ import pytest
 
 from distspec import bounds, cli, closedforms, jacobi, spectra, srg
 from distspec.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
-from distspec.distances import distance_matrix
-from test_distances import joined_matrix
+from conftest import referee_graph
+from distspec.distances import distance_matrix, format_matrix
+from test_distances import bfs_distances, joined_matrix
+from test_graphs import GENERATOR_CASES
 
 
 def run(capsys, *argv):
@@ -687,6 +689,12 @@ class TestZfBound:
         assert orders == [16]
 
 
+# family name -> its connected generator cases of order 256 or less
+MATRIX_CASES = {name: [p for p in points if cli.FAMILIES[name].domain(*p)
+                       and cli.FAMILIES[name].order(*p) <= 256]
+                for name, points in GENERATOR_CASES.items()}
+
+
 class TestMatrixAndDet:
     def test_matrix_dump(self, capsys):
         code, out, _ = run(capsys, "matrix", "path", "4")
@@ -699,6 +707,15 @@ class TestMatrixAndDet:
         assert (code, err) == (EXIT_OK, "")
         graph = cli.FAMILIES[family].gen(n)
         assert out == joined_matrix(distance_matrix(graph))
+
+    @pytest.mark.parametrize("family", sorted(MATRIX_CASES))
+    def test_matrix_text_is_the_referee_bfs(self, capsys, family):
+        for params in MATRIX_CASES[family]:
+            code, out, err = run(capsys, "matrix", family, *map(str, params))
+            assert (code, err) == (EXIT_OK, ""), params
+            ref = referee_graph(family, params)
+            assert out == format_matrix([bfs_distances(ref, s)
+                                         for s in range(ref.n)]), params
 
     def test_det_plain_family(self, capsys):
         code, data, _ = run_json(capsys, "det", "path", "4")

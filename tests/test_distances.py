@@ -194,6 +194,26 @@ class TestMatrixIO:
         assert format_matrix(arr) == text
         assert format_matrix(mat) == text
 
+    @pytest.mark.parametrize("n, top", [(1, 0), (5, 9), (70, 10), (130, 255)])
+    def test_unsigned_int64_and_list_forms_give_one_text(self, n, top):
+        # unsigned arrays are formatted in their own type, the others as int64
+        rng = random.Random(n)
+        mat = [[rng.choice([0, 1, 9, 10, top, rng.randint(0, top)])
+                for _ in range(n)] for _ in range(n)]
+        text = joined_matrix(mat)
+        assert format_matrix(mat) == text
+        for dtype in (np.uint8, np.uint16, np.uint32, np.int64):
+            arr = np.array(mat, dtype).reshape(n, n)
+            kept = arr.copy()
+            assert format_matrix(arr) == text, dtype
+            assert np.array_equal(arr, kept)       # the array is not written
+
+    @pytest.mark.parametrize("dtype", [np.uint16, np.uint32])
+    def test_unsigned_extremes(self, dtype):
+        top = np.iinfo(dtype).max
+        mat = [[0, top], [top - 1, 10 ** (len(str(top)) - 1)]]
+        assert format_matrix(np.array(mat, dtype)) == joined_matrix(mat)
+
     @pytest.mark.parametrize("mat", [
         [[0, 1]], [[0], [1]], [[0, 1], [1]], np.zeros(3, np.int64),
         np.zeros((2, 3), np.int64), np.zeros((2, 2, 2), np.uint16),
@@ -300,6 +320,22 @@ class TestAllSourcesDifferential:
         # diameter 299 needs a counter wider than uint8
         d = distance_matrix(path(300))
         assert d == [[abs(u - v) for v in range(300)] for u in range(300)]
+
+    @pytest.mark.parametrize("g", [path(2), complete(2), complete(7), path(40)],
+                             ids=["path(2)", "K2", "K7", "path(40)"])
+    def test_short_and_long_diameters(self, g):
+        # K_n stops after one sweep with nothing unpacked; path(40) unpacks
+        # levels 1..38 and stops at the all-ones level 39
+        d = distance_array(g).tolist()
+        assert d == [bfs_distances(g, s) for s in range(g.n)]
+
+    def test_disconnected_keeps_its_witness(self):
+        g = make_graph(6, [(0, 1), (1, 2), (3, 4)])
+        for bfs in (distance_array, distance_matrix):
+            with pytest.raises(DisconnectedError, match="^graph is disconnected: "
+                               "no path between vertices 0 and 3$") as exc:
+                bfs(g)
+            assert exc.value.pair == (0, 3)
 
     def test_complete_graph_is_all_ones(self):
         d = distance_matrix(complete(300))

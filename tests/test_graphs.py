@@ -4,12 +4,15 @@ networkx is used here only as an independent oracle for isomorphism and for
 reference constructions; the package itself never depends on it.
 """
 
+from itertools import product
+
 import networkx as nx
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import adjacency_matrix, degrees
+from conftest import REFEREES, adjacency_matrix, degrees, pair_scan
+from distspec.cli import FAMILIES
 from distspec.graphs import (Graph, GraphError, cartesian_product,
                              cocktail_party, complement, complete, cycle,
                              dodecahedron, double_odd, doob, even_subsets,
@@ -55,6 +58,11 @@ class TestMakeGraph:
     def test_rejects_duplicate_even_reversed(self):
         with pytest.raises(GraphError, match="duplicate edge"):
             make_graph(3, [(0, 1), (1, 0)])
+
+    def test_has_edge_outside_the_vertex_range_is_false(self):
+        g = complete(3)
+        assert not any(g.has_edge(u, v) for u, v in
+                       [(0, 3), (3, 0), (-1, 0), (0, -1), (1, 1), (5, 7)])
 
     def test_adjacency_matrix(self):
         g = path(3)
@@ -253,3 +261,85 @@ class TestComplement:
         g = cycle(n) if n >= 3 else path(n)
         assert g.m + complement(g).m == n * (n - 1) // 2
 
+
+
+# the smallest orders each generator accepts, and a few more for the
+# families that have no default grid
+SMALLEST = {
+    "complete": [(2,), (3,)], "path": [(n,) for n in range(2, 13)],
+    "cycle": [(3,), (4,)], "hypercube": [(1,), (2,)],
+    "hamming": [(1, 2), (1, 3), (2, 2)], "shrikhande": [()],
+    "doob": [(1, 0)], "johnson": [(2, 1), (3, 1), (3, 2)],
+    "kneser": [(2, 1), (3, 1), (3, 2), (4, 2), (5, 3)], "odd": [(2,)],
+    "double-odd": [(2,)], "halved-cube": [(2,), (3,)],
+    "cocktail-party": [(1,), (2,)], "petersen": [()],
+    "lollipop": [(2, 0), (2, 1), (2, 2), (3, 1)],
+    "barbell": [(2, 2, 0), (2, 2, 1), (2, 2, 2), (2, 3, 1)],
+    "hypercube-leaf": [(1,), (2,), (3,), (4,)],
+}
+
+
+def _builds(name, params):
+    try:
+        FAMILIES[name].gen(*params)
+    except GraphError:
+        return False
+    return True
+
+
+# family name -> the parameters its generator is checked at
+GENERATOR_CASES = {
+    name: sorted({p for p in product(*FAMILIES[name].grid)
+                  if FAMILIES[name].grid and _builds(name, p)}
+                 | set(SMALLEST[name]))
+    for name in REFEREES}
+
+
+class TestAgainstPairScan:
+    """Each generator builds its graph from a neighbour rule; the referee
+    tests every pair of vertices.  Both numberings are the generator's."""
+
+    @pytest.mark.parametrize("name", sorted(GENERATOR_CASES))
+    def test_generator_matches_the_pair_scan(self, name):
+        for params in GENERATOR_CASES[name]:
+            self.check(FAMILIES[name].gen(*params), *REFEREES[name](*params))
+
+    @staticmethod
+    def check(g, verts, adjacent):
+        pairs = frozenset(pair_scan(verts, adjacent))
+        ref = make_graph(len(verts), pairs)
+        n = g.n
+        for built in (False, True):     # before and after `edges` is read
+            assert n == len(verts)
+            assert [g.neighbors(v) for v in range(n)] == \
+                [ref.neighbors(v) for v in range(n)]
+            assert g.m == len(pairs)
+            assert all(g.has_edge(u, v) and g.has_edge(v, u) for u, v in pairs)
+            for u in range(min(n, 40)):
+                assert [v for v in range(n) if g.has_edge(u, v)] == \
+                    list(ref.neighbors(u))
+            assert g == ref and hash(g) == hash(ref)
+            assert (g._edges is not None) == built
+            assert g.edges == pairs
+
+    @pytest.mark.parametrize("g, h", [
+        (cycle(5), path(4)), (complete(3), cycle(4)), (path(2), path(2)),
+        (petersen(), path(3)), (hamming(2, 3), complete(2))],
+        ids=["C5,P4", "K3,C4", "P2,P2", "petersen,P3", "H(2,3),K2"])
+    def test_products_match_the_pair_scan(self, g, h):
+        verts = list(product(range(g.n), range(h.n)))
+        cart = pair_scan(verts, lambda s, t: (
+            (s[0] == t[0] and h.has_edge(s[1], t[1]))
+            or (s[1] == t[1] and g.has_edge(s[0], t[0]))))
+        tens = pair_scan(verts, lambda s, t: (
+            g.has_edge(s[0], t[0]) and h.has_edge(s[1], t[1])))
+        assert cartesian_product(g, h) == make_graph(len(verts), cart)
+        assert tensor_product(g, h) == make_graph(len(verts), tens)
+
+    @pytest.mark.parametrize("g", [path(2), cycle(7), petersen(),
+                                   lollipop(4, 3), complete(5)],
+                             ids=["P2", "C7", "petersen", "lollipop", "K5"])
+    def test_complement_matches_the_pair_scan(self, g):
+        edges = g.edges
+        assert complement(g) == make_graph(
+            g.n, pair_scan(range(g.n), lambda u, v: (u, v) not in edges))
