@@ -8,8 +8,9 @@ blue sets closed under the rule: from a closed set S, making v force costs
 one seed vertex for v if it is white plus all but one of its white
 neighbors, and leads to the closure of S with v and those neighbors added.
 Every seed is paid for along some such path, so the cost at which the whole
-component is first reached is exactly Z.  The order budget is deliberately
-small.
+component is first reached is exactly Z.  Many paths reach the same seed,
+so each seed's closure is computed once per search.  The order budget is
+deliberately small.
 
 The search starts from false twins, vertices with equal open neighborhoods.
 If N(u) = N(v) and neither is in the seed, whichever turns blue first is
@@ -122,6 +123,7 @@ def _component_forcing_number(adj: list[int], comp: int) -> int:
     cost = start.bit_count()
     blue = _closure_mask(adj, comp, start)
     best = {blue: cost}
+    closures: dict[int, int] = {}      # seed mask -> its closure
     heap = [(cost, blue)]
     while heap:
         cost, blue = heappop(heap)
@@ -135,7 +137,10 @@ def _component_forcing_number(adj: list[int], comp: int) -> int:
             step = (white >> v & 1) + max(wn.bit_count() - 1, 0)
             if not step:
                 continue
-            nxt = _closure_mask(adj, comp, blue | 1 << v | wn)
+            seed = blue | 1 << v | wn
+            nxt = closures.get(seed)
+            if nxt is None:
+                nxt = closures[seed] = _closure_mask(adj, comp, seed)
             if cost + step < best.get(nxt, len(verts) + 1):
                 best[nxt] = cost + step
                 heappush(heap, (cost + step, nxt))

@@ -21,6 +21,12 @@ on a 2-vCPU Xeon, against 0.4 s for n single-source searches.
 the CLI's `matrix` and numeric `spectrum` hand straight to `format_matrix`
 and the solver; `distance_matrix` is its Python lists, for the public API
 and the exact kernel, which works in Python ints.
+
+`format_matrix` writes 64 rows at a time as fixed-width byte cells.  Rows
+of distances (no sign, every entry below 2**16) take their cells from a
+table of one cell per value, by one lookup per entry; other rows spell
+their digits out by division.  The NUL padding is dropped only where a
+cell can hold one, so rows of single digits are copied out as they are.
 """
 
 from __future__ import annotations
@@ -58,7 +64,7 @@ def distance_array(g: Graph) -> np.ndarray:
         if grown.count(full) == n or grown == ball:
             break
         ball = grown
-        packed = b"".join(b.to_bytes(width, "little") for b in ball)
+        packed = b"".join([b.to_bytes(width, "little") for b in ball])
         inside += np.unpackbits(np.frombuffer(packed, np.uint8).reshape(n, width),
                                 axis=1, count=n, bitorder="little")
     for v, b in enumerate(grown):
@@ -82,12 +88,12 @@ def format_matrix(mat: IntMatrix | np.ndarray) -> str:
     Rows are formatted 64 at a time with no Python work per entry, in
     slabs that are views of an unsigned array in its own type (what
     `distance_array` returns) and int64 slabs otherwise (views of an int64
-    array, copies of anything else).  Each entry
-    fills one fixed-width cell of bytes, its separator in column 0 (a
-    newline before a row's first entry, a space elsewhere), its sign in
-    column 1 where the slab holds a negative entry, then its digits
-    right-aligned in NUL padding.  One pass over the slab's bytes then
-    drops the NULs, leaving the text.
+    array, copies of anything else).  Each entry fills one fixed-width
+    cell of bytes, its separator in column 0 (a newline before a row's
+    first entry, a space elsewhere), its sign in column 1 where the slab
+    holds a negative entry, then its digits right-aligned in NUL padding.
+    One pass over the slab's bytes then drops the NULs, leaving the text;
+    a slab of single digits and no sign has none, and skips it.
     """
     unsigned = False
     if isinstance(mat, np.ndarray):
@@ -109,7 +115,15 @@ def format_matrix(mat: IntMatrix | np.ndarray) -> str:
 
 def _format_rows(rows: np.ndarray) -> str:
     """Each row of a 2-d unsigned or int64 array as a newline and its
-    entries.  `rows` is read, never written."""
+    entries.  `rows` is read, never written.
+
+    A slab with no negative entry and every entry below 2**16 (every
+    distance array, every list of distances) takes its cells from a table
+    of one cell per value up to its largest, padded to 2, 4 or 8 bytes so
+    that a cell is one unsigned integer: one `np.take` by the entries
+    gives them all.  Any other slab spells its digits out by division,
+    one pass per digit.
+    """
     signed = False
     if rows.dtype.kind == "u":
         mag = rows
@@ -118,14 +132,36 @@ def _format_rows(rows: np.ndarray) -> str:
         signed = bool(neg.any())
         mag = np.abs(rows).view(np.uint64)       # |-2**63| is 2**63 unsigned
     top = int(mag.max())
+    digits = len(str(top))
+    if not signed and top < 1 << 16:
+        size = 2 if digits < 2 else 4 if digits < 4 else 8
+        table = _digit_cells(np.arange(top + 1, dtype=np.uint32)[None], top,
+                             size)
+        cells = np.take(table.view(f"u{size}").ravel(), mag)
+        cells = cells.view(np.uint8).reshape(*rows.shape, size)
+    else:
+        cells = _digit_cells(mag, top, 1 + signed + digits,
+                             neg if signed else None)
+    cells[:, 0, 0] = ord("\n")
+    text = cells.tobytes()
+    if digits > 1 or signed:                     # else no cell holds a NUL
+        text = text.translate(None, b"\0")
+    return text.decode("ascii")
+
+
+def _digit_cells(mag: np.ndarray, top: int, width: int,
+                 neg: np.ndarray | None = None) -> np.ndarray:
+    """The cells of a 2-d unsigned array `mag` whose largest entry is
+    `top`, `width` bytes each: a space, a sign column where `neg` is
+    given, then the digits right-aligned in NUL padding, found by one
+    `divmod` pass per digit."""
     if top < 1 << 32 and mag.itemsize > 4:
         mag = mag.astype(np.uint32)              # divides about 4x faster
     ten = mag.dtype.type(10)
     digits = len(str(top))
-    cells = np.zeros((*rows.shape, 1 + signed + digits), np.uint8)
+    cells = np.zeros((*mag.shape, width), np.uint8)
     cells[:, :, 0] = ord(" ")
-    cells[:, 0, 0] = ord("\n")
-    if signed:
+    if neg is not None:
         cells[:, :, 1] = neg * ord("-")
     for k in range(1, digits + 1):
         live = mag > 0
@@ -138,7 +174,7 @@ def _format_rows(rows: np.ndarray) -> str:
         if k > 1:                                # no leading zeros; 0 prints "0"
             digit *= live
         cells[:, :, -k] = digit
-    return cells.tobytes().translate(None, b"\0").decode("ascii")
+    return cells
 
 
 def parse_matrix(text: str) -> IntMatrix:

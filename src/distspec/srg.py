@@ -39,6 +39,38 @@ def _is_prime_power(q: int) -> bool:
     return True  # q itself is prime
 
 
+def _multiplicities(n: int, k: int, lam: int,
+                    mu: int) -> tuple[int, int] | None:
+    """(m_theta, m_tau) = (n - 1 -+ gap / sqrt(disc)) / 2, with
+    gap = 2k + (n-1)(lam - mu); None if the discriminant disc is not
+    positive or either is not a non-negative integer."""
+    disc = (lam - mu) ** 2 + 4 * (k - mu)
+    gap = 2 * k + (n - 1) * (lam - mu)
+    if disc <= 0:
+        return None
+    if gap == 0:
+        # the conference case: equal multiplicities force odd order
+        return ((n - 1) // 2,) * 2 if n % 2 == 1 else None
+    s = isqrt(disc)
+    if s * s != disc or gap % s != 0:
+        return None
+    shift = gap // s
+    if (n - 1 - shift) % 2 != 0 or abs(shift) > n - 1:
+        return None
+    return (n - 1 - shift) // 2, (n - 1 + shift) // 2
+
+
+def _feasible(n: int, k: int, lam: int, mu: int) -> bool:
+    """`SrgParams.is_feasible` on plain integers."""
+    if k * (k - lam - 1) != (n - k - 1) * mu:
+        return False
+    if k < n - 1 and (n - 2 - 2 * k + mu < 0 or n - 2 * k + lam < 0):
+        # the complement of a strongly regular graph is one too, so its
+        # lambda and mu must also be counts
+        return False
+    return _multiplicities(n, k, lam, mu) is not None
+
+
 @dataclass(frozen=True)
 class SrgParams:
     """Parameter tuple (n, k, lam, mu) of a strongly regular graph.
@@ -70,34 +102,10 @@ class SrgParams:
     def discriminant(self) -> int:
         return (self.lam - self.mu) ** 2 + 4 * (self.k - self.mu)
 
-    def _multiplicities(self) -> tuple[int, int] | None:
-        """(m_theta, m_tau) = (n - 1 -+ gap / sqrt(disc)) / 2, with
-        gap = 2k + (n-1)(lam - mu), or None unless both are non-negative
-        integers.  Needs a positive discriminant."""
-        n, disc = self.n, self.discriminant
-        gap = 2 * self.k + (n - 1) * (self.lam - self.mu)
-        if gap == 0:
-            # the conference case: equal multiplicities force odd order
-            return ((n - 1) // 2,) * 2 if n % 2 == 1 else None
-        s = isqrt(disc)
-        if s * s != disc or gap % s != 0:
-            return None
-        shift = gap // s
-        if (n - 1 - shift) % 2 != 0 or abs(shift) > n - 1:
-            return None
-        return (n - 1 - shift) // 2, (n - 1 + shift) // 2
-
     def is_feasible(self) -> bool:
         """Counting identity, integrality of the eigenvalue multiplicities,
         and non-negativity of the complementary parameters."""
-        n, k, lam, mu = self.as_tuple()
-        if k * (k - lam - 1) != (n - k - 1) * mu:
-            return False
-        if k < n - 1 and (n - 2 - 2 * k + mu < 0 or n - 2 * k + lam < 0):
-            # the complement of a strongly regular graph is one too, so its
-            # lambda and mu must also be counts
-            return False
-        return self.discriminant > 0 and self._multiplicities() is not None
+        return _feasible(self.n, self.k, self.lam, self.mu)
 
     def require_spectral(self) -> None:
         if self.mu == 0:
@@ -144,7 +152,7 @@ def srg_eigen_data(p: SrgParams) -> SrgEigenData:
     base = QuadraticNumber(Fraction(lam - mu, 2))
     theta = base + root * half
     tau = base - root * half
-    m_theta, m_tau = p._multiplicities()
+    m_theta, m_tau = _multiplicities(n, k, lam, mu)
     return SrgEigenData(
         theta=theta,
         tau=tau,
@@ -231,7 +239,8 @@ def feasible_parameter_sets(max_n: int) -> list[SrgParams]:
     to divide k(k - lam - 1), that is (n - k - 1)/g to divide k - lam - 1
     with g = gcd(k, n - k - 1).  So for each n and k the candidates are
     lam = k - 1 - j(n - k - 1)/g and mu = jk/g, j from the largest with
-    lam >= 0 and mu <= k down to 1, in ascending lam.
+    lam >= 0 and mu <= k down to 1, in ascending lam.  Each is tested as
+    integers, and only those that pass become `SrgParams`.
     """
     out = []
     for n in range(4, max_n + 1):
@@ -239,7 +248,7 @@ def feasible_parameter_sets(max_n: int) -> list[SrgParams]:
             den = n - k - 1
             g = gcd(k, den)
             for j in range(min(g, (k - 1) * g // den), 0, -1):
-                p = SrgParams(n, k, k - 1 - j * den // g, j * k // g)
-                if p.is_feasible():
-                    out.append(p)
+                lam, mu = k - 1 - j * den // g, j * k // g
+                if _feasible(n, k, lam, mu):
+                    out.append(SrgParams(n, k, lam, mu))
     return out

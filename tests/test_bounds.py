@@ -173,6 +173,19 @@ class TestZeroForcingNumber:
         assert zero_forcing_number(h) == 17
         assert time.perf_counter() - start < 1
 
+    def test_each_closure_computed_once_per_search(self, monkeypatch):
+        # the search meets 227 distinct seeds here, most of them on more
+        # than one path (1,591 seed visits in all); each is closed once
+        seeds = []
+
+        def spy(adj, full, blue):
+            seeds.append(blue)
+            return _closure_mask(adj, full, blue)
+
+        monkeypatch.setattr(bounds, "_closure_mask", spy)
+        assert zero_forcing_number(complement(johnson(6, 2))) == 10
+        assert len(seeds) == len(set(seeds)) == 227
+
     def test_edgeless_complement_at_the_cap(self):
         # Z is n here, which a search from seed size 1 reaches only after
         # every smaller seed of all 24 vertices

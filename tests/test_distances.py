@@ -214,6 +214,27 @@ class TestMatrixIO:
         mat = [[0, top], [top - 1, 10 ** (len(str(top)) - 1)]]
         assert format_matrix(np.array(mat, dtype)) == joined_matrix(mat)
 
+    def test_every_uint16_value(self):
+        # every value 0..65535 once, so each slab's digit table holds cells
+        # of 1 to 5 digits (2 to 6 bytes with the separator)
+        vals = np.random.default_rng(5).permutation(1 << 16)
+        arr = vals.astype(np.uint16).reshape(256, 256)
+        assert format_matrix(arr) == joined_matrix(arr.tolist())
+
+    @pytest.mark.parametrize("mat", [[[65535, 65536], [0, 9]],
+                                     [[65535, 0], [10, 9]]])
+    def test_uint32_at_the_digit_table_bound(self, mat):
+        # 65536 is formatted by division, 65535 and below by the table
+        assert format_matrix(np.array(mat, np.uint32)) == joined_matrix(mat)
+
+    @pytest.mark.parametrize("mat", [[[0, 9, 1], [3, 0, 7], [9, 9, 0]],
+                                     [[0, -9, 1], [3, 0, -7], [9, 9, 0]]])
+    def test_single_digit_int64_with_and_without_a_sign(self, mat):
+        # only the slab with a negative entry has a sign column of NULs
+        text = joined_matrix(mat)
+        assert format_matrix(np.array(mat, np.int64)) == text
+        assert format_matrix(mat) == text
+
     @pytest.mark.parametrize("mat", [
         [[0, 1]], [[0], [1]], [[0, 1], [1]], np.zeros(3, np.int64),
         np.zeros((2, 3), np.int64), np.zeros((2, 2, 2), np.uint16),
