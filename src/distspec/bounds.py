@@ -43,12 +43,13 @@ row v is row parent(v) + 1, minus 2 on [v, e(v)): n row steps for all trees
 of one order at once.
 
 The diameter bounds need only a certified lower bound on q_D.  Take an
-integer vector x and a prime p, and let K be the n x (diam + 1) matrix
-[x, Dx, ..., D^diam x].  Then rank_p(K) <= rank_Q(K) <= deg minpoly(D) =
-q_D, the last because a symmetric D is diagonalizable.  So rank_p(K) =
-diam + 1 proves q_D >= diam + 1, and with it q_D >= floor(diam / 2).  One
-elimination modulo p, over a stack of Krylov matrices, finds the rank; any
-matrix it does not certify falls back to the exact count.
+integer vector x and p the exact kernel's first prime, and let K be the
+n x (diam + 1) matrix [x, Dx, ..., D^diam x].  Then rank_p(K) <= rank_Q(K)
+<= deg minpoly(D) = q_D, the last because a symmetric D is
+diagonalizable.  So rank_p(K) = diam + 1 proves q_D >= diam + 1, and with
+it q_D >= floor(diam / 2).  One elimination modulo p, over a stack of
+Krylov matrices, finds the rank; any matrix it does not certify falls back
+to the exact count.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .exact import distinct_eigenvalue_count
+from .exact import _primes_over, distinct_eigenvalue_count
 from .graphs import Graph
 
 ZF_ORDER_CAP = 24
@@ -222,16 +223,11 @@ class TreeBoundReport:
     half_floor_holds: bool   # q_D >= floor(diam / 2)
 
 
-# the certificate's prime, the exact kernel's largest: n p^2 < 2^63 up to
-# order 256, so a Krylov step is one int64 matmul
-_PRIME = 2**27 - 39
-
-
 def _start_vectors(t: int, n: int) -> np.ndarray:
-    """The Krylov start vector x of each of t matrices of order n, from a
-    fixed seed (Python's generator: numpy's takes longer to import)."""
+    """The Krylov start vector x of each of t matrices of order n, raw int64
+    words from a fixed seed (Python's generator: numpy's imports slower)."""
     bits = random.Random(0).randbytes(8 * t * n)
-    return np.frombuffer(bits, dtype=np.int64).reshape(t, n) % _PRIME
+    return np.frombuffer(bits, dtype=np.int64).reshape(t, n)
 
 
 def check_trees_bounds(mats: Sequence[Sequence[Sequence[int]]]
@@ -241,17 +237,18 @@ def check_trees_bounds(mats: Sequence[Sequence[Sequence[int]]]
 
     The strong form q_D >= diam + 1 is the conjectured one; the halved
     form q_D >= floor(diam / 2) is the proven statement.  A matrix whose
-    Krylov rank modulo _PRIME certifies the strong form reports diam + 1
-    as its lower bound; any other reports its exact distinct count.
+    Krylov rank modulo p certifies the strong form reports diam + 1 as its
+    lower bound; any other reports its exact distinct count.
     """
+    p = _primes_over(1)[0]
     d = np.asarray(mats, dtype=np.int64)
     t, n, _ = d.shape
     diam = d.max(axis=(1, 2))
     m = min(int(diam.max()) + 1, n)
     k = np.empty((t, n, m), dtype=np.int64)  # column j is D^j x mod p
-    k[:, :, 0] = _start_vectors(t, n)
+    k[:, :, 0] = _start_vectors(t, n) % p
     for j in range(1, m):
-        k[:, :, j] = np.matmul(d, k[:, :, j - 1:j])[:, :, 0] % _PRIME
+        k[:, :, j] = np.matmul(d, k[:, :, j - 1:j])[:, :, 0] % p
     # eliminate column c below row c without inverses; a matrix is
     # certified while each of its columns through diam has a pivot
     certified, trees = diam < n, np.arange(t)
@@ -261,7 +258,7 @@ def check_trees_bounds(mats: Sequence[Sequence[Sequence[int]]]
         piv = c + nz.argmax(axis=1)
         k[trees, c], k[trees, piv] = k[trees, piv], k[trees, c]
         top, rest = k[:, None, c, c:], k[:, c + 1:, c:]
-        rest[:] = (rest * top[:, :, :1] - rest[:, :, :1] * top) % _PRIME
+        rest[:] = (rest * top[:, :, :1] - rest[:, :, :1] * top) % p
     lower = [di + 1 if ok else distinct_eigenvalue_count(dt)
              for di, ok, dt in zip(diam.tolist(), certified.tolist(), d)]
     return [TreeBoundReport(n, di, q, q >= di + 1, q >= di // 2)

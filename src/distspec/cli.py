@@ -57,7 +57,7 @@ from .closedforms import (LEMMA_CAP, LEMMA_RANGES, ClosedFormSpectrum,
                           kneser_spectrum, lemma_identity,
                           lollipop_determinant, lollipop_inertia,
                           shrikhande_power_spectrum)
-from .distances import distance_array, distance_matrix, format_matrix
+from .distances import distance_array, format_matrix
 from .exact import (EXACT_ORDER_CAP, Inertia, det_exact,
                     distinct_eigenvalue_count, inertia_exact)
 from .graphs import (Graph, GraphError, cocktail_party, complement, complete,
@@ -281,7 +281,7 @@ def _det_report(name: str, params: Sequence[int]) -> dict:
     """The `det` JSON document of one instance: exact determinant and
     inertia, against the family's formulas where it has them."""
     fam = _family(name, params)
-    dm = distance_matrix(_build(fam, params, EXACT_ORDER_CAP, "exact search"))
+    dm = distance_array(_build(fam, params, EXACT_ORDER_CAP, "exact search"))
     det, inertia = det_exact(dm), inertia_exact(dm)
     out: dict = {"family": name, "params": list(params), "n": len(dm),
                  "det": det, "inertia": list(inertia.as_tuple())}
@@ -473,7 +473,7 @@ def cmd_zf_bound(args: argparse.Namespace) -> int:
                "zero forcing search")
     z = zero_forcing_number(complement(g))
     bound = forcing_bound(g.n, z)
-    qd = distinct_eigenvalue_count(distance_matrix(g))
+    qd = distinct_eigenvalue_count(distance_array(g))
     ceil_bound = math.ceil(bound)
     out = {"family": args.family, "params": list(args.params), "n": g.n,
            "zero_forcing_complement": z,

@@ -18,9 +18,8 @@ level costs O(m) big-int ORs of n bits plus O(n^2) bytes of numpy work, so
 long thin graphs pay most: `cycle(1500)` (diameter 750) takes about 0.9 s
 on a 2-vCPU Xeon, against 0.4 s for n single-source searches.
 `distance_array` returns that counter (uint16 below order 65,536), which
-the CLI's `matrix` and numeric `spectrum` hand straight to `format_matrix`
-and the solver; `distance_matrix` is its Python lists, for the public API
-and the exact kernel, which works in Python ints.
+every CLI command hands straight to `format_matrix`, the solver or the
+exact kernel; `distance_matrix` is its Python lists, for the public API.
 
 `format_matrix` writes 64 rows at a time as fixed-width byte cells.  Rows
 of distances (no sign, every entry below 2**16) take their cells from a
@@ -155,20 +154,13 @@ def _digit_cells(mag: np.ndarray, top: int, width: int,
     `top`, `width` bytes each: a space, a sign column where `neg` is
     given, then the digits right-aligned in NUL padding, found by one
     `divmod` pass per digit."""
-    if top < 1 << 32 and mag.itemsize > 4:
-        mag = mag.astype(np.uint32)              # divides about 4x faster
-    ten = mag.dtype.type(10)
-    digits = len(str(top))
     cells = np.zeros((*mag.shape, width), np.uint8)
     cells[:, :, 0] = ord(" ")
     if neg is not None:
         cells[:, :, 1] = neg * ord("-")
-    for k in range(1, digits + 1):
+    for k in range(1, len(str(top)) + 1):
         live = mag > 0
-        if k < digits:
-            mag, digit = np.divmod(mag, ten)
-        else:
-            digit = mag                          # the leading digit: below 10
+        mag, digit = np.divmod(mag, 10)
         digit = digit.astype(np.uint8)
         digit += ord("0")
         if k > 1:                                # no leading zeros; 0 prints "0"

@@ -39,7 +39,7 @@ from __future__ import annotations
 import math
 from decimal import Decimal
 from fractions import Fraction
-from itertools import accumulate, chain
+from itertools import accumulate, chain, combinations
 from numbers import Integral, Rational
 from operator import mul
 from typing import Sequence
@@ -114,23 +114,21 @@ def _int_array(rows: Sequence[Sequence[int]]) -> np.ndarray:
         return np.array(rows, dtype=object).reshape(n, n)
 
 
-def _residues(a: Sequence[Sequence[int]] | np.ndarray,
-              primes: list[int]) -> np.ndarray:
-    """The integer matrix a, rows or an `_int_array`, modulo each prime: a
-    new int64 array, shape (primes, n, n)."""
-    a = a if isinstance(a, np.ndarray) else _int_array(a)
+def _residues(a: np.ndarray, primes: list[int]) -> np.ndarray:
+    """The `_int_array` a modulo each prime: a new int64 array, shape
+    (primes, n, n)."""
     mm = np.array(primes, dtype=a.dtype)[:, None, None]
     return (a % mm).astype(np.int64, copy=False)
 
 
-def _modular_rank(rows: Sequence[Sequence[int]] | np.ndarray, p: int,
+def _modular_rank(a: np.ndarray, p: int,
                   enough: int) -> tuple[int, int | None]:
-    """The rank of an integer matrix modulo the prime p, a lower bound on
+    """The rank of the `_int_array` a modulo the prime p, a lower bound on
     its rank, by Gaussian elimination that stops once the rank reaches
     enough; and its determinant modulo p if the elimination ran through
     every column, else None.
     """
-    a = _residues(rows, [p])[0]
+    a = _residues(a, [p])[0]
     n = len(a)
     rank, det = 0, 1
     for c in range(n):
@@ -152,14 +150,13 @@ def _modular_rank(rows: Sequence[Sequence[int]] | np.ndarray, p: int,
     return rank, det * (rank == n) % p
 
 
-def _charpoly_residues(rows: Sequence[Sequence[int]] | np.ndarray,
-                       primes: list[int]) -> np.ndarray:
+def _charpoly_residues(a: np.ndarray, primes: list[int]) -> np.ndarray:
     """Coefficients of det(xI - M) modulo each prime, lowest degree first,
-    for an integer matrix M: shape (primes, n + 1).  The primes run
+    for M the `_int_array` a: shape (primes, n + 1).  The primes run
     _CHUNK_ENTRIES matrix entries at a time."""
-    group = max(1, _CHUNK_ENTRIES // (len(rows) ** 2 + 1))
+    group = max(1, _CHUNK_ENTRIES // (a.size + 1))
     return np.concatenate([
-        _stack_charpoly(_residues(rows, primes[j:j + group]),
+        _stack_charpoly(_residues(a, primes[j:j + group]),
                         primes[j:j + group])
         for j in range(0, len(primes), group)])
 
@@ -203,18 +200,14 @@ def _stack_charpoly(h: np.ndarray, primes: list[int]) -> np.ndarray:
             piv[ends] = 1  # t = 1: no later step reads H[m, m-1]
         los.append(lo)
         t, v = piv.tolist(), h[:, m:, m - 1:m]  # v = (t; u), t the pivot
-        if shift := v[:, 1:].any():  # column m = columns m.. @ v
-            h[:, lo:, m:m + 1] = np.matmul(h[:, lo:, m:], v) % mm
-        else:
-            h[:, lo:, m] = h[:, lo:, m] * piv[:, None] % mc
+        h[:, lo:, m:m + 1] = np.matmul(h[:, lo:, m:], v) % mm
         row = h[:, m, m - 1:]  # over t, which makes H[m, m-1] 1
         row *= np.array([pow(x, -1, p) for x, p in zip(t, primes)],
                         dtype=np.int64)[:, None]
         row %= mc
-        if shift:  # rows m+1.. -= u * row m
-            rest = h[:, m + 1:, m - 1:]
-            rest -= v[:, 1:] * row[:, None]
-            rest %= mm
+        rest = h[:, m + 1:, m - 1:]  # rows m+1.. -= u * row m
+        rest -= v[:, 1:] * row[:, None]
+        rest %= mm
     polys = np.zeros((kp, n + 1, n + 1), dtype=np.int64)
     polys[:, 0, 0] = 1
     for m, lo in zip(range(n), los):
@@ -270,13 +263,12 @@ def _chi(rows: Sequence[Sequence[int]], symmetric: bool) -> list[int]:
     bound = _hadamard_bounds(rows)
     primes = full = _primes_over(bound[n])
     rank, det, a = 0, None, _int_array(rows)
-    if symmetric and len(full) > 1:
+    if symmetric:
         # from rank enough on, the bound at rank + 2 takes every prime
         below = math.prod(full[:-1])
         enough = next(k for k, b in enumerate(bound) if b >= below) - 2
-        if enough > 0:
-            rank, det = _modular_rank(a, full[0], enough)
-            primes = _primes_over(bound[min(n, rank + 2)])
+        rank, det = _modular_rank(a, full[0], enough)
+        primes = _primes_over(bound[min(n, rank + 2)])
     res = _charpoly_residues(a, primes)
     chi = _crt_lift(res, primes)
     if len(primes) < len(full) and any(chi[n - rank - 2:n - rank]):
@@ -313,9 +305,10 @@ def _chi_of(mat: Sequence[Sequence], *, symmetric: bool = False,
         raise ValueError("matrix must be square")
     sym = last[1] if hit else key == tuple(zip(*key))
     if symmetric and not sym:
-        i, j = next((i, j) for i in range(n) for j in range(i + 1, n)
-                    if key[i][j] != key[j][i])
-        raise ValueError(f"matrix not symmetric at ({i}, {j})")
+        for i, j in combinations(range(n), 2):
+            x, y = key[i][j], key[j][i]
+            if x != y and x == x and y == y:  # the entry check names a NaN
+                raise ValueError(f"matrix not symmetric at ({i}, {j})")
     if n > EXACT_ORDER_CAP:
         raise ValueError(
             f"order {n} exceeds the exact search cap {EXACT_ORDER_CAP}")

@@ -202,6 +202,19 @@ def test_non_finite_entries_are_refused(fn, x):
         fn([[1.5, 2], [2, x]])
 
 
+@pytest.mark.parametrize("fn", [inertia_exact, distinct_eigenvalue_count])
+@pytest.mark.parametrize("mat", [
+    pytest.param([[0.0, float("nan")], [float("nan"), 0.0]], id="two-nans"),
+    pytest.param(np.array([[0, np.nan], [np.nan, 0]]), id="array"),
+    pytest.param([[0.0, nan := float("nan")], [nan, 0.0]], id="one-nan")])
+def test_nan_pair_is_refused_as_an_entry(fn, mat):
+    # two NaN objects are unequal, yet a pair holding a NaN is no asymmetry:
+    # the refusal names the entry, as for one NaN object in both places
+    with pytest.raises(ValueError,
+                       match=r"^entry \(0, 1\) is nan, not finite$"):
+        fn(mat)
+
+
 class TestEntries:
     """An entry is a rational, numpy integers included, or a finite float,
     numpy float or Decimal, each taken exactly; any other is refused."""

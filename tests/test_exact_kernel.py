@@ -89,7 +89,7 @@ class TestAgainstReferees:
 
 def assert_residues_match(m, primes):
     chi = leverrier_charpoly(m)
-    got = exact._charpoly_residues(m, primes).tolist()
+    got = exact._charpoly_residues(exact._int_array(m), primes).tolist()
     assert got == [[c % p for c in chi] for p in primes]
 
 
@@ -122,7 +122,8 @@ class TestCharpolyResidues:
         assert_residues_match(m, [2, 3, exact._primes_over(1)[0]])
 
     def test_hessenberg_input_only_scales(self):
-        # already tridiagonal: every u is 0, and the pivots 2..5 are not 1
+        # already tridiagonal: every u is 0, so each column update is a
+        # product that only scales by the pivots 2..5, which are not 1
         m = [[1, 2, 0, 0, 0], [2, 0, 3, 0, 0], [0, 3, -1, 4, 0],
              [0, 0, 4, 2, 5], [0, 0, 0, 5, 1]]
         assert_residues_match(m, [7, exact._primes_over(1)[0]])
@@ -138,7 +139,7 @@ class TestCharpolyResidues:
         # p-1, each sum of products is as large as the prime bound allows
         n, p = exact.EXACT_ORDER_CAP, exact._primes_over(1)[0]
         m = [[p - 1] * n for _ in range(n)]
-        got = exact._charpoly_residues(m, [p]).tolist()
+        got = exact._charpoly_residues(exact._int_array(m), [p]).tolist()
         assert got == [[0] * (n - 1) + [n % p, 1]]
 
     @pytest.mark.parametrize("entries, group", [(1000, 6), (100, 1)])
@@ -411,7 +412,8 @@ class TestKernelSharing:
         # column and reports det = 0 mod p, here replaced by 1
         d = distance_matrix(hypercube(6))
         rank = exact._modular_rank
-        assert rank(d, exact._primes_over(1)[0], 64) == (7, 0)
+        assert rank(exact._int_array(d), exact._primes_over(1)[0],
+                    64) == (7, 0)
         monkeypatch.setattr(exact, "_modular_rank",
                             lambda *args: (rank(*args)[0], 1))
         with pytest.raises(ArithmeticError, match="determinant"):
