@@ -23,13 +23,6 @@ class ClosedFormSpectrum:
     formula: str
 
 
-def _comb0(a: int, b: int) -> int:
-    """Binomial coefficient extended by zero outside 0 <= b <= a."""
-    if a < 0 or b < 0 or b > a:
-        return 0
-    return comb(a, b)
-
-
 # ---------------------------------------------------------------------------
 # spectra
 
@@ -110,7 +103,7 @@ def s_value(n: int, r: int) -> int:
     """The sum over j of j C(r, j) C(n-r, j); spectral radius of D(J(n, r))."""
     if not 1 <= r <= n - 1:
         raise ValueError("needs 1 <= r <= n-1")
-    return sum(j * comb(r, j) * _comb0(n - r, j) for j in range(r + 1))
+    return sum(j * comb(r, j) * comb(n - r, j) for j in range(r + 1))
 
 
 def johnson_spectrum(n: int, r: int) -> ClosedFormSpectrum:
@@ -137,7 +130,7 @@ def kneser_multiplicity(j: int, n: int) -> int:
     """Dimension of the j-th common eigenspace of the Johnson scheme."""
     if j < 0 or n < 2 * j - 1:
         raise ValueError("eigenspace index out of range")
-    return comb(n, j) - _comb0(n, j - 1)
+    return comb(n, j) - (comb(n, j - 1) if j else 0)
 
 
 def kneser_spectrum(n: int, r: int) -> ClosedFormSpectrum:
@@ -304,14 +297,14 @@ def lemma_identity(selector: int, *, s: int | None = None, d: int | None = None,
         lhs = sum(2 * i * comb(d, 2 * i) for i in range(d // 2 + 1))
         return lhs, d * 2 ** (d - 2)
     if selector == 4:
-        lhs = sum((2 * i + 1) * _comb0(d, 2 * i + 1) for i in range((d - 1) // 2 + 1))
+        lhs = sum((2 * i + 1) * comb(d, 2 * i + 1) for i in range((d - 1) // 2 + 1))
         return lhs, d * 2 ** (d - 2)
     if selector == 5:
         lhs = sum((2 * i) ** 2 * comb(d, 2 * i) for i in range(d // 2 + 1))
         return lhs, d * (d + 1) * 2 ** (d - 3)
     lo = ceil(b / 2)
     hi = (a + b) // 2
-    lhs = sum(i * _comb0(a, 2 * i - b) for i in range(lo, hi + 1))
+    lhs = sum(i * comb(a, 2 * i - b) for i in range(lo, hi + 1))
     rhs = Fraction(a + 2 * b, 8) * 2 ** a
     if rhs.denominator != 1:
         raise AssertionError("identity 6 right side must be integral")

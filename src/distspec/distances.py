@@ -21,11 +21,11 @@ on a 2-vCPU Xeon, against 0.4 s for n single-source searches.
 every CLI command hands straight to `format_matrix`, the solver or the
 exact kernel; `distance_matrix` is its Python lists, for the public API.
 
-`format_matrix` writes 64 rows at a time as fixed-width byte cells.  Rows
-of distances (no sign, every entry below 2**16) take their cells from a
-table of one cell per value, by one lookup per entry; other rows spell
-their digits out by division.  The NUL padding is dropped only where a
-cell can hold one, so rows of single digits are copied out as they are.
+`format_matrix` reads a list or an array under one rule: its type must
+cast to int64 without loss.  Distances (no negative entry, every entry
+below 2**16) take byte cells from one table of a cell per value, by one
+lookup per entry, and drop NUL padding only where a cell can hold it;
+any other integer matrix prints by `str`.
 """
 
 from __future__ import annotations
@@ -82,91 +82,50 @@ def distance_matrix(g: Graph) -> IntMatrix:
 def format_matrix(mat: IntMatrix | np.ndarray) -> str:
     """Text dump: first line "n", then n rows of n space-separated integers.
 
-    `mat` is a list of rows of ints that fit int64, or a 2-d array of a
-    type that casts to int64 without loss (other types are refused).
-    Rows are formatted 64 at a time with no Python work per entry, in
-    slabs that are views of an unsigned array in its own type (what
-    `distance_array` returns) and int64 slabs otherwise (views of an int64
-    array, copies of anything else).  Each entry fills one fixed-width
-    cell of bytes, its separator in column 0 (a newline before a row's
-    first entry, a space elsewhere), its sign in column 1 where the slab
-    holds a negative entry, then its digits right-aligned in NUL padding.
-    One pass over the slab's bytes then drops the NULs, leaving the text;
-    a slab of single digits and no sign has none, and skips it.
+    `mat` is a square list of rows or 2-d array, read 64 rows at a time by
+    `np.asarray` (a view of an array); each slab's type must cast to int64
+    without loss.  With no negative entry and every entry below 2**16
+    (every distance array), the cells come from one table, built once, of
+    a byte cell per value: separator (a newline before a row's first
+    entry, else a space), then digits right-aligned in NULs to 2, 4 or 8
+    bytes; one `np.take` per slab, then the NULs dropped where a cell can
+    hold one.  Any other matrix prints each row by `str`.
     """
-    unsigned = False
     if isinstance(mat, np.ndarray):
-        if not np.can_cast(mat.dtype, np.int64):  # no silent wrap or rounding
-            raise ValueError(f"matrix entries of type {mat.dtype} may not "
-                             "fit int64")
-        square = mat.ndim == 2 and mat.shape[0] == mat.shape[1]
-        unsigned = mat.dtype.kind == "u"
+        square = _read(mat).ndim == 2 and mat.shape[0] == mat.shape[1]
     else:
         square = all(len(row) == len(mat) for row in mat)
     if not square:
         raise ValueError("matrix must be square")
     n = len(mat)
-    slabs = [_format_rows(mat[lo:lo + 64] if unsigned
-                          else np.asarray(mat[lo:lo + 64], np.int64))
-             for lo in range(0, n, 64)]
-    return "".join([str(n), *slabs, "\n"])  # one copy of the text, not two
-
-
-def _format_rows(rows: np.ndarray) -> str:
-    """Each row of a 2-d unsigned or int64 array as a newline and its
-    entries.  `rows` is read, never written.
-
-    A slab with no negative entry and every entry below 2**16 (every
-    distance array, every list of distances) takes its cells from a table
-    of one cell per value up to its largest, padded to 2, 4 or 8 bytes so
-    that a cell is one unsigned integer: one `np.take` by the entries
-    gives them all.  Any other slab spells its digits out by division,
-    one pass per digit.
-    """
-    signed = False
-    if rows.dtype.kind == "u":
-        mag = rows
+    slabs = [_read(mat[lo:lo + 64]) for lo in range(0, n, 64)]
+    top = max([int(s.max()) for s in slabs], default=0)
+    if min([int(s.min()) for s in slabs], default=0) < 0 or top >> 16:
+        texts = ["\n" + " ".join(map(str, row))
+                 for s in slabs for row in s.tolist()]
     else:
-        neg = rows < 0
-        signed = bool(neg.any())
-        mag = np.abs(rows).view(np.uint64)       # |-2**63| is 2**63 unsigned
-    top = int(mag.max())
-    digits = len(str(top))
-    if not signed and top < 1 << 16:
-        size = 2 if digits < 2 else 4 if digits < 4 else 8
-        table = _digit_cells(np.arange(top + 1, dtype=np.uint32)[None], top,
-                             size)
-        cells = np.take(table.view(f"u{size}").ravel(), mag)
-        cells = cells.view(np.uint8).reshape(*rows.shape, size)
-    else:
-        cells = _digit_cells(mag, top, 1 + signed + digits,
-                             neg if signed else None)
-    cells[:, 0, 0] = ord("\n")
-    text = cells.tobytes()
-    if digits > 1 or signed:                     # else no cell holds a NUL
-        text = text.translate(None, b"\0")
-    return text.decode("ascii")
+        width = 1 + len(str(top))
+        size = 2 if width <= 2 else 4 if width <= 4 else 8
+        table = "".join([" " + str(v).rjust(size - 1, "\0")
+                         for v in range(top + 1)])
+        table = np.frombuffer(table.encode("ascii"), f"u{size}")
+        texts = []
+        for s in slabs:
+            cells = np.take(table, s).view(np.uint8).reshape(*s.shape, size)
+            cells[:, 0, 0] = ord("\n")
+            text = cells.tobytes()
+            if width > 2:                        # else no cell holds a NUL
+                text = text.translate(None, b"\0")
+            texts.append(text.decode("ascii"))
+    return "".join([str(n), *texts, "\n"])      # one copy of the text, not two
 
 
-def _digit_cells(mag: np.ndarray, top: int, width: int,
-                 neg: np.ndarray | None = None) -> np.ndarray:
-    """The cells of a 2-d unsigned array `mag` whose largest entry is
-    `top`, `width` bytes each: a space, a sign column where `neg` is
-    given, then the digits right-aligned in NUL padding, found by one
-    `divmod` pass per digit."""
-    cells = np.zeros((*mag.shape, width), np.uint8)
-    cells[:, :, 0] = ord(" ")
-    if neg is not None:
-        cells[:, :, 1] = neg * ord("-")
-    for k in range(1, len(str(top)) + 1):
-        live = mag > 0
-        mag, digit = np.divmod(mag, 10)
-        digit = digit.astype(np.uint8)
-        digit += ord("0")
-        if k > 1:                                # no leading zeros; 0 prints "0"
-            digit *= live
-        cells[:, :, -k] = digit
-    return cells
+def _read(a) -> np.ndarray:
+    """`a` as an array whose type casts to int64 with no wrap or rounding."""
+    a = np.asarray(a)
+    if not np.can_cast(a.dtype, np.int64):
+        raise ValueError(f"matrix entries of type {a.dtype} may not fit int64")
+    return a
 
 
 def parse_matrix(text: str) -> IntMatrix:

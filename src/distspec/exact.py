@@ -291,12 +291,12 @@ def _chi_of(mat: Sequence[Sequence], *, symmetric: bool = False,
 
     One pass copies the rows into the memo key, which the checks read in
     the order of precedence of their messages: shape, symmetry, order cap.
-    A numpy array of integers or floats is first turned into Python
-    numbers, which compare faster than numpy scalars.  Symmetry is found
-    once per matrix and kept in the memo.
+    Every numpy array is first read by `tolist` into Python objects, which
+    compare faster than numpy scalars.  Symmetry is found once per matrix
+    and kept in the memo.
     """
     global _last
-    if isinstance(mat, np.ndarray) and mat.dtype.kind in "iuf":
+    if isinstance(mat, np.ndarray):
         mat = mat.tolist()
     key = tuple(map(tuple, mat))
     last, n = _last, len(key)

@@ -6,7 +6,6 @@ A graph is its order and its adjacency: one sorted tuple of neighbours per
 vertex.  Every family generator emits those tuples straight from its
 adjacency rule, in O(n + m) with no edge list and no pair scan, through the
 unchecked `Graph(adj)`; `make_graph` checks and builds an outside edge list.
-The edge set `Graph.edges` is built the first time it is read.
 
 Subset-valued families (Johnson, Kneser, halved cube) encode each subset as
 a bitmask and list the masks in increasing order; vertex i stands for the
@@ -32,20 +31,11 @@ class Graph:
     symmetric and loop-free.  Outside edge lists go through `make_graph`.
     """
 
-    __slots__ = ("n", "_adj", "_edges")
+    __slots__ = ("n", "_adj")
 
     def __init__(self, adj: tuple[tuple[int, ...], ...]):
         self.n = len(adj)
         self._adj = adj
-        self._edges = None
-
-    @property
-    def edges(self) -> frozenset[tuple[int, int]]:
-        """Every edge once, as (u, v) with u < v."""
-        if self._edges is None:
-            self._edges = frozenset((u, v) for u, a in enumerate(self._adj)
-                                    for v in a[bisect_left(a, u):])
-        return self._edges
 
     @property
     def m(self) -> int:
@@ -53,9 +43,6 @@ class Graph:
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._adj[v]
-
-    def degree(self, v: int) -> int:
-        return len(self._adj[v])
 
     def has_edge(self, u: int, v: int) -> bool:
         if not (0 <= u < self.n and 0 <= v < self.n):

@@ -26,12 +26,18 @@ from distspec.spectra import Value
 
 
 def degrees(g: Graph) -> list[int]:
-    return [g.degree(v) for v in range(g.n)]
+    return [len(g.neighbors(v)) for v in range(g.n)]
+
+
+def edge_set(g: Graph) -> frozenset[tuple[int, int]]:
+    """Every edge of g once, as (u, v) with u < v."""
+    return frozenset((u, v) for u in range(g.n) for v in g.neighbors(u)
+                     if u < v)
 
 
 def adjacency_matrix(g: Graph) -> list[list[int]]:
     a = [[0] * g.n for _ in range(g.n)]
-    for u, v in g.edges:
+    for u, v in edge_set(g):
         a[u][v] = a[v][u] = 1
     return a
 

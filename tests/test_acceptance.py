@@ -8,8 +8,8 @@ carries its tolerance and, where one applies, its runtime budget.
 import math
 import time
 
-from conftest import (check_tree_bounds, enumerate_trees, largest,
-                      multiplicity, numeric_spectrum, smallest)
+from conftest import (check_tree_bounds, edge_set, enumerate_trees,
+                      largest, multiplicity, numeric_spectrum, smallest)
 from distspec.bounds import forcing_bound, zero_forcing_number
 from distspec.closedforms import (barbell_determinant, barbell_inertia,
                                   cocktail_party_spectrum, cycle_spectrum,
@@ -287,7 +287,7 @@ def test_criterion_10_tree_sweep():
         for t in trees:
             rep = check_tree_bounds(t)
             check(failures, rep.distinct_lower >= rep.diameter + 1,
-                  ("bound", order, t.edges))
+                  ("bound", order, edge_set(t)))
     elapsed = time.perf_counter() - t0
     check(failures, elapsed < 600, f"runtime {elapsed:.0f}s over budget")
     report(10, f"all {sum(expect.values())} trees through order 12 have "

@@ -2,6 +2,8 @@
 
 import random
 from collections import deque
+from decimal import Decimal
+from fractions import Fraction
 
 import networkx as nx
 import numpy as np
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import adjacency_matrix
+from conftest import adjacency_matrix, edge_set
 from distspec.distances import (DisconnectedError, distance_array,
                                 distance_matrix, format_matrix, parse_matrix)
 from distspec.graphs import (Graph, cocktail_party, complete, cycle,
@@ -85,7 +87,7 @@ class TestDistanceMatrix:
 
     def test_matches_networkx(self):
         g = generalized_barbell(3, 4, 2)
-        h = nx.Graph(list(g.edges))
+        h = nx.Graph(list(edge_set(g)))
         h.add_nodes_from(range(g.n))
         ref = dict(nx.all_pairs_shortest_path_length(h))
         d = distance_matrix(g)
@@ -224,13 +226,14 @@ class TestMatrixIO:
     @pytest.mark.parametrize("mat", [[[65535, 65536], [0, 9]],
                                      [[65535, 0], [10, 9]]])
     def test_uint32_at_the_digit_table_bound(self, mat):
-        # 65536 is formatted by division, 65535 and below by the table
+        # 65536 prints by `str`, 65535 and below by the digit table
         assert format_matrix(np.array(mat, np.uint32)) == joined_matrix(mat)
 
     @pytest.mark.parametrize("mat", [[[0, 9, 1], [3, 0, 7], [9, 9, 0]],
                                      [[0, -9, 1], [3, 0, -7], [9, 9, 0]]])
     def test_single_digit_int64_with_and_without_a_sign(self, mat):
-        # only the slab with a negative entry has a sign column of NULs
+        # the matrix with a negative entry prints by `str`, the other by
+        # the digit table of single digits, which holds no NUL
         text = joined_matrix(mat)
         assert format_matrix(np.array(mat, np.int64)) == text
         assert format_matrix(mat) == text
@@ -249,6 +252,19 @@ class TestMatrixIO:
         message = f"entries of type {np.dtype(dtype)}"
         with pytest.raises(ValueError, match=message):
             format_matrix(np.zeros((2, 2), dtype))
+        with pytest.raises(ValueError, match=message):  # an empty one too
+            format_matrix(np.zeros((0, 0), dtype))
+
+    @pytest.mark.parametrize("x", [1.5, Fraction(3, 2), Decimal("1.5"), "1",
+                                   2**70],
+                             ids=["float", "fraction", "decimal", "str",
+                                  "2**70"])
+    def test_format_refuses_lists_that_may_not_fit_int64(self, x):
+        # a list is read by the rule of an array: no rounding, no parsing
+        with pytest.raises(ValueError, match="may not fit int64"):
+            format_matrix([[0, x], [x, 0]])
+        with pytest.raises(ValueError, match="may not fit int64"):
+            format_matrix([[0] * 70 for _ in range(69)] + [[x] * 70])
 
     @pytest.mark.parametrize("text, message", [
         ("", "empty matrix input"),
@@ -299,7 +315,7 @@ def test_random_connected_graph_invariants(n, data):
     g = make_graph(n, spine + extra)
     d = distance_matrix(g)
     check_distance_matrix(d)
-    for u, v in g.edges:
+    for u, v in edge_set(g):
         assert d[u][v] == 1
     rows, _ = transmission_profile(g)
     assert rows == [sum(r) for r in d]
@@ -321,7 +337,7 @@ def small_graphs(draw):
 class TestAllSourcesDifferential:
     @given(small_graphs())
     def test_matches_bfs_rows_and_networkx(self, g):
-        h = nx.Graph(list(g.edges))
+        h = nx.Graph(list(edge_set(g)))
         h.add_nodes_from(range(g.n))
         unreachable = sorted(set(range(g.n)) - nx.node_connected_component(h, 0))
         if unreachable:

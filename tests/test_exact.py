@@ -225,6 +225,15 @@ class TestEntries:
         assert inertia_exact(a) == Inertia(1, 0, 4)
         assert distinct_eigenvalue_count(a) == 3
 
+    @pytest.mark.parametrize("fn, want", [
+        (det_exact, 2), (inertia_exact, Inertia(1, 0, 2)),
+        (distinct_eigenvalue_count, 2)])
+    def test_a_bool_array_reads_as_its_list(self, fn, want):
+        # the adjacency matrix of K_3, as bools
+        a = np.array([[False, True, True], [True, False, True],
+                      [True, True, False]])
+        assert fn(a) == fn(a.tolist()) == want
+
     def test_numpy_integers_become_python_ints_before_the_bound(self):
         # the squares of these int64 entries overflow int64
         base = [[2, -1, 0], [-1, 0, 5], [0, 5, -4]]

@@ -13,21 +13,22 @@ SRC = ROOT / "src" / "distspec"
 
 
 def public_definitions(path):
-    """Public top-level functions and classes, and the public methods of
-    top-level classes, defined in one source file."""
+    """(name, member) for the public top-level functions and classes
+    (member False) and the public methods of top-level classes (member
+    True) defined in one source file."""
     defs = []
     for node in ast.parse(path.read_text()).body:
         members = node.body if isinstance(node, ast.ClassDef) else []
         for n in [node, *members]:
             if (isinstance(n, (ast.FunctionDef, ast.ClassDef))
                     and not n.name.startswith("_")):
-                defs.append(n.name)
+                defs.append((n.name, n is not node))
     return defs
 
 
 def test_every_public_name_is_used():
     defs = [name for path in sorted(SRC.glob("*.py"))
-            for name in public_definitions(path)]
+            for name, _ in public_definitions(path)]
     # every word in the sources, so that names in strings count too
     words = Counter(word for d in ("src", "tests", "bench")
                     for p in (ROOT / d).rglob("*.py")
@@ -37,28 +38,35 @@ def test_every_public_name_is_used():
 
 
 def code_names(path):
-    """Names and attributes read, and imported names, in the code of one
-    file; names assigned to, and words in strings, comments and docstrings,
-    do not count."""
-    names = Counter()
+    """Names read and imported, and attributes read, in the code of one
+    file, as two counters; names assigned to, and words in strings,
+    comments and docstrings, do not count."""
+    names, attrs = Counter(), Counter()
     for n in ast.walk(ast.parse(path.read_text())):
         if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
             names[n.id] += 1
         elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
-            names[n.attr] += 1
+            attrs[n.attr] += 1
         elif isinstance(n, ast.alias):
             names[n.name] += 1
-    return names
+    return names, attrs
 
 
 def unused_outside_tests(sources, users):
     """Public top-level functions and classes of the sources, and public
     methods and properties of their top-level classes, that the code of no
-    user file names.  Members go by name alone, so a member shares its
-    reader with any attribute of the same name."""
-    defs = {name for path in sources for name in public_definitions(path)}
-    names = sum((code_names(p) for p in users), Counter())
-    return sorted(name for name in defs if not names[name])
+    user file names.  A top-level name counts any read of the name or of
+    an attribute of that name; a member counts only attribute reads, and
+    goes by name alone, so it shares its reader with any attribute of the
+    same name."""
+    defs = {d for path in sources for d in public_definitions(path)}
+    names, attrs = Counter(), Counter()
+    for p in users:
+        read, read_attrs = code_names(p)
+        names += read
+        attrs += read_attrs
+    return sorted(name for name, member in defs
+                  if not attrs[name] and (member or not names[name]))
 
 
 # Names kept for routes that ROADMAP plans but no command has yet.
@@ -95,6 +103,13 @@ def test_test_only_guard_sees_a_test_only_member(tmp_path):
     src.write_text("class Box:\n    def read(self):\n        pass\n\n"
                    "    @property\n    def size(self):\n        return 0\n\n"
                    "    def _private(self):\n        pass\n\n\nBox().read()\n")
+    assert unused_outside_tests([src], [src]) == ["size"]
+
+
+def test_test_only_guard_sees_past_a_variable_of_the_same_name(tmp_path):
+    src = tmp_path / "probe.py"
+    src.write_text("class Box:\n    @property\n    def size(self):\n"
+                   "        return 0\n\n\nsize = 3\nprint(Box, size)\n")
     assert unused_outside_tests([src], [src]) == ["size"]
 
 

@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import adjacency_matrix, degrees, numeric_spectrum
+from conftest import adjacency_matrix, degrees, edge_set, numeric_spectrum
 from distspec.distances import distance_matrix
 from distspec.exact import inertia_exact
 from distspec.graphs import (Graph, cocktail_party, complement, cycle,
@@ -47,7 +47,7 @@ def srg_params_of(g: Graph) -> SrgParams:
     assert len(degs) == 1, "graph is not regular"
     k = degs.pop()
     common = lambda u, v: len(set(g.neighbors(u)) & set(g.neighbors(v)))
-    lams = {common(u, v) for u, v in g.edges}
+    lams = {common(u, v) for u, v in edge_set(g)}
     mus = {common(u, v) for u in range(g.n) for v in range(u + 1, g.n)
            if not g.has_edge(u, v)}
     assert len(lams) == 1 and len(mus) == 1, "graph is not strongly regular"
