@@ -305,7 +305,5 @@ def lemma_identity(selector: int, *, s: int | None = None, d: int | None = None,
     lo = ceil(b / 2)
     hi = (a + b) // 2
     lhs = sum(i * comb(a, 2 * i - b) for i in range(lo, hi + 1))
-    rhs = Fraction(a + 2 * b, 8) * 2 ** a
-    if rhs.denominator != 1:
-        raise AssertionError("identity 6 right side must be integral")
-    return lhs, int(rhs)
+    # 8 | 2^a for a >= 3; at a = 2 the product is 4(2 + 2b)
+    return lhs, (a + 2 * b) * 2 ** a // 8

@@ -121,33 +121,27 @@ def _residues(a: np.ndarray, primes: list[int]) -> np.ndarray:
     return (a % mm).astype(np.int64, copy=False)
 
 
-def _modular_rank(a: np.ndarray, p: int,
-                  enough: int) -> tuple[int, int | None]:
+def _modular_rank(a: np.ndarray, p: int, enough: int) -> int:
     """The rank of the `_int_array` a modulo the prime p, a lower bound on
     its rank, by Gaussian elimination that stops once the rank reaches
-    enough; and its determinant modulo p if the elimination ran through
-    every column, else None.
-    """
+    enough."""
     a = _residues(a, [p])[0]
-    n = len(a)
-    rank, det = 0, 1
-    for c in range(n):
+    rank = 0
+    for c in range(len(a)):
         if rank >= enough:
-            return rank, None
+            break
         nz = np.flatnonzero(a[rank:, c])
         if not nz.size:
             continue
         if nz[0]:
             a[[rank, rank + nz[0]]] = a[[rank + nz[0], rank]]
-            det = -det
         top = a[rank, c:]
-        det = det * int(top[0]) % p
         rest = a[rank + 1:, c:]
         f = rest[:, 0] * pow(int(top[0]), -1, p) % p
         rest -= f[:, None] * top
         rest %= p
         rank += 1
-    return rank, det * (rank == n) % p
+    return rank
 
 
 def _charpoly_residues(a: np.ndarray, primes: list[int]) -> np.ndarray:
@@ -262,23 +256,23 @@ def _chi(rows: Sequence[Sequence[int]], symmetric: bool) -> list[int]:
     n = len(rows)
     bound = _hadamard_bounds(rows)
     primes = full = _primes_over(bound[n])
-    rank, det, a = 0, None, _int_array(rows)
+    rank, enough, a = 0, 0, _int_array(rows)
     if symmetric:
         # from rank enough on, the bound at rank + 2 takes every prime
         below = math.prod(full[:-1])
         enough = next(k for k, b in enumerate(bound) if b >= below) - 2
-        rank, det = _modular_rank(a, full[0], enough)
+        rank = _modular_rank(a, full[0], enough)
         primes = _primes_over(bound[min(n, rank + 2)])
     res = _charpoly_residues(a, primes)
     chi = _crt_lift(res, primes)
     if len(primes) < len(full) and any(chi[n - rank - 2:n - rank]):
         more = _charpoly_residues(a, full[len(primes):])
         chi = _crt_lift(np.concatenate([res, more]), full)
-    if n - _zero(chi) < rank or det is not None and \
-            ((-1) ** n * chi[0] - det) % full[0]:
+    # a pass short of enough met every column: r' < n, so p | det M
+    if n - _zero(chi) < rank or rank < enough and chi[0] % full[0]:
         raise ArithmeticError(
             f"characteristic polynomial {chi} disagrees with rank {rank} "
-            f"and determinant {det} modulo {full[0]}")
+            f"modulo {full[0]}, or with determinant 0 below rank {enough}")
     return chi
 
 

@@ -6,6 +6,8 @@ A graph is its order and its adjacency: one sorted tuple of neighbours per
 vertex.  Every family generator emits those tuples straight from its
 adjacency rule, in O(n + m) with no edge list and no pair scan, through the
 unchecked `Graph(adj)`; `make_graph` checks and builds an outside edge list.
+The path, cycle, lollipop, generalized barbell and leaf hypercube are one
+rule, `_chained`: cliques, a hypercube or empty rows, plus one chain of edges.
 
 Subset-valued families (Johnson, Kneser, halved cube) encode each subset as
 a bitmask and list the masks in increasing order; vertex i stands for the
@@ -136,12 +138,17 @@ def _clique(lo: int, hi: int) -> list[tuple[int, ...]]:
     return [span[:i] + span[i + 1:] for i in range(hi - lo)]
 
 
-def _path(lo: int, hi: int) -> list[tuple[int, ...]]:
-    """Neighbour tuples of a path on lo..hi-1."""
-    rows = [(v - 1, v + 1) for v in range(lo, hi)]
-    rows[0] = rows[0][1:]
-    rows[-1] = rows[-1][:-1]
-    return rows
+def _chained(adj: list[tuple[int, ...]], chain: Sequence[int]) -> Graph:
+    """The graph of the neighbour tuples adj plus an edge between each two
+    consecutive vertices of chain; only the rows the chain touches are
+    re-sorted."""
+    rows = {v: list(adj[v]) for v in chain}
+    for u, v in zip(chain, chain[1:]):
+        rows[u].append(v)
+        rows[v].append(u)
+    for v, row in rows.items():
+        adj[v] = tuple(sorted(row))
+    return Graph(tuple(adj))
 
 
 # ---------------------------------------------------------------------------
@@ -156,15 +163,13 @@ def complete(n: int) -> Graph:
 def path(n: int) -> Graph:
     if n < 2:
         raise GraphError("path needs n >= 2")
-    return Graph(tuple(_path(0, n)))
+    return _chained([()] * n, range(n))
 
 
 def cycle(n: int) -> Graph:
     if n < 3:
         raise GraphError("cycle needs n >= 3")
-    rows = [(v - 1, v + 1) for v in range(n)]
-    rows[0], rows[-1] = (1, n - 1), (0, n - 2)
-    return Graph(tuple(rows))
+    return _chained([()] * n, [*range(n), 0])
 
 
 def hypercube(d: int) -> Graph:
@@ -299,12 +304,7 @@ def lollipop(k: int, length: int) -> Graph:
     `length` vertices.  length = 0 degenerates to the clique itself."""
     if k < 2 or length < 0:
         raise GraphError("lollipop needs k >= 2 and length >= 0")
-    if length == 0:
-        return complete(k)
-    adj = _clique(0, k) + _path(k, k + length)
-    adj[k - 1] += (k,)
-    adj[k] = (k - 1,) + adj[k]
-    return Graph(tuple(adj))
+    return _chained(_clique(0, k) + [()] * length, range(k - 1, k + length))
 
 
 def generalized_barbell(k: int, m: int, length: int) -> Graph:
@@ -318,26 +318,15 @@ def generalized_barbell(k: int, m: int, length: int) -> Graph:
     if k < 2 or m < 2 or length < 0:
         raise GraphError("generalized barbell needs k, m >= 2 and length >= 0")
     base = k + m
-    adj = _clique(0, k) + _clique(k, base)
-    if length == 0:
-        adj[k - 1] += (base - 1,)
-        adj[base - 1] = (k - 1,) + adj[base - 1]
-    else:
-        adj += _path(base, base + length)
-        tail = base + length - 1
-        adj[base - 1] += (tail,)
-        adj[tail] = (base - 1,) + adj[tail]
-        adj[k - 1] += (base,)
-        adj[base] = (k - 1,) + adj[base]     # last: base is tail at length 1
-    return Graph(tuple(adj))
+    return _chained(_clique(0, k) + _clique(k, base) + [()] * length,
+                    [k - 1, *range(base, base + length), base - 1])
 
 
 def hypercube_with_leaf(d: int) -> Graph:
     """Hypercube Q_d with one pendant vertex attached at word 0."""
     if d < 1:
         raise GraphError("hypercube-leaf needs d >= 1")
-    q = hypercube(d)._adj
-    return Graph((q[0] + (len(q),), *q[1:], (0,)))
+    return _chained([*hypercube(d)._adj, ()], (0, 1 << d))
 
 
 # frozen canonical edge lists for the two sporadic polyhedra

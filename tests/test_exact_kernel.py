@@ -408,14 +408,13 @@ class TestKernelSharing:
             det_exact([[1.0, 0], [0, 1.0]])
 
     def test_determinant_cross_check(self, monkeypatch):
-        # hypercube(6) has rank 7: the elimination runs through every
-        # column and reports det = 0 mod p, here replaced by 1
-        d = distance_matrix(hypercube(6))
-        rank = exact._modular_rank
-        assert rank(exact._int_array(d), exact._primes_over(1)[0],
-                    64) == (7, 0)
-        monkeypatch.setattr(exact, "_modular_rank",
-                            lambda *args: (rank(*args)[0], 1))
+        # lollipop(20, 8) is nonsingular and its pass stops at rank 18; a
+        # claimed rank 1 says the pass met every column, so p | det, which
+        # chi(0) refutes
+        d = distance_matrix(lollipop(20, 8))
+        a, p = exact._int_array(d), exact._primes_over(1)[0]
+        assert exact._modular_rank(a, p, 18) == 18
+        monkeypatch.setattr(exact, "_modular_rank", lambda *args: 1)
         with pytest.raises(ArithmeticError, match="determinant"):
             inertia_exact(d)
 
@@ -425,7 +424,7 @@ class TestKernelSharing:
         # not the rank check
         d = distance_matrix(hypercube(6))
         used = spy(monkeypatch)["lifts"]
-        monkeypatch.setattr(exact, "_modular_rank", lambda *args: (8, None))
+        monkeypatch.setattr(exact, "_modular_rank", lambda *args: 8)
         with pytest.raises(ArithmeticError, match="rank 8"):
             inertia_exact(d)
         assert len(used) == 1 and used[0] < full_bound_primes(d)

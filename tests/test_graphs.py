@@ -69,6 +69,11 @@ class TestMakeGraph:
         g = path(3)
         assert adjacency_matrix(g) == [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
 
+    def test_repr_and_equality_with_other_types(self):
+        g = path(3)
+        assert repr(g) == "Graph(n=3, m=2)"
+        assert not g == "x" and not g == 1
+
 
 class TestProducts:
     def test_hamming_2_4_is_k4_square(self):

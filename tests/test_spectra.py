@@ -131,6 +131,36 @@ class TestQuadraticNumber:
             assert len({hash(x) for x in same}) == 1
         assert len(set(rational + irrational)) == 2
 
+    def test_negative_radicand_refused(self):
+        with pytest.raises(ValueError, match="radicand must be non-negative"):
+            QuadraticNumber(0, 1, -1)
+
+    def test_irrational_has_no_fraction(self):
+        with pytest.raises(ValueError, match=r"1\+sqrt\(2\) is irrational"):
+            QuadraticNumber(1, 1, 2).as_fraction()
+
+    def test_order_against_a_string_refused(self):
+        with pytest.raises(TypeError,
+                           match="cannot order QuadraticNumber and str"):
+            QuadraticNumber(0, 1, 2) < "x"
+
+    def test_arithmetic_across_radicands_or_with_a_string_refused(self):
+        x, y = qn(0, 1, 2), qn(0, 1, 3)
+        for op in (lambda u, v: u + v, lambda u, v: u * v):
+            with pytest.raises(TypeError):
+                op(x, y)
+        for op in (lambda u, v: u + v, lambda u, v: u - v,
+                   lambda u, v: u * v):
+            with pytest.raises(TypeError):
+                op(x, "x")
+
+    def test_integer_minus_quadratic(self):
+        assert 1 - qn(0, 1, 2) == qn(1, -1, 2)
+
+    def test_never_equal_to_a_string_or_an_unequal_int(self):
+        x = qn(0, 1, 2)
+        assert not x == "x" and not x == 1
+
 
 class TestExactString:
     def test_int_fraction_quadratic_float(self):
@@ -180,6 +210,11 @@ class TestSpectrum:
         vals = [float(v) for v, _ in s.entries]
         assert vals == sorted(vals, reverse=True)
         assert s.entries[0][0] == 0
+
+    def test_repr_and_equality_with_other_types(self):
+        s = Spectrum([(2, 3), (0.5, 1)])
+        assert repr(s) == "Spectrum(2^3, 0.5)"
+        assert not s == "x" and not s == 1
 
 
 class TestSpectrumConstruction:
@@ -242,6 +277,10 @@ class TestClustering:
         assert vals[0] - vals[2] > tol
         s = cluster_to_spectrum(vals)
         assert s.entries[0][1] == 3
+
+    def test_rejects_empty_input(self):
+        with pytest.raises(ValueError, match="empty eigenvalue list"):
+            cluster_to_spectrum([])
 
     def test_rejects_unsorted_input(self):
         with pytest.raises(ValueError):

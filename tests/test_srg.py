@@ -268,6 +268,9 @@ class TestParameterFamilies:
             symplectic_params(1, 2)
         with pytest.raises(SrgParameterError):
             symplectic_params(2, 6)  # not a prime power
+        with pytest.raises(SrgParameterError,
+                           match="q = 1 is not a prime power"):
+            symplectic_params(2, 1)
 
     def test_symplectic_optimism_has_one_exception(self):
         for m in (2, 3):
